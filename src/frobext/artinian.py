@@ -50,11 +50,7 @@ class ArtinianAlgebra:
     def action_matrix(self, f):
         """Multiplication by f on the monomial basis, flattened over F_p."""
         return matrix_of_map(
-            self.space.basis_elems(),
-            lambda b: self.multiply(f, b),
-            self.space.coords,
-            self.space.dim(),
-            self.ring.field.p,
+            self.space.basis_elems(), lambda b: self.multiply(f, b), self.space, self.ring.field.p
         )
 
     def basis_elems(self):

@@ -22,17 +22,19 @@ import numpy as np
 from .artinian import ArtinianAlgebra
 from .koszul import KoszulComplex
 from .linalg import (
+    BlockSpace,
     FpLinearMap,
     StructureError,
     artin_schreier_map,
+    complex_dims,
+    flatten,
     intersection_dim,
     kernel_basis,
     matrix_of_map,
-    rank as mat_rank,
     solve,
-    subquotient_dim,
+    tuple_space,
 )
-from .poly import MultiPoly, PolySpace, monomials_box
+from .poly import FieldSpace, PolySpace, monomials_box
 
 
 def _boundary(S):
@@ -42,37 +44,6 @@ def _boundary(S):
 
 def _digit_tuples(p, d):
     return list(itertools.product(range(p), repeat=d))
-
-
-class _TupleBoxSpace:
-    """Flat F_p coordinates for rank-tuples of reduced algebra elements."""
-
-    def __init__(self, module):
-        self.module = module
-        self.aspace = module.algebra.space
-        self.p = module.ring.field.p
-
-    def dim(self):
-        return self.module.rank * self.aspace.dim()
-
-    def basis_elems(self):
-        for s in range(self.module.rank):
-            for b in self.aspace.basis_elems():
-                m = list(self.module.zero())
-                m[s] = b
-                yield tuple(m)
-
-    def coords(self, m):
-        out = []
-        for comp in m:
-            out.extend(self.aspace.coords(comp))
-        return out
-
-    def from_coords(self, vec):
-        n = self.aspace.dim()
-        return tuple(
-            self.aspace.from_coords(vec[s * n : (s + 1) * n]) for s in range(self.module.rank)
-        )
 
 
 class ArtinianCartierModule:
@@ -103,7 +74,7 @@ class ArtinianCartierModule:
         for i, a in enumerate(algebra.exponents):
             twist = twist * ring.gens()[i] ** (a * (p - 1))
         self.twist_poly = twist
-        self._space = _TupleBoxSpace(self)
+        self._space = tuple_space(algebra.space, rank, ring.zero)
         if check:
             self.structure_check()
 
@@ -528,93 +499,45 @@ class ConeComplex:
         return True
 
 
-class ConeWindowSpace:
-    """Flat F_p coordinates for a cone spot restricted to coefficient
-    exponents <= cap and F-degree <= dfmax."""
+def cone_window(cone, n, cap, dfmax):
+    """Flat F_p coordinates for cone spot n restricted to coefficient
+    exponents <= cap and F-degree <= dfmax.  Keys are (part, S, s, i), part
+    "C" on the wedge subsets of size n-1 before part "D" on those of size n."""
+    keys = [
+        (part, S, s, i)
+        for part, size in (("C", n - 1), ("D", n))
+        for S in cone.subsets(size)
+        for s in range(cone.module.rank)
+        for i in range(dfmax + 1)
+    ]
 
-    def __init__(self, cone, n, cap, dfmax):
-        self.cone = cone
-        self.n = n
-        self.cap = cap
-        self.dfmax = dfmax
-        ring = cone.ring
-        # cap is the largest exponent allowed, inclusive
-        self.pspace = PolySpace.box(ring, cap + 1)
-        self.keys = []
-        for S in cone.subsets(n - 1):
-            for s in range(cone.module.rank):
-                self.keys.append(("C", S, s))
-        for S in cone.subsets(n):
-            for s in range(cone.module.rank):
-                self.keys.append(("D", S, s))
-        self.p = ring.field.p
-
-    def dim(self):
-        return len(self.keys) * (self.dfmax + 1) * self.pspace.dim()
-
-    def basis_elems(self):
-        for key in self.keys:
-            part, S, s = key
-            for i in range(self.dfmax + 1):
-                for b in self.pspace.basis_elems():
-                    if part == "C":
-                        yield ConeElem(self.cone, {(S, s, i): b}, {})
-                    else:
-                        yield ConeElem(self.cone, {}, {(S, s, i): b})
-
-    def coords(self, z):
-        pdim = self.pspace.dim()
-        block = (self.dfmax + 1) * pdim
-        vec = [0] * self.dim()
+    def split(z):
         for part, terms in (("C", z.C), ("D", z.D)):
             for (S, s, i), g in terms.items():
-                try:
-                    k = self.keys.index((part, S, s))
-                except ValueError:
-                    raise ValueError("cone term %r outside spot %d" % ((part, S, s), self.n))
-                if i > self.dfmax:
-                    raise ValueError("F-degree %d exceeds window %d" % (i, self.dfmax))
-                c = self.pspace.coords(g)
-                base = k * block + i * pdim
-                for t, ct in enumerate(c):
-                    vec[base + t] = ct
-        return vec
+                yield (part, S, s, i), g
 
-    def from_coords(self, vec):
-        pdim = self.pspace.dim()
-        block = (self.dfmax + 1) * pdim
+    def join(parts):
         C, D = {}, {}
-        for k, (part, S, s) in enumerate(self.keys):
-            for i in range(self.dfmax + 1):
-                g = self.pspace.from_coords(vec[k * block + i * pdim : k * block + (i + 1) * pdim])
-                if g:
-                    (C if part == "C" else D)[(S, s, i)] = g
-        return ConeElem(self.cone, C, D)
+        for (part, S, s, i), g in parts.items():
+            (C if part == "C" else D)[(S, s, i)] = g
+        return ConeElem(cone, C, D)
+
+    # cap is the largest exponent allowed, inclusive
+    return BlockSpace(keys, PolySpace.box(cone.ring, cap + 1), split, join)
 
 
-def _content_window(cone, n, elems, min_cap, min_df):
-    cap, df = min_cap, min_df
-    for z in elems:
+def _flatten_diff(cone, n, dom, cap, dfmax):
+    """Flatten d_n from the window `dom`; the codomain window is the
+    (cap, dfmax) one, grown to fit the images."""
+    images = [cone.differential(n, z) for z in dom.basis_elems()]
+    for z in images:
         for terms in (z.C, z.D):
             for (S, s, i), g in terms.items():
-                df = max(df, i)
+                dfmax = max(dfmax, i)
                 for exp in g.terms:
                     cap = max(cap, max(exp) if exp else 0)
-    return ConeWindowSpace(cone, n, cap, df)
-
-
-def _flatten_diff(cone, n, dom):
-    """Flatten d_n from the window `dom`; codomain grows to fit content."""
-    basis = list(dom.basis_elems())
-    images = [cone.differential(n, z) for z in basis]
-    cod = _content_window(cone, n - 1, images, dom.cap, dom.dfmax)
-    cols = [cod.coords(z) for z in images]
-    mat = (
-        np.array(cols, dtype=np.int64).T % dom.p
-        if cols
-        else np.zeros((cod.dim(), 0), dtype=np.int64)
-    )
-    return FpLinearMap(mat, dom.p), cod
+    cod = cone_window(cone, n - 1, cap, dfmax)
+    return flatten(images, cod, cone.p), cod
 
 
 def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
@@ -634,41 +557,28 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
         """Can each cycle (coords in cyc_space) be written as d_(n+1) of an
         element from a grown window?"""
         for g in range(1, max_growth + 1):
-            dom = ConeWindowSpace(cone, n + 1, cap + g * step, dfmax)
-            basis = list(dom.basis_elems())
-            images = [cone.differential(n + 1, z) for z in basis]
-            cod = _content_window(cone, n, images, cyc_space.cap, cyc_space.dfmax)
-            cols = [cod.coords(z) for z in images]
-            A = (
-                np.array(cols, dtype=np.int64).T % p
-                if cols
-                else np.zeros((cod.dim(), 0), dtype=np.int64)
-            )
-            ok = True
-            for vec in cycles_coords:
-                z = cyc_space.from_coords(list(vec))
-                b = np.array(cod.coords(z), dtype=np.int64)
-                if solve(A, b, p) is None:
-                    ok = False
-                    break
-            if ok:
+            dom = cone_window(cone, n + 1, cap + g * step, dfmax)
+            A, cod = _flatten_diff(cone, n + 1, dom, cap, dfmax)
+            if all(
+                solve(A, np.array(cod.coords(cyc_space.from_coords(vec)), dtype=np.int64), p)
+                is not None
+                for vec in cycles_coords
+            ):
                 return True, g
         return False, max_growth
 
     # top spot: no cycles at all
     top = cone.length
-    dom = ConeWindowSpace(cone, top, cap, dfmax)
-    dmap, _ = _flatten_diff(cone, top, dom)
-    ker = kernel_basis(dmap.mat, p)
+    dom = cone_window(cone, top, cap, dfmax)
+    ker = kernel_basis(_flatten_diff(cone, top, dom, cap, dfmax)[0], p)
     entry = {"spot": top, "window_dim": dom.dim(), "cycles": int(ker.shape[0]), "ok": ker.shape[0] == 0}
     report["spots"].append(entry)
     report["passed"] = report["passed"] and entry["ok"]
 
     # inner spots
     for n in range(1, top):
-        dom = ConeWindowSpace(cone, n, cap, dfmax)
-        dmap, _ = _flatten_diff(cone, n, dom)
-        ker = kernel_basis(dmap.mat, p)
+        dom = cone_window(cone, n, cap, dfmax)
+        ker = kernel_basis(_flatten_diff(cone, n, dom, cap, dfmax)[0], p)
         ok, used = (True, 0) if ker.shape[0] == 0 else hit_by_next(n, ker, dom)
         entry = {
             "spot": n,
@@ -681,9 +591,8 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
         report["passed"] = report["passed"] and ok
 
     # spot 0: augmentation kernel
-    dom = ConeWindowSpace(cone, 0, cap, dfmax)
-    mspace = module.space()
-    amap = matrix_of_map(dom.basis_elems(), cone.augment, mspace.coords, mspace.dim(), p)
+    dom = cone_window(cone, 0, cap, dfmax)
+    amap = matrix_of_map(dom.basis_elems(), cone.augment, module.space(), p)
     ker = kernel_basis(amap.mat, p)
     ok, used = (True, 0) if ker.shape[0] == 0 else hit_by_next(0, ker, dom)
     entry = {
@@ -779,32 +688,12 @@ class HomSpot:
                 self.keys.append(("D", S, s))
 
     def flat(self, nspace):
-        return _KeyedValueSpace(self.keys, nspace)
+        """Hom elements (key -> value dicts) with values in `nspace`."""
+        return _keyed(self.keys, nspace)
 
 
-class _KeyedValueSpace:
-    def __init__(self, keys, nspace):
-        self.keys = keys
-        self.nspace = nspace
-        self.p = nspace.p
-
-    def dim(self):
-        return len(self.keys) * self.nspace.dim()
-
-    def basis_funcs(self):
-        for k in self.keys:
-            for b in self.nspace.basis_elems():
-                yield {k: b}
-
-    def coords(self, fvals):
-        n = self.nspace.dim()
-        vec = [0] * self.dim()
-        for key, v in fvals.items():
-            k = self.keys.index(key)
-            c = self.nspace.coords(v)
-            for t, ct in enumerate(c):
-                vec[k * n + t] = ct
-        return vec
+def _keyed(keys, nspace):
+    return BlockSpace(keys, nspace, dict.items, dict)
 
 
 def _evaluate_hom(cone, target, fvals, z):
@@ -842,7 +731,7 @@ def _dual_images(cone, target, n, dom_space):
     gens = cone.generators(n + 1)
     bounded = [(key, cone.differential(n + 1, g)) for key, g in gens]
     images = []
-    for fvals in dom_space.basis_funcs():
+    for fvals in dom_space.basis_elems():
         img = {}
         for key, dz in bounded:
             v = _evaluate_hom(cone, target, fvals, dz)
@@ -867,30 +756,13 @@ def ext_dims_artinian(cone, target, jmax=None):
     spot 0..d+1 (and 0 beyond)."""
     jmax = cone.length if jmax is None else jmax
     nspace = target.space()
-    p = nspace.p
     mats = []
-    for n in range(0, cone.length + 1):
+    for n in range(min(jmax, cone.length) + 1):
         dom = HomSpot(cone, n).flat(nspace)
-        images = _dual_images(cone, target, n, dom)
         cod = HomSpot(cone, n + 1).flat(nspace)
-        cols = [cod.coords(img) for img in images]
-        mat = (
-            np.array(cols, dtype=np.int64).T % p
-            if cols and cod.dim()
-            else np.zeros((cod.dim(), max(len(cols), 0)), dtype=np.int64)
-        )
-        mats.append(FpLinearMap(mat, p))
-    dims = []
-    for j in range(0, jmax + 1):
-        if j > cone.length:
-            dims.append(0)
-            continue
-        ker = kernel_basis(mats[j].mat, p)
-        if j == 0:
-            dims.append(int(ker.shape[0]))
-            continue
-        dims.append(subquotient_dim(mats[j - 1].image_rows(), ker, p))
-    return dims
+        mats.append(flatten(_dual_images(cone, target, n, dom), cod, nspace.p))
+    dims = complex_dims(mats, nspace.p)
+    return dims + [0] * (jmax + 1 - len(dims))
 
 
 def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
@@ -917,22 +789,12 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
     if gap is None:
         gap = p + sum(cone.module.algebra.exponents) + target.degree(target.cN)
 
-    def flat_diff(nspot, dom, domcap):
-        images = _dual_images(cone, target, nspot, dom)
-        codcap = max([domcap] + [_value_degree(target, img) for img in images])
-        cod = HomSpot(cone, nspot + 1).flat(target.space(codcap))
-        cols = [cod.coords(img) for img in images]
-        A = (
-            np.array(cols, dtype=np.int64).T % p
-            if cols and cod.dim()
-            else np.zeros((cod.dim(), len(cols)), dtype=np.int64)
-        )
-        return A, images
-
     def q(L):
         dom = HomSpot(cone, j).flat(target.space(L))
-        A, _ = flat_diff(j, dom, L)
-        ker = kernel_basis(A, p)  # exact cycles with values capped at L
+        images = _dual_images(cone, target, j, dom)
+        codcap = max([L] + [_value_degree(target, img) for img in images])
+        cod = HomSpot(cone, j + 1).flat(target.space(codcap))
+        ker = kernel_basis(flatten(images, cod, p), p)  # exact cycles with values capped at L
         if j == 0 or ker.shape[0] == 0:
             return int(ker.shape[0])
         big = p * L + gap
@@ -940,13 +802,9 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
         prev_images = _dual_images(cone, target, j - 1, dom_prev)
         ambcap = max([L] + [_value_degree(target, img) for img in prev_images])
         amb = HomSpot(cone, j).flat(target.space(ambcap))
-        lift = _reembed_rows(ker, dom, amb)
-        brows = [amb.coords(img) for img in prev_images]
-        B = (
-            np.array(brows, dtype=np.int64) % p
-            if brows
-            else np.zeros((0, amb.dim()), dtype=np.int64)
-        )
+        # the capped cycles re-expressed in the ambient value space
+        lift = flatten((dom.from_coords(v) for v in ker), amb, p).T
+        B = flatten(prev_images, amb, p).T
         return int(lift.shape[0]) - intersection_dim(lift, B, p)
 
     caps = []
@@ -958,23 +816,6 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
             return {"dim": val, "stable": True, "structural_zero": False, "caps": caps}
         prev = val
     return {"dim": prev, "stable": False, "structural_zero": False, "caps": caps}
-
-
-def _reembed_rows(rows, small, big):
-    """Re-express flat vectors of a smaller value space inside a bigger one."""
-    if rows.shape[0] == 0:
-        return np.zeros((0, big.dim()), dtype=np.int64)
-    out = []
-    nsm = small.nspace
-    for vec in rows:
-        fvals = {}
-        n = nsm.dim()
-        for k, key in enumerate(small.keys):
-            v = nsm.from_coords([int(x) for x in vec[k * n : (k + 1) * n]])
-            if v:
-                fvals[key] = v
-        out.append(big.coords(fvals))
-    return np.array(out, dtype=np.int64)
 
 
 def ext_rf(module, target, j, **caps):
@@ -992,47 +833,28 @@ def ext_rf(module, target, j, **caps):
 def ext_r_dims(module, ntarget):
     """Ext over the plain ring via the wedge resolution, Artinian target."""
     cone = ConeComplex(module)
-    ring = cone.ring
-    p = cone.p
     nspace = ntarget.space()
+
+    def flat(j):
+        return _keyed([(S, s) for S in cone.subsets(j) for s in range(module.rank)], nspace)
+
     mats = []
     for jj in range(0, cone.d + 1):
-        keys = [(tuple(S), s) for S in cone.subsets(jj) for s in range(module.rank)]
-        cod_keys = [(tuple(S), s) for S in cone.subsets(jj + 1) for s in range(module.rank)]
-        cols = []
-        for key in keys:
-            for b in nspace.basis_elems():
-                img = {}
-                for T, s in cod_keys:
-                    acc = ntarget.zero()
-                    for sign, l, U in _boundary(T):
-                        if (U, s) == key:
-                            v = ntarget.act(cone.fs[l] * sign, b)
-                            acc = ntarget.add(acc, v)
-                    if not _is_zero_value(ntarget, acc):
-                        img[(T, s)] = acc
-                vec = [0] * (len(cod_keys) * nspace.dim())
-                nd = nspace.dim()
-                for (T, s), v in img.items():
-                    kk = cod_keys.index((T, s))
-                    for t, ct in enumerate(nspace.coords(v)):
-                        vec[kk * nd + t] = ct
-                cols.append(vec)
-        rowdim = len(cod_keys) * nspace.dim()
-        mat = (
-            np.array(cols, dtype=np.int64).T % p
-            if cols and rowdim
-            else np.zeros((rowdim, len(cols)), dtype=np.int64)
-        )
-        mats.append(FpLinearMap(mat, p))
-    dims = []
-    for jj in range(0, cone.d + 1):
-        ker = kernel_basis(mats[jj].mat, p)
-        if jj == 0:
-            dims.append(int(ker.shape[0]))
-        else:
-            dims.append(subquotient_dim(mats[jj - 1].image_rows(), ker, p))
-    return dims
+        dom, cod = flat(jj), flat(jj + 1)
+        images = []
+        for fvals in dom.basis_elems():
+            ((key, b),) = fvals.items()
+            img = {}
+            for T, s in cod.keys:
+                acc = ntarget.zero()
+                for sign, l, U in _boundary(T):
+                    if (U, s) == key:
+                        acc = ntarget.add(acc, ntarget.act(cone.fs[l] * sign, b))
+                if not _is_zero_value(ntarget, acc):
+                    img[(T, s)] = acc
+            images.append(img)
+        mats.append(flatten(images, cod, cone.p))
+    return complex_dims(mats, cone.p)
 
 
 def ext_r_twisted_dims(module, ntarget):
@@ -1041,63 +863,36 @@ def ext_r_twisted_dims(module, ntarget):
     differential pushes the wedge entries through digit decomposition."""
     cone = ConeComplex(module)
     ring = cone.ring
-    p = cone.p
     nspace = ntarget.space()
-    digits = _digit_tuples(p, cone.d)
+    digits = _digit_tuples(cone.p, cone.d)
+
+    def flat(j):
+        keys = [(S, s, a) for S in cone.subsets(j) for s in range(module.rank) for a in digits]
+        return _keyed(keys, nspace)
+
     mats = []
     for jj in range(0, cone.d + 1):
-        keys = [
-            (tuple(S), s, a)
-            for S in cone.subsets(jj)
-            for s in range(module.rank)
-            for a in digits
-        ]
-        cod_keys = [
-            (tuple(S), s, a)
-            for S in cone.subsets(jj + 1)
-            for s in range(module.rank)
-            for a in digits
-        ]
-        nd = nspace.dim()
-        cols = []
-        for key in keys:
-            S0, s0, b0 = key
-            for bval in nspace.basis_elems():
-                img = {}
-                for T, s, a in cod_keys:
-                    if s != s0:
+        dom, cod = flat(jj), flat(jj + 1)
+        images = []
+        for fvals in dom.basis_elems():
+            (((S0, s0, b0), bval),) = fvals.items()
+            img = {}
+            for T, s, a in cod.keys:
+                if s != s0:
+                    continue
+                acc = ntarget.zero()
+                for sign, l, U in _boundary(T):
+                    if U != S0:
                         continue
-                    acc = ntarget.zero()
-                    for sign, l, U in _boundary(T):
-                        if U != S0:
-                            continue
-                        # fl * x^a = sum_b digit_b^p x^b ; the x^(b0) leg acts by digit_(b0)
-                        w = ring.frobenius_digits(cone.fs[l] * ring.monomial(a, ring.field.one)).get(b0)
-                        if w:
-                            acc = ntarget.add(acc, ntarget.act(w * sign, bval))
-                    if not _is_zero_value(ntarget, acc):
-                        img[(T, s, a)] = acc
-                vec = [0] * (len(cod_keys) * nd)
-                for ckey, v in img.items():
-                    kk = cod_keys.index(ckey)
-                    for t, ct in enumerate(nspace.coords(v)):
-                        vec[kk * nd + t] = ct
-                cols.append(vec)
-        rowdim = len(cod_keys) * nd
-        mat = (
-            np.array(cols, dtype=np.int64).T % p
-            if cols and rowdim
-            else np.zeros((rowdim, len(cols)), dtype=np.int64)
-        )
-        mats.append(FpLinearMap(mat, p))
-    dims = []
-    for jj in range(0, cone.d + 1):
-        ker = kernel_basis(mats[jj].mat, p)
-        if jj == 0:
-            dims.append(int(ker.shape[0]))
-        else:
-            dims.append(subquotient_dim(mats[jj - 1].image_rows(), ker, p))
-    return dims
+                    # fl * x^a = sum_b digit_b^p x^b ; the x^(b0) leg acts by digit_(b0)
+                    w = ring.frobenius_digits(cone.fs[l] * ring.monomial(a, ring.field.one)).get(b0)
+                    if w:
+                        acc = ntarget.add(acc, ntarget.act(w * sign, bval))
+                if not _is_zero_value(ntarget, acc):
+                    img[(T, s, a)] = acc
+            images.append(img)
+        mats.append(flatten(images, cod, cone.p))
+    return complex_dims(mats, cone.p)
 
 
 def ext_split_check(module, nmodule, jmax=None):
@@ -1158,36 +953,13 @@ def coker_formula(field):
     image has codimension one; the formula e - rank is computed anyway and
     the surjective branch is unreachable for a finite field.
     """
-    fmap = artin_schreier_map(
-        _FieldAsSpace(field), _FieldAsSpace(field), lambda x: x**field.p, check=True
-    )
+    space = FieldSpace(field)
+    fmap = artin_schreier_map(space, space, lambda x: x**field.p, check=True)
     r = fmap.rank()
     if r >= field.e:
         # cannot happen: x^p - x kills all of F_p
         return 0
     return field.e - r
-
-
-class _FieldAsSpace:
-    def __init__(self, field):
-        self.field = field
-        self.p = field.p
-
-    def dim(self):
-        return self.field.e
-
-    def basis_elems(self):
-        one = self.field.one
-        for i in range(self.field.e):
-            vec = [0] * self.field.e
-            vec[i] = 1
-            yield self.field.from_coords(vec)
-
-    def coords(self, x):
-        return list(x.val)
-
-    def from_coords(self, vec):
-        return self.field.from_coords([int(v) for v in vec])
 
 
 # -- transpose and the unitalization tower ------------------------------------
@@ -1203,13 +975,8 @@ def unit_transpose_map(module):
     def tau(m):
         return tuple(module.phi(module.act(ring.monomial(a, ring.field.one), m)) for a in digits)
 
-    def coords(tup):
-        out = []
-        for comp in tup:
-            out.extend(mspace.coords(comp))
-        return out
-
-    fmap = matrix_of_map(mspace.basis_elems(), tau, coords, len(digits) * mspace.dim(), p)
+    cod = tuple_space(mspace, len(digits), module.zero())
+    fmap = matrix_of_map(mspace.basis_elems(), tau, cod, p)
     return fmap, tau, digits
 
 
@@ -1268,33 +1035,17 @@ def unitalize_report(module, levels):
     tuples with entries in the module; the transition fans the transpose out
     along a fresh index.  Reports per-level dimensions and transition ranks
     (and their composite), all over F_p."""
-    ring = module.ring
-    p = ring.field.p
-    digits = _digit_tuples(p, ring.d)
-    mspace = module.space()
-    mdim = mspace.dim()
-    nd = len(digits)
+    fmap, _, digits = unit_transpose_map(module)
+    p, nd, mdim = fmap.p, len(digits), fmap.domain_dim
 
     def level_dim(l):
         return (nd**l) * mdim
 
     def transition_matrix(l):
-        """Flat matrix of t_l: level l -> level l+1."""
-        _, tau, _ = unit_transpose_map(module)
-        rows = level_dim(l + 1)
-        cols = level_dim(l)
-        mat = np.zeros((rows, cols), dtype=np.int64)
-        # basis of level l: (index tuple, module basis vector)
-        for it in range(nd**l):
-            for mb, m in enumerate(mspace.basis_elems()):
-                col = it * mdim + mb
-                t = tau(m)
-                for last, comp in enumerate(t):
-                    c = mspace.coords(comp)
-                    base = (it * nd + last) * mdim
-                    for tt, ct in enumerate(c):
-                        mat[base + tt, col] = ct
-        return FpLinearMap(mat % p, p)
+        """Flat matrix of t_l: level l -> level l+1.  Level l is laid out as
+        (index tuple, module coordinate), so t_l applies the transpose to
+        each index tuple's block and appends the fresh index last."""
+        return FpLinearMap(np.kron(np.eye(nd**l, dtype=np.int64), fmap.mat) % p, p)
 
     report = {"level_dims": [level_dim(l) for l in range(levels + 1)], "transition_ranks": []}
     comp = None

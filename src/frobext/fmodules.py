@@ -16,7 +16,7 @@ import random
 import numpy as np
 
 from .artinian import ELevelSpace
-from .linalg import kernel_basis, matrix_of_map, solve_with_certificate
+from .linalg import BlockSpace, kernel_basis, matrix_of_map, solve_with_certificate
 from .poly import PolySpace
 from .rational import BoundedRationalSpace, is_squarefree, u_divmod
 
@@ -317,13 +317,7 @@ def _as_solve_poly(module, u):
         return rep, None
     space = PolySpace.total_degree(ring, deg // p)
     big = PolySpace.total_degree(ring, deg)
-    fmap = matrix_of_map(
-        space.basis_elems(),
-        lambda z: z.frobenius() - z,
-        big.coords,
-        big.dim(),
-        p,
-    )
+    fmap = matrix_of_map(space.basis_elems(), lambda z: z.frobenius() - z, big, p)
     x, cert = solve_with_certificate(fmap.mat, np.array(big.coords(u), dtype=np.int64), p)
     if x is None:
         rep = _unsat(
@@ -346,13 +340,7 @@ def _as_solve_limit(module, u, level_bound):
     n = max(level_bound, u.level if u else 1)
     dom = ELevelSpace(ering, n)
     cod = ELevelSpace(ering, n * p)
-    fmap = matrix_of_map(
-        dom.basis_elems(),
-        lambda z: z.pth_power() - z,
-        cod.coords,
-        cod.dim(),
-        p,
-    )
+    fmap = matrix_of_map(dom.basis_elems(), lambda z: z.pth_power() - z, cod, p)
     ucoords = np.array(cod.coords(u), dtype=np.int64)
     x, cert = solve_with_certificate(fmap.mat, ucoords, p)
     if x is not None:
@@ -568,7 +556,7 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
 
     report = {"window": [lo, hi], "degree_bound": degree_bound}
 
-    space = _ShiftWindowSpace(ring, lo, hi, pspace)
+    space = shift_window(ring, lo, hi, pspace)
     ok_a = ok_b = True
     for gen in space.basis_elems():
         ok_a = ok_a and M.pth_power(A(gen)) == A(M.pth_power(gen))
@@ -581,14 +569,14 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
     report["second_map_commutes_with_F"] = ok_b
 
     # flattened exactness on the window
-    cod = _ShiftWindowSpace(ring, lo, hi + 1, pspace)
-    amap = matrix_of_map(space.basis_elems(), A, cod.coords, cod.dim(), p)
+    cod = shift_window(ring, lo, hi + 1, pspace)
+    amap = matrix_of_map(space.basis_elems(), A, cod, p)
     report["first_map_injective"] = int(kernel_basis(amap.mat, p).shape[0]) == 0
 
     comp_ok = all(not B(A(gen)) for gen in space.basis_elems())
     report["second_after_first_zero"] = comp_ok
 
-    bmap = matrix_of_map(space.basis_elems(), B, pspace.coords, pspace.dim(), p)
+    bmap = matrix_of_map(space.basis_elems(), B, pspace, p)
     middle_ok = True
     kdim = 0
     for vec in kernel_basis(bmap.mat, p):
@@ -613,9 +601,9 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
         def cond(z, j=j):
             return z.coeff(j) - z.coeff(j + 1).frobenius()
 
-        rows.append(matrix_of_map(space.basis_elems(), cond, big.coords, big.dim(), p).mat)
+        rows.append(matrix_of_map(space.basis_elems(), cond, big, p).mat)
         rhs.extend([0] * big.dim())
-    rows.append(matrix_of_map(space.basis_elems(), B, big.coords, big.dim(), p).mat)
+    rows.append(matrix_of_map(space.basis_elems(), B, big, p).mat)
     rhs.extend(big.coords(ring.one))
     x, cert = solve_with_certificate(
         np.vstack(rows), np.array(rhs, dtype=np.int64), p
@@ -653,47 +641,12 @@ def _rand_poly(ring, pspace, rng):
     return f
 
 
-class _ShiftWindowSpace:
+def shift_window(ring, lo, hi, pspace):
     """Flattening basis for window-supported shifted sums: slots lo..hi,
     coefficients from a fixed polynomial space."""
-
-    def __init__(self, ring, lo, hi, pspace):
-        self.ring = ring
-        self.lo = lo
-        self.hi = hi
-        self.pspace = pspace
-        self.p = pspace.p
-
-    def slots(self):
-        return range(self.lo, self.hi + 1)
-
-    def dim(self):
-        return (self.hi - self.lo + 1) * self.pspace.dim()
-
-    def basis_elems(self):
-        for j in self.slots():
-            for b in self.pspace.basis_elems():
-                yield ShiftElem(self.ring, {j: b})
-
-    def coords(self, z):
-        n = self.pspace.dim()
-        vec = [0] * self.dim()
-        for j, r in z.entries.items():
-            if not self.lo <= j <= self.hi:
-                raise ValueError("slot %d outside window [%d, %d]" % (j, self.lo, self.hi))
-            for k, c in enumerate(self.pspace.coords(r)):
-                vec[(j - self.lo) * n + k] = c
-        return vec
-
-    def from_coords(self, vec):
-        n = self.pspace.dim()
-        return ShiftElem(
-            self.ring,
-            {
-                j: self.pspace.from_coords(vec[(j - self.lo) * n : (j - self.lo + 1) * n])
-                for j in self.slots()
-            },
-        )
+    return BlockSpace(
+        range(lo, hi + 1), pspace, lambda z: z.entries.items(), lambda parts: ShiftElem(ring, parts)
+    )
 
 
 # -- homomorphism spaces ---------------------------------------------------------
@@ -724,13 +677,7 @@ def hom_fr(m1, m2, level=4, degree_bound=4):
         for bound in (degree_bound, degree_bound + 1):
             space = PolySpace.total_degree(ring, bound)
             big = PolySpace.total_degree(ring, p * bound)
-            fmap = matrix_of_map(
-                space.basis_elems(),
-                lambda s: s.frobenius() - s,
-                big.coords,
-                big.dim(),
-                p,
-            )
+            fmap = matrix_of_map(space.basis_elems(), lambda s: s.frobenius() - s, big, p)
             dims.append(int(kernel_basis(fmap.mat, p).shape[0]))
         assert dims == [1, 1]  # F(s) = s forces s constant with s^p = s
         return {
@@ -769,7 +716,7 @@ def _hom_limit_dim(ering, L):
     def cond(w):
         return w.pth_power().act(shift) - w
 
-    mat = matrix_of_map(dom.basis_elems(), cond, cod.coords, cod.dim(), p).mat
+    mat = matrix_of_map(dom.basis_elems(), cond, cod, p).mat
     return int(kernel_basis(mat, p).shape[0])
 
 
@@ -819,13 +766,7 @@ def rational_class_distinct(base, a, b, level_bound=3, degree_bound=3):
 
     dom = BoundedRationalSpace(base, level_bound, degree_bound)
     cod = BoundedRationalSpace(base, level_bound * p, max(degree_bound * p, degree_bound + 1))
-    fmap = matrix_of_map(
-        dom.basis_elems(),
-        lambda z: z.pth_power() - z,
-        cod.coords,
-        cod.dim(),
-        p,
-    )
+    fmap = matrix_of_map(dom.basis_elems(), lambda z: z.pth_power() - z, cod, p)
     x, cert = solve_with_certificate(
         fmap.mat, np.array(cod.coords(target), dtype=np.int64), p
     )

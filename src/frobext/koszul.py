@@ -14,44 +14,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 from .artinian import ArtinianAlgebra
-from .linalg import FpLinearMap, kernel_basis, solve
+from .linalg import flatten, kernel_basis, matrix_of_map, solve, tuple_space
 from .poly import PolySpace
-
-
-class TupleSpace:
-    """Direct sum of component PolySpaces; elements are tuples of polys."""
-
-    def __init__(self, components):
-        self.components = list(components)
-        self.p = self.components[0].p if self.components else 2
-
-    def dim(self):
-        return sum(c.dim() for c in self.components)
-
-    def basis_elems(self):
-        for i, comp in enumerate(self.components):
-            for b in comp.basis_elems():
-                yield tuple(
-                    b if j == i else c.ring.zero for j, c in enumerate(self.components)
-                )
-
-    def coords(self, tup):
-        out = []
-        for comp, f in zip(self.components, tup):
-            out.extend(comp.coords(f))
-        return out
-
-    def from_coords(self, vec):
-        out = []
-        at = 0
-        for comp in self.components:
-            n = comp.dim()
-            out.append(comp.from_coords(vec[at : at + n]))
-            at += n
-        return tuple(out)
 
 
 def _monomial_like(ring, f):
@@ -152,8 +117,8 @@ def flatten_poly_matrix(mat, domain_space, codomain_space):
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     ring = domain_space.ring
-    dom = TupleSpace([domain_space] * cols)
-    cod = TupleSpace([codomain_space] * rows)
+    dom = tuple_space(domain_space, cols, ring.zero)
+    cod = tuple_space(codomain_space, rows, ring.zero)
 
     def ap(tup):
         out = []
@@ -165,9 +130,7 @@ def flatten_poly_matrix(mat, domain_space, codomain_space):
             out.append(acc)
         return tuple(out)
 
-    from .linalg import matrix_of_map
-
-    return matrix_of_map(dom.basis_elems(), ap, cod.coords, cod.dim(), dom.p)
+    return matrix_of_map(dom.basis_elems(), ap, cod, dom.p)
 
 
 def koszul_window_report(K, cap, growth=None):
@@ -199,11 +162,9 @@ def koszul_window_report(K, cap, growth=None):
         # dnext maps into, then ask for simultaneous preimages
         ok = True
         if cycles.shape[0]:
-            lift_targets = []
-            for vec in cycles:
-                tup = TupleSpace([small] * K.rank(j)).from_coords(vec)
-                lift_targets.append(TupleSpace([bigger] * K.rank(j)).coords(tup))
-            targets = np.array(lift_targets, dtype=np.int64).T
+            small_t = tuple_space(small, K.rank(j), ring.zero)
+            bigger_t = tuple_space(bigger, K.rank(j), ring.zero)
+            targets = flatten((small_t.from_coords(vec) for vec in cycles), bigger_t, p)
             ok = solve(dnext.mat, targets, p) is not None
         report["spots"][j] = {"cycles": int(cycles.shape[0]), "hit": bool(ok)}
         report["passed"] = report["passed"] and bool(ok)
@@ -211,16 +172,15 @@ def koszul_window_report(K, cap, growth=None):
     if K.k == ring.d:
         A = K.quotient_algebra()
         d1 = flatten_poly_matrix(K.differential(1), small, big)
-        ideal_vectors = []
-        for m in small.mons:
-            if any(b >= a for b, a in zip(m, K.pure_exponents)):
-                f = ring.monomial(m)
-                ideal_vectors.append(big.coords(f))
+        ideal = [
+            ring.monomial(m)
+            for m in small.mons
+            if any(b >= a for b, a in zip(m, K.pure_exponents))
+        ]
         ok0 = True
-        if ideal_vectors:
-            targets = np.array(ideal_vectors, dtype=np.int64).T
-            ok0 = solve(d1.mat, targets, p) is not None
-        window_quotient = len(small.mons) - len(ideal_vectors)
+        if ideal:
+            ok0 = solve(d1.mat, flatten(ideal, big, p), p) is not None
+        window_quotient = len(small.mons) - len(ideal)
         if all(cap >= a for a in K.pure_exponents):
             # the window contains the whole algebra, so dims must agree
             ok0 = ok0 and window_quotient == A.dim_fq

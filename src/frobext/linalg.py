@@ -1,23 +1,21 @@
-"""Exact linear algebra over the prime field F_p.
+"""Exact linear algebra over the prime field F_p, and the flat layout of
+direct sums.
 
 Matrices are numpy int64 arrays with entries reduced to 0..p-1.  Everything
 routes through one deterministic Gaussian elimination (`rref_transform`), so
 solve / kernel / image / quotient answers are reproducible bit-for-bit and an
 unsolvable system always comes back with a checkable cokernel functional.
+
+`BlockSpace` is the one home of the flat layout: every direct sum of copies
+of a leaf coordinate space (cone windows, Hom values, sequence windows,
+graded skew truncations, tuples) is a `BlockSpace`, `flatten` turns a list of
+its elements into the matrix of their coordinate columns, and `complex_dims`
+reads cohomology dimensions off a list of such matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def as_matrix(rows, p, width=None):
-    """Build an int64 matrix mod p from an iterable of rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return np.zeros((0, width or 0), dtype=np.int64)
-    a = np.array(rows, dtype=np.int64) % p
-    return a
 
 
 def _inv_mod(c, p):
@@ -76,12 +74,10 @@ def kernel_basis(A, p):
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     R, _, pivots = rref_transform(A, p)
-    free = [c for c in range(n) if c not in pivots]
+    free = np.setdiff1d(np.arange(n), pivots)
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[k, pc] = (-R[ri, fc]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[: len(pivots)][:, free]).T % p
     return basis
 
 
@@ -133,6 +129,17 @@ def subquotient_dim(image_rows, ambient_rows, p):
     if rank(stacked, p) != ra:
         raise ValueError("image rows are not contained in the ambient space")
     return ra - rank(image_rows, p)
+
+
+def complex_dims(mats, p):
+    """Cohomology dimensions of the cochain complex whose j-th differential
+    has the matrix mats[j]: dim ker mats[0], then dim(ker mats[j] / im
+    mats[j-1]) for each later j (checked to be a subquotient)."""
+    dims = []
+    for j, A in enumerate(mats):
+        ker = kernel_basis(A, p)
+        dims.append(int(ker.shape[0]) if j == 0 else subquotient_dim(mats[j - 1].T % p, ker, p))
+    return dims
 
 
 def intersection_dim(U, V, p):
@@ -189,21 +196,78 @@ class FpLinearMap:
         )
 
 
-def matrix_of_map(domain_basis, apply_fn, coords_fn, codomain_dim, p):
+def flatten(images, cod, p):
+    """The (cod.dim(), len(images)) matrix whose k-th column is the
+    coordinate vector of images[k] in the flat space `cod`.  `images` may be
+    any iterable; only the coordinate columns are held at once."""
+    cols = [cod.coords(z) for z in images]
+    if not cols:
+        return np.zeros((cod.dim(), 0), dtype=np.int64)
+    mat = np.array(cols, dtype=np.int64).T % p
+    assert mat.shape[0] == cod.dim()
+    return mat
+
+
+def matrix_of_map(domain_basis, apply_fn, cod, p):
     """Flatten an additive map to an FpLinearMap.
 
     domain_basis: F_p-basis elements of the domain.
     apply_fn: the map, applied to one basis element.
-    coords_fn: codomain element -> coordinate list of length codomain_dim.
+    cod: the flat codomain space (exposes coords and dim).
     """
-    cols = []
-    for b in domain_basis:
-        cols.append(coords_fn(apply_fn(b)))
-    if not cols:
-        return FpLinearMap(np.zeros((codomain_dim, 0), dtype=np.int64), p)
-    mat = np.array(cols, dtype=np.int64).T % p
-    assert mat.shape[0] == codomain_dim
-    return FpLinearMap(mat, p)
+    return FpLinearMap(flatten((apply_fn(b) for b in domain_basis), cod, p), p)
+
+
+class BlockSpace:
+    """Flat F_p coordinates for a direct sum of copies of one flat space.
+
+    `keys` index the copies and `inner` is the space of each copy; an
+    element's coordinates are the inner coordinates of its parts laid out
+    key-major, key k at offset (position of k) * inner.dim().  `split(elem)`
+    yields the element's (key, inner element) parts and `join(parts)` builds
+    an element from a dict key -> inner element (missing keys are zero).
+    """
+
+    def __init__(self, keys, inner, split, join):
+        self.keys = list(keys)
+        self.inner = inner
+        self.split = split
+        self.join = join
+        self.p = inner.p
+        n = inner.dim()
+        self.offset = {k: i * n for i, k in enumerate(self.keys)}
+
+    def dim(self):
+        return len(self.keys) * self.inner.dim()
+
+    def basis_elems(self):
+        for k in self.keys:
+            for b in self.inner.basis_elems():
+                yield self.join({k: b})
+
+    def coords(self, elem):
+        vec = [0] * self.dim()
+        for key, part in self.split(elem):
+            at = self.offset.get(key)
+            if at is None:
+                span = "%r .. %r" % (self.keys[0], self.keys[-1]) if self.keys else "none"
+                raise ValueError("part %r lies outside this space (keys %s)" % (key, span))
+            c = self.inner.coords(part)
+            vec[at : at + len(c)] = c
+        return vec
+
+    def from_coords(self, vec):
+        n = self.inner.dim()
+        return self.join(
+            {k: self.inner.from_coords(vec[at : at + n]) for k, at in self.offset.items()}
+        )
+
+
+def tuple_space(inner, n, zero):
+    """inner^n as a BlockSpace on n-tuples; `zero` fills the absent parts."""
+    return BlockSpace(
+        range(n), inner, enumerate, lambda parts: tuple(parts.get(k, zero) for k in range(n))
+    )
 
 
 class StructureError(ValueError):
@@ -231,4 +295,4 @@ def artin_schreier_map(domain, codomain, pth_power, check=True):
     def ap(x):
         return pth_power(x) + (-x)
 
-    return matrix_of_map(basis, ap, codomain.coords, codomain.dim(), p)
+    return matrix_of_map(basis, ap, codomain, p)

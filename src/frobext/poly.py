@@ -235,10 +235,6 @@ class PolyRing:
         return "F_%d[%s]" % (self.field.q, ",".join(self.var_names))
 
 
-def poly_frobenius(f):
-    return f.frobenius()
-
-
 class _PolyParser:
     """Tiny recursive-descent parser for polynomial literals such as
     ``w*x1^2*x2 + (1+w)*x2 + 2``.  Whitespace is free."""

@@ -16,11 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
-    FpLinearMap,
+    BlockSpace,
     kernel_basis,
     matrix_of_map,
     solve,
     solve_with_certificate,
+    tuple_space,
 )
 from .poly import MultiPoly, PolySpace
 
@@ -281,43 +282,15 @@ def two_step_witness(module, kernel_elt):
     return FreeSkewElem(module, out, 1)
 
 
-class GradedSkewSpace:
+def graded_skew_space(module, dmax, twist=0):
     """Flat F_p coordinates for M (x) R{F} truncated at F-degree <= dmax,
     where M has a finite flat space."""
-
-    def __init__(self, module, dmax, twist=0):
-        self.module = module
-        self.dmax = dmax
-        self.twist = twist
-        self.mspace = module.space()
-        self.p = self.mspace.p
-
-    def dim(self):
-        return (self.dmax + 1) * self.mspace.dim()
-
-    def basis_elems(self):
-        for i in range(self.dmax + 1):
-            for b in self.mspace.basis_elems():
-                yield FreeSkewElem(self.module, {i: b}, self.twist)
-
-    def coords(self, elt):
-        mdim = self.mspace.dim()
-        vec = [0] * self.dim()
-        for i, m in elt.terms.items():
-            if i > self.dmax:
-                raise ValueError("F-degree %d exceeds the truncation %d" % (i, self.dmax))
-            c = self.mspace.coords(m)
-            for k, ck in enumerate(c):
-                vec[i * mdim + k] = ck
-        return vec
-
-    def from_coords(self, vec):
-        mdim = self.mspace.dim()
-        terms = {}
-        for i in range(self.dmax + 1):
-            # the FreeSkewElem constructor drops zero components
-            terms[i] = self.mspace.from_coords(vec[i * mdim : (i + 1) * mdim])
-        return FreeSkewElem(self.module, terms, self.twist)
+    return BlockSpace(
+        range(dmax + 1),
+        module.space(),
+        lambda elt: elt.terms.items(),
+        lambda parts: FreeSkewElem(module, parts, twist),
+    )
 
 
 def flatten_two_step(module, dmax):
@@ -325,11 +298,11 @@ def flatten_two_step(module, dmax):
     (so its image fits in degree <= dmax).  Returns (alpha_map, beta_map,
     dom_space, cod_space)."""
     alpha, beta = two_step_maps(module)
-    dom = GradedSkewSpace(module, dmax - 1, twist=1)
-    cod = GradedSkewSpace(module, dmax, twist=0)
+    dom = graded_skew_space(module, dmax - 1, twist=1)
+    cod = graded_skew_space(module, dmax, twist=0)
     mspace = module.space()
-    amap = matrix_of_map(dom.basis_elems(), alpha, cod.coords, cod.dim(), dom.p)
-    bmap = matrix_of_map(cod.basis_elems(), beta, mspace.coords, mspace.dim(), dom.p)
+    amap = matrix_of_map(dom.basis_elems(), alpha, cod, dom.p)
+    bmap = matrix_of_map(cod.basis_elems(), beta, mspace, dom.p)
     return amap, bmap, dom, cod
 
 
@@ -369,11 +342,8 @@ def check_two_step_exact(module, dmax, alpha_override=None, beta_override=None):
         report["alpha_injective"] = False
         report["counterexample"] = repr(dom.from_coords(list(ker_a[0])))
     # beta-kernel elements with top degree <= dmax - 1
-    sub = GradedSkewSpace(module, dmax - 1, twist=0)
-    mspace = module.space()
-    beta_small = matrix_of_map(
-        sub.basis_elems(), two_step_maps(module)[1], mspace.coords, mspace.dim(), p
-    )
+    sub = graded_skew_space(module, dmax - 1, twist=0)
+    beta_small = matrix_of_map(sub.basis_elems(), two_step_maps(module)[1], module.space(), p)
     for vec in kernel_basis(beta_small.mat, p):
         y = sub.from_coords(list(vec))
         x = two_step_witness(module, y)
@@ -469,47 +439,15 @@ class SeqWindow:
         return "; ".join("%d: %s" % (j, self.ring.format(self.entries[j])) for j in self.support())
 
 
-class SeqSpace:
+def seq_space(ring, lo, hi, poly_space):
     """Flat coordinates for sequences supported in [lo, hi] with polynomial
     entries drawn from a PolySpace."""
-
-    def __init__(self, ring, lo, hi, poly_space):
-        self.ring = ring
-        self.lo = lo
-        self.hi = hi
-        self.pspace = poly_space
-        self.p = poly_space.p
-
-    def indices(self):
-        return range(self.lo, self.hi + 1)
-
-    def dim(self):
-        return (self.hi - self.lo + 1) * self.pspace.dim()
-
-    def basis_elems(self):
-        for j in self.indices():
-            for b in self.pspace.basis_elems():
-                yield SeqWindow(self.ring, self.lo, self.hi, {j: b})
-
-    def coords(self, w):
-        pdim = self.pspace.dim()
-        vec = [0] * self.dim()
-        for j, f in w.entries.items():
-            if j < self.lo or j > self.hi:
-                raise ValueError("support index %d outside window [%d, %d]" % (j, self.lo, self.hi))
-            c = self.pspace.coords(f)
-            for k, ck in enumerate(c):
-                vec[(j - self.lo) * pdim + k] = ck
-        return vec
-
-    def from_coords(self, vec):
-        pdim = self.pspace.dim()
-        out = SeqWindow(self.ring, self.lo, self.hi)
-        for j in self.indices():
-            f = self.pspace.from_coords(vec[(j - self.lo) * pdim : (j - self.lo + 1) * pdim])
-            if f:
-                out.set(j, f)
-        return out
+    return BlockSpace(
+        range(lo, hi + 1),
+        poly_space,
+        lambda w: w.entries.items(),
+        lambda parts: SeqWindow(ring, lo, hi, parts),
+    )
 
 
 def h_apply(ring, y, i=0):
@@ -598,34 +536,16 @@ def in_image_hdual(ring, target, window, degree_bound):
     dom_poly = PolySpace.total_degree(ring, B)
     cod_deg = max(p * B, B + 1, max((f.total_degree() for f in target.entries.values()), default=0))
     cod_poly = PolySpace.total_degree(ring, cod_deg)
-    s_space = SeqSpace(ring, lo, hi, dom_poly)
-    cod_space = SeqSpace(ring, lo, hi + 1, cod_poly)
-    spaces = [s_space] + [SeqSpace(ring, lo, hi, dom_poly) for _ in range(d)]
-
-    dims = [sp.dim() for sp in spaces]
-    total = sum(dims)
-
-    def unpack(vec):
-        parts = []
-        at = 0
-        for sp, n in zip(spaces, dims):
-            parts.append(sp.from_coords(vec[at : at + n]))
-            at += n
-        return parts[0], parts[1:]
-
-    cols = []
-    for k in range(total):
-        vec = [0] * total
-        vec[k] = 1
-        s, ts = unpack(vec)
-        cols.append(cod_space.coords(h_dual_apply(s, ts)))
-    A = np.array(cols, dtype=np.int64).T % p if cols else np.zeros((cod_space.dim(), 0), dtype=np.int64)
-    b = np.array(cod_space.coords(target), dtype=np.int64)
+    # the unknowns (s, t_1, ..., t_d), all supported in the window
+    dom = tuple_space(seq_space(ring, lo, hi, dom_poly), d + 1, SeqWindow(ring, lo, hi))
+    cod = seq_space(ring, lo, hi + 1, cod_poly)
+    A = matrix_of_map(dom.basis_elems(), lambda st: h_dual_apply(st[0], st[1:]), cod, p).mat
+    b = np.array(cod.coords(target), dtype=np.int64)
     x, cert = solve_with_certificate(A, b, p)
     trace, proven = residue_trace(ring, target)
     trace_str = {str(j): ring.field.format_elem(v) for j, v in sorted(trace.items())}
     if x is not None:
-        s, ts = unpack([int(v) for v in x])
+        s, *ts = dom.from_coords(x)
         assert h_dual_apply(s, ts) == target  # exact re-verification
         return {
             "verdict": "SAT",

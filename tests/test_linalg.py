@@ -1,16 +1,30 @@
 """Exact F_p linear algebra, cross-checked against brute-force enumeration."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobext.artinian import ArtinianAlgebra
+from frobext.cartier import (
+    ArtinianTarget,
+    ConeComplex,
+    FreeTarget,
+    HomSpot,
+    cone_window,
+    standard_module,
+)
+from frobext.fmodules import ShiftElem, shift_window
+from frobext.koszul import KoszulComplex
 from frobext.linalg import (
     FpLinearMap,
     StructureError,
     artin_schreier_map,
+    complex_dims,
+    flatten,
     intersection_dim,
     kernel_basis,
     matrix_of_map,
@@ -20,7 +34,10 @@ from frobext.linalg import (
     solve,
     solve_with_certificate,
     subquotient_dim,
+    tuple_space,
 )
+from frobext.poly import PolySpace, ring_over
+from frobext.skew import FreeSkewElem, SeqWindow, graded_skew_space, seq_space
 
 
 def brute_kernel_count(A, p):
@@ -129,14 +146,6 @@ def test_intersection_dim_by_enumeration():
     assert p ** intersection_dim(U, V, p) == len(both)
 
 
-def test_matrix_of_map_on_explicit_basis():
-    p = 3
-    basis = [(1, 0), (0, 1)]
-    swap = matrix_of_map(basis, lambda v: (v[1], 2 * v[0]), lambda v: [v[0] % 3, v[1] % 3], 2, p)
-    assert (swap.mat == np.array([[0, 1], [2, 0]])).all()
-    assert swap.rank() == 2
-
-
 class _PairSpace:
     """Two-dimensional F_p coordinate space over plain numpy vectors."""
 
@@ -151,6 +160,14 @@ class _PairSpace:
 
     def coords(self, v):
         return [int(v[0]) % self.p, int(v[1]) % self.p]
+
+
+def test_matrix_of_map_on_explicit_basis():
+    p = 3
+    basis = [(1, 0), (0, 1)]
+    swap = matrix_of_map(basis, lambda v: (v[1], 2 * v[0]), _PairSpace(p), p)
+    assert (swap.mat == np.array([[0, 1], [2, 0]])).all()
+    assert swap.rank() == 2
 
 
 def test_artin_schreier_map_requires_semilinearity():
@@ -178,3 +195,150 @@ def test_linear_map_composition_and_image():
     B = FpLinearMap(np.array([[1, 0], [1, 1]], dtype=np.int64), p)
     assert ((A.compose(B)).mat == (A.mat @ B.mat) % p).all()
     assert A.image_rows().shape[0] == 2
+
+
+# -- the composite flat spaces ------------------------------------------------
+# Each builder returns (space, element with a part outside the space).
+
+
+def _cone_window():
+    ring = ring_over(2, 1, 1)
+    cone = ConeComplex(standard_module(ArtinianAlgebra(ring, (2,))))
+    # spot 1 has a C part (the empty wedge) and a D part; F-degree 2 > dfmax 1
+    return cone_window(cone, 1, 2, 1), cone.elem(D={((0,), 0, 2): ring.one})
+
+
+def _hom_artinian():
+    module = standard_module(ArtinianAlgebra(ring_over(3, 1, 1), (2,)))
+    space = HomSpot(ConeComplex(module), 1).flat(ArtinianTarget(module).space())
+    # a twisted-part key of spot 2
+    return space, {("C", (0,), 0, (0,)): module.basis_gen()}
+
+
+def _hom_free():
+    ring = ring_over(2, 1, 1)
+    cone = ConeComplex(standard_module(ArtinianAlgebra(ring, (2,))))
+    # a plain-part key of spot 0
+    return HomSpot(cone, 1).flat(FreeTarget(ring).space(2)), {("D", (), 0): ring.one}
+
+
+def _seq_window():
+    ring = ring_over(2, 2, 1)
+    space = seq_space(ring, -1, 1, PolySpace.total_degree(ring, 1))
+    return space, SeqWindow(ring, entries={2: ring.one})
+
+
+def _graded_skew(twist):
+    def build():
+        module = standard_module(ArtinianAlgebra(ring_over(2, 1, 1), (2,)))
+        outside = FreeSkewElem(module, {3: module.basis_gen()}, twist)
+        return graded_skew_space(module, 2, twist), outside
+
+    return build
+
+
+def _tuple_box():
+    ring = ring_over(3, 1, 2)
+    space = standard_module(ArtinianAlgebra(ring, (2, 1)), rank=2).space()
+    return space, (ring.zero, ring.zero, ring.one)
+
+
+def _shift_window():
+    ring = ring_over(3, 1, 1)
+    space = shift_window(ring, -1, 1, PolySpace.total_degree(ring, 1))
+    return space, ShiftElem(ring, {-2: ring.one})
+
+
+def _koszul_tuple():
+    ring = ring_over(2, 1, 2)
+    x, y = ring.gens()
+    K = KoszulComplex(ring, [x**2, y])
+    space = tuple_space(PolySpace.box(ring, 2), K.rank(1), ring.zero)
+    return space, (ring.zero,) * K.rank(1) + (x,)
+
+
+COMPOSITE_SPACES = {
+    "cone-window": _cone_window,
+    "hom-artinian": _hom_artinian,
+    "hom-free": _hom_free,
+    "seq-window": _seq_window,
+    "graded-skew-0": _graded_skew(0),
+    "graded-skew-1": _graded_skew(1),
+    "tuple-box": _tuple_box,
+    "shift-window": _shift_window,
+    "koszul-tuple": _koszul_tuple,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITE_SPACES))
+def test_composite_space_layout(name):
+    space, outside = COMPOSITE_SPACES[name]()
+    n = space.dim()
+    basis = list(space.basis_elems())
+    assert len(basis) == n > 0
+    for k, b in enumerate(basis):
+        assert space.coords(b) == [int(i == k) for i in range(n)]
+    rng = random.Random(7)
+    vec = [rng.randrange(space.p) for _ in range(n)]
+    x = space.from_coords(vec)
+    assert space.coords(x) == vec
+    assert space.from_coords(space.coords(x)) == x
+    with pytest.raises(ValueError):
+        space.coords(outside)
+
+
+def test_flatten_zero_shapes():
+    ring = ring_over(3, 1, 1)
+    cod = PolySpace.box(ring, 2)
+    assert flatten([], cod, 3).shape == (cod.dim(), 0)
+    assert flatten(iter([]), cod, 3).shape == (cod.dim(), 0)
+    empty = tuple_space(cod, 0, ring.zero)
+    assert flatten([(), (), ()], empty, 3).shape == (0, 3)
+    x = ring.gens()[0]
+    assert (flatten([x, 2 * x + 1], cod, 3) == np.array([[0, 1], [1, 2]])).all()
+
+
+def brute_complex_dims(mats, p):
+    """Cohomology dimensions by enumerating every cocycle and coboundary."""
+    dims = []
+    for j, A in enumerate(mats):
+        vecs = [np.array(v, dtype=np.int64) for v in itertools.product(range(p), repeat=A.shape[1])]
+        cocycles = sum(1 for v in vecs if not ((A @ v) % p).any())
+        if j == 0:
+            coboundaries = 1
+        else:
+            prev = mats[j - 1]
+            coboundaries = len({
+                tuple((prev @ np.array(v, dtype=np.int64)) % p)
+                for v in itertools.product(range(p), repeat=prev.shape[1])
+            })
+        dim = 0
+        while p ** dim * coboundaries < cocycles:
+            dim += 1
+        assert p ** dim * coboundaries == cocycles
+        dims.append(dim)
+    return dims
+
+
+def test_complex_dims_on_exact_complex():
+    # 0 -> F_3 -> F_3^2 -> F_3 -> 0 with d0 = (1, 1)^T and d1 = (1, -1)
+    p = 3
+    mats = [
+        np.array([[1], [1]], dtype=np.int64),
+        np.array([[1, 2]], dtype=np.int64),
+        np.zeros((0, 1), dtype=np.int64),
+    ]
+    assert complex_dims(mats, p) == brute_complex_dims(mats, p) == [0, 0, 0]
+    with pytest.raises(ValueError):  # d1 . d0 != 0: not a complex
+        complex_dims([mats[0], np.array([[1, 1]], dtype=np.int64)], p)
+
+
+@pytest.mark.parametrize("p,a,b", [(2, 2, 3), (3, 1, 2), (3, 3, 2)])
+def test_complex_dims_on_koszul_complex_of_a_power(p, a, b):
+    # Hom of the Koszul complex R --x^a--> R into A = F_p[x]/(x^b)
+    ring = ring_over(p, 1, 1)
+    (x,) = ring.gens()
+    (row,) = KoszulComplex(ring, [x**a]).differential(1)
+    alg = ArtinianAlgebra(ring, (b,))
+    mats = [alg.action_matrix(row[0]).mat, np.zeros((0, alg.dim_fp()), dtype=np.int64)]
+    assert complex_dims(mats, p) == brute_complex_dims(mats, p) == [min(a, b)] * 2
