@@ -559,11 +559,8 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
         for g in range(1, max_growth + 1):
             dom = cone_window(cone, n + 1, cap + g * step, dfmax)
             A, cod = _flatten_diff(cone, n + 1, dom, cap, dfmax)
-            if all(
-                solve(A, np.array(cod.coords(cyc_space.from_coords(vec)), dtype=np.int64), p)
-                is not None
-                for vec in cycles_coords
-            ):
+            targets = flatten((cyc_space.from_coords(vec) for vec in cycles_coords), cod, p)
+            if solve(A, targets, p) is not None:
                 return True, g
         return False, max_growth
 

@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -442,6 +443,9 @@ def run_hdual_membership(sc):
     lo, hi = parse_window(sc, "window")
     bound = sc.int("degree_bound", 3, minimum=0)
     entries = parse_entries(sc, ring, "target")
+    outside = sorted(j for j in entries if not lo <= j <= hi + 1)
+    if outside:
+        sc.fail("target", "target slot %d lies outside %d..%d" % (outside[0], lo, hi + 1))
     target = SeqWindow(ring, entries=entries)
     rep = in_image_hdual(ring, target, (lo, hi), bound)
     rep["target"] = repr(target)
@@ -698,6 +702,11 @@ def cmd_regress(args):
             report, _ = run_scenario_file(spath)
         except ScenarioError as exc:
             print("ERROR %s (%s)" % (name, exc.message))
+            failures += 1
+            continue
+        except Exception as exc:  # one crashing entry must not abort the run
+            print("CRASH %s (%s: %s)" % (name, type(exc).__name__, exc))
+            traceback.print_exc()
             failures += 1
             continue
         got = strip_volatile(report)

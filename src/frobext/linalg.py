@@ -1,10 +1,12 @@
 """Exact linear algebra over the prime field F_p, and the flat layout of
 direct sums.
 
-Matrices are numpy int64 arrays with entries reduced to 0..p-1.  Everything
-routes through one deterministic Gaussian elimination (`rref_transform`), so
-solve / kernel / image / quotient answers are reproducible bit-for-bit and an
-unsolvable system always comes back with a checkable cokernel functional.
+Matrices are numpy int64 arrays with entries reduced to 0..p-1.  Every
+question is one deterministic Gaussian elimination (`rref_transform`, which
+keeps no transform matrix), so solve / kernel / image / quotient answers are
+reproducible bit-for-bit.  An unsolvable system comes back with a cokernel
+functional: the first row y of `kernel_basis(A.T)` with y @ b != 0, checked
+to satisfy y @ A == 0.
 
 `BlockSpace` is the one home of the flat layout: every direct sum of copies
 of a leaf coordinate space (cone windows, Hom values, sequence windows,
@@ -23,16 +25,14 @@ def _inv_mod(c, p):
 
 
 def rref_transform(A, p):
-    """Reduced row echelon form with transform.
+    """Reduced row echelon form.
 
-    Returns (R, T, pivots) where R = T @ A  (mod p), R is in reduced row
-    echelon form, and pivots is the list of pivot column indices.  Pivot
-    selection is deterministic: first nonzero entry scanning down each column.
+    Returns (R, pivots) where R is the reduced row echelon form of A (mod p)
+    and pivots is the list of pivot column indices.  Pivot selection is
+    deterministic: first nonzero entry scanning down each column.
     """
-    A = np.array(A, dtype=np.int64) % p
-    m, n = A.shape
-    T = np.eye(m, dtype=np.int64)
-    R = A.copy()
+    R = np.array(A, dtype=np.int64) % p
+    m, n = R.shape
     pivots = []
     row = 0
     for col in range(n):
@@ -44,27 +44,22 @@ def rref_transform(A, p):
         pivot = row + int(nz[0])
         if pivot != row:
             R[[row, pivot]] = R[[pivot, row]]
-            T[[row, pivot]] = T[[pivot, row]]
         inv = _inv_mod(R[row, col], p)
         if inv != 1:
             R[row] = (R[row] * inv) % p
-            T[row] = (T[row] * inv) % p
         mask = np.nonzero(R[:, col])[0]
         mask = mask[mask != row]
         if mask.size:
-            factors = R[mask, col][:, None]
-            R[mask] = (R[mask] - factors * R[row]) % p
-            T[mask] = (T[mask] - factors * T[row]) % p
+            R[mask] = (R[mask] - R[mask, col][:, None] * R[row]) % p
         pivots.append(col)
         row += 1
-    return R, T, pivots
+    return R, pivots
 
 
 def rank(A, p):
     if A.size == 0:
         return 0
-    _, _, pivots = rref_transform(A, p)
-    return len(pivots)
+    return len(rref_transform(A, p)[1])
 
 
 def kernel_basis(A, p):
@@ -73,7 +68,7 @@ def kernel_basis(A, p):
     m, n = A.shape
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    R, _, pivots = rref_transform(A, p)
+    R, pivots = rref_transform(A, p)
     free = np.setdiff1d(np.arange(n), pivots)
     basis = np.zeros((len(free), n), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
@@ -82,10 +77,19 @@ def kernel_basis(A, p):
 
 
 def solve(A, b, p):
-    """One solution x of A x = b, or None.  b may be a vector or a matrix of
-    stacked column targets (then a solution matrix is returned)."""
-    x, _ = solve_with_certificate(A, b, p)
-    return x
+    """One solution x of A x = b (mod p), or None.  b may be a vector or a
+    matrix of stacked column targets (then a solution matrix is returned,
+    and None means some column has no solution)."""
+    A = np.asarray(A, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
+    B = b[:, None] if b.ndim == 1 else b
+    n = A.shape[1]
+    R, pivots = rref_transform(np.concatenate([A, B], axis=1), p)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = np.zeros((n, B.shape[1]), dtype=np.int64)
+    x[pivots] = R[: len(pivots), n:]
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def solve_with_certificate(A, b, p):
@@ -93,23 +97,20 @@ def solve_with_certificate(A, b, p):
 
     Returns (x, None) on success.  On failure returns (None, y) where y is a
     cokernel functional: y @ A == 0 and y @ b != 0, an exact witness that no
-    solution exists.
+    solution exists.  y is the first row of kernel_basis(A.T) with y @ b != 0,
+    and y @ A == 0 is checked by a matrix product before y is returned.
     """
+    x = solve(A, b, p)
+    if x is not None:
+        return x, None
     A = np.asarray(A, dtype=np.int64) % p
     b = np.asarray(b, dtype=np.int64) % p
-    vector_input = b.ndim == 1
-    B = b[:, None] if vector_input else b
-    m, n = A.shape
-    aug = np.concatenate([A, B], axis=1)
-    R, T, pivots = rref_transform(aug, p)
-    for ri, pc in enumerate(pivots):
-        if pc >= n:
-            # pivot inside the b-block: row ri of T is the certificate
-            return None, T[ri] % p
-    x = np.zeros((n, B.shape[1]), dtype=np.int64)
-    for ri, pc in enumerate(pivots):
-        x[pc] = R[ri, n:]
-    return (x[:, 0] if vector_input else x), None
+    y = next((y for y in kernel_basis(A.T, p) if ((y @ b) % p).any()), None)
+    if y is None:
+        raise RuntimeError("certificate check failed: no y with y @ A == 0 has y @ b != 0")
+    if ((y @ A) % p).any():
+        raise RuntimeError("certificate check failed: y @ A != 0")
+    return None, y
 
 
 def row_space_contains(rows, v, p):
@@ -119,26 +120,19 @@ def row_space_contains(rows, v, p):
     return rank(stacked, p) == rank(rows, p)
 
 
-def subquotient_dim(image_rows, ambient_rows, p):
-    """dim(ambient / image), with a membership check that image lies inside
-    the span of ambient.  Both arguments are row-span generating sets."""
-    ra = rank(ambient_rows, p)
-    if image_rows.size == 0:
-        return ra
-    stacked = np.vstack([ambient_rows, image_rows])
-    if rank(stacked, p) != ra:
-        raise ValueError("image rows are not contained in the ambient space")
-    return ra - rank(image_rows, p)
-
-
 def complex_dims(mats, p):
     """Cohomology dimensions of the cochain complex whose j-th differential
     has the matrix mats[j]: dim ker mats[0], then dim(ker mats[j] / im
-    mats[j-1]) for each later j (checked to be a subquotient)."""
+    mats[j-1]) for each later j.  Raises ValueError when some mats[j] @
+    mats[j-1] is not zero, i.e. the maps do not form a complex."""
     dims = []
+    prev_rank = 0
     for j, A in enumerate(mats):
-        ker = kernel_basis(A, p)
-        dims.append(int(ker.shape[0]) if j == 0 else subquotient_dim(mats[j - 1].T % p, ker, p))
+        if j and ((A @ mats[j - 1]) % p).any():
+            raise ValueError("image of map %d is not contained in the kernel of map %d" % (j - 1, j))
+        r = rank(A, p)
+        dims.append(int(A.shape[1]) - r - prev_rank)
+        prev_rank = r
     return dims
 
 
@@ -176,9 +170,6 @@ class FpLinearMap:
         """self after other."""
         assert self.p == other.p
         return FpLinearMap((self.mat @ other.mat) % self.p, self.p)
-
-    def kernel(self):
-        return kernel_basis(self.mat, self.p)
 
     def image_rows(self):
         """Row-span generating set for the image (columns transposed)."""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from frobext import cli
 from frobext.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -157,6 +158,35 @@ def test_regress_errors_on_missing_expected(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "regress", str(tmp_path))
     assert code == 1
     assert "MISSING" in out
+
+
+def test_regress_goes_on_after_a_crash(tmp_path, capsys, monkeypatch):
+    for name in ("coker-f2", "cone-d1"):
+        for ext in (".scenario", ".expected.json"):
+            shutil.copy(CORPUS / (name + ext), tmp_path / (name + ext))
+
+    def crash(sc):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli.TASKS, "cone-resolution", crash)
+    code, out, _ = run_cli(capsys, "regress", str(tmp_path))
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("CRASH")] == ["CRASH cone-d1 (KeyError: 'boom')"]
+    assert [line for line in lines if line.startswith("ok")] == ["ok coker-f2"]
+
+
+@pytest.mark.parametrize("slot", [9, -50])
+def test_hdual_target_outside_the_window_is_located(tmp_path, capsys, slot):
+    text = (CORPUS / "hdual-z0-unsat.scenario").read_text()
+    assert "target: 0: 1" in text
+    path = write(tmp_path, "h.scenario", text.replace("target: 0: 1", "target: %d: 1" % slot))
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 1
+    assert out == ""
+    target_line = text.splitlines().index("target: 0: 1") + 1
+    assert f"{path}:{target_line}:" in err
+    assert "target slot %d lies outside -4..5" % slot in err
 
 
 def test_regress_rejects_an_absent_corpus(tmp_path, capsys):

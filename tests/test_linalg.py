@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobext import linalg
 from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import (
     ArtinianTarget,
@@ -33,7 +34,6 @@ from frobext.linalg import (
     rref_transform,
     solve,
     solve_with_certificate,
-    subquotient_dim,
     tuple_space,
 )
 from frobext.poly import PolySpace, ring_over
@@ -108,14 +108,45 @@ def test_unsat_certificate_is_a_cokernel_functional(data, bflat):
         assert (((A @ x) - b) % p == 0).all()
 
 
+@given(small_matrices, st.integers(1, 3), st.lists(st.integers(0, 6), min_size=12, max_size=12))
+@settings(max_examples=120, deadline=None)
+def test_solve_with_stacked_targets_agrees_with_enumeration(data, k, bflat):
+    p, m, n, flat = data
+    A = np.array(flat[: m * n], dtype=np.int64).reshape(m, n) % p
+    B = np.array(bflat[: m * k], dtype=np.int64).reshape(m, k) % p
+    X = solve(A, B, p)
+    solvable = all(brute_solvable(A, B[:, c], p) is not None for c in range(k))
+    assert (X is not None) == solvable
+    if X is not None:
+        assert X.shape == (n, k)
+        assert (((A @ X) - B) % p == 0).all()
+
+
+def test_unsat_certificate_is_checked_independently(monkeypatch):
+    # x = 0 and x = 1 over F_2: the left kernel of A is spanned by (1, 1)
+    p = 2
+    A = np.array([[1], [1]], dtype=np.int64)
+    b = np.array([0, 1], dtype=np.int64)
+    assert (solve_with_certificate(A, b, p)[1] == [1, 1]).all()
+    monkeypatch.setattr(linalg, "kernel_basis", lambda At, p: np.array([[0, 1]], dtype=np.int64))
+    with pytest.raises(RuntimeError, match=r"y @ A != 0"):
+        solve_with_certificate(A, b, p)
+    monkeypatch.setattr(linalg, "kernel_basis", lambda At, p: np.array([[0, 0]], dtype=np.int64))
+    with pytest.raises(RuntimeError, match=r"y @ b != 0"):
+        solve_with_certificate(A, b, p)
+
+
 def test_rref_transform_certifies_itself():
     rng = np.random.default_rng(7)
     for p in (2, 3, 5):
         for _ in range(20):
             A = rng.integers(0, p, size=(4, 5))
-            R, T, pivots = rref_transform(A, p)
-            assert ((T @ A) % p == R).all()
-            assert rank(A, p) == len(pivots)
+            R, pivots = rref_transform(A, p)
+            r = len(pivots)
+            assert (R[:r][:, pivots] == np.eye(r, dtype=np.int64)).all()
+            assert not R[r:].any()
+            # R's rows lie in A's row space and span all of it
+            assert rank(np.vstack([A, R]), p) == r == rank(A, p)
 
 
 def test_row_space_contains():
@@ -123,15 +154,6 @@ def test_row_space_contains():
     rows = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
     assert row_space_contains(rows, np.array([1, 1, 0]), p)
     assert not row_space_contains(rows, np.array([0, 0, 1]), p)
-
-
-def test_subquotient_dim_counts_homology():
-    # ambient = kernel of zero map = all of F_2^2; image = span{(1,0)}
-    p = 2
-    ambient = np.array([[1, 0], [0, 1]], dtype=np.int64)
-    image = np.array([[1, 0]], dtype=np.int64)
-    assert subquotient_dim(image, ambient, p) == 1
-    assert subquotient_dim(np.zeros((0, 2), dtype=np.int64), ambient, p) == 2
 
 
 def test_intersection_dim_by_enumeration():
@@ -331,6 +353,18 @@ def test_complex_dims_on_exact_complex():
     assert complex_dims(mats, p) == brute_complex_dims(mats, p) == [0, 0, 0]
     with pytest.raises(ValueError):  # d1 . d0 != 0: not a complex
         complex_dims([mats[0], np.array([[1, 1]], dtype=np.int64)], p)
+
+
+def test_complex_dims_counts_homology():
+    # F_2 --(1,0)^T--> F_2^2 --0--> 0: the image is span{(1,0)} inside all of F_2^2
+    p = 2
+    mats = [np.array([[1], [0]], dtype=np.int64), np.zeros((0, 2), dtype=np.int64)]
+    assert complex_dims(mats, p) == brute_complex_dims(mats, p) == [0, 1]
+    # the same with nothing mapping in: all of F_2^2 survives
+    mats = [np.zeros((2, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)]
+    assert complex_dims(mats, p) == brute_complex_dims(mats, p) == [0, 2]
+    with pytest.raises(ValueError):  # (1, 0) . (1, 0)^T != 0: not a complex
+        complex_dims([np.array([[1], [0]], dtype=np.int64), np.array([[1, 0]], dtype=np.int64)], p)
 
 
 @pytest.mark.parametrize("p,a,b", [(2, 2, 3), (3, 1, 2), (3, 3, 2)])
