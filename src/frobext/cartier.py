@@ -699,7 +699,9 @@ def _evaluate_hom(cone, target, fvals, z):
 
         f(g . e' (x) F^i) = phiN^i( sum_b digit_b(g) * f(x^b . e') )
         f(g . e  (x) F^i) = phiN^i( g * f(e) )
-    """
+
+    `_dual_images` indexes this sum for unit functionals; this direct form
+    is the reference it is tested against."""
     ring = cone.ring
     acc = target.zero()
     for (S, s, i), g in z.C.items():
@@ -724,17 +726,36 @@ def _evaluate_hom(cone, target, fvals, z):
 
 def _dual_images(cone, target, n, dom_space):
     """Images of the dual differential Hom(spot n) -> Hom(spot n+1) on the
-    flat basis of dom_space; each image is a key -> value dict."""
-    gens = cone.generators(n + 1)
-    bounded = [(key, cone.differential(n + 1, g)) for key, g in gens]
+    flat basis of dom_space; each image is a key -> value dict.
+
+    A basis functional is one key k with one inner basis value b, so it
+    reads only the terms of the bounded differentials that name k.  These
+    are indexed once, k -> [(generator key, F-degree i, coefficient w)],
+    with each twisted term's digits taken once; the functional's value at a
+    generator is then the sum of phiN^i(w * b) over its terms, which is
+    `_evaluate_hom` on that functional."""
+    ring = cone.ring
+    reads = {}
+    for gkey, g in cone.generators(n + 1):
+        dz = cone.differential(n + 1, g)
+        for (S, s, i), h in dz.C.items():
+            for b, w in ring.frobenius_digits(h).items():
+                if w:
+                    reads.setdefault(("C", S, s, b), []).append((gkey, i, w))
+        for (S, s, i), h in dz.D.items():
+            reads.setdefault(("D", S, s), []).append((gkey, i, h))
+    basis = list(dom_space.inner.basis_elems())
     images = []
-    for fvals in dom_space.basis_elems():
-        img = {}
-        for key, dz in bounded:
-            v = _evaluate_hom(cone, target, fvals, dz)
-            if not _is_zero_value(target, v):
-                img[key] = v
-        images.append(img)
+    for key in dom_space.keys:
+        terms = reads.get(key, ())
+        for b in basis:
+            img = {}
+            for gkey, i, w in terms:
+                v = target.act(w, b)
+                for _ in range(i):
+                    v = target.phi(v)
+                img[gkey] = target.add(img[gkey], v) if gkey in img else v
+            images.append({gkey: v for gkey, v in img.items() if not _is_zero_value(target, v)})
     return images
 
 
@@ -929,12 +950,12 @@ def _cross_block_is_zero(cone, target):
     for n in range(0, cone.length):
         dom = HomSpot(cone, n)
         plain_keys = [k for k in dom.keys if k[0] == "D"]
-        gens = [(key, g) for key, g in cone.generators(n + 1) if key[0] == "C"]
+        bounded = [cone.differential(n + 1, g) for key, g in cone.generators(n + 1) if key[0] == "C"]
         for key in plain_keys:
             for b in nspace.basis_elems():
                 fvals = {key: b}
-                for gkey, g in gens:
-                    v = _evaluate_hom(cone, target, fvals, cone.differential(n + 1, g))
+                for dz in bounded:
+                    v = _evaluate_hom(cone, target, fvals, dz)
                     if not _is_zero_value(target, v):
                         return False
     return True

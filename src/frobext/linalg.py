@@ -4,15 +4,18 @@ direct sums.
 Matrices are numpy int64 arrays with entries reduced to 0..p-1.  Every
 question is one deterministic Gaussian elimination (`rref_transform`, which
 keeps no transform matrix), so solve / kernel / image / quotient answers are
-reproducible bit-for-bit.  An unsolvable system comes back with a cokernel
-functional: the first row y of `kernel_basis(A.T)` with y @ b != 0, checked
-to satisfy y @ A == 0.
+reproducible bit-for-bit.  The elimination is row-sparse: it works on the
+nonzero entries of each row, held as a {column: value} dict, and returns
+the unique reduced row echelon form as a dense array.  An unsolvable system
+comes back with a cokernel functional: the first row y of
+`kernel_basis(A.T)` with y @ b != 0, checked to satisfy y @ A == 0.
 
 `BlockSpace` is the one home of the flat layout: every direct sum of copies
 of a leaf coordinate space (cone windows, Hom values, sequence windows,
 graded skew truncations, tuples) is a `BlockSpace`, `flatten` turns a list of
-its elements into the matrix of their coordinate columns, and `complex_dims`
-reads cohomology dimensions off a list of such matrices.
+its elements into the matrix of their coordinate columns (writing each part
+at its key's offset into a zero matrix), and `complex_dims` reads cohomology
+dimensions off a list of such matrices.
 """
 
 from __future__ import annotations
@@ -25,35 +28,55 @@ def _inv_mod(c, p):
 
 
 def rref_transform(A, p):
-    """Reduced row echelon form.
+    """Reduced row echelon form, by row-sparse elimination.
 
-    Returns (R, pivots) where R is the reduced row echelon form of A (mod p)
-    and pivots is the list of pivot column indices.  Pivot selection is
-    deterministic: first nonzero entry scanning down each column.
+    Returns (R, pivots) where R is the reduced row echelon form of A (mod p),
+    of A's shape, and pivots is the increasing list of pivot columns.  The
+    rows are {column: value} dicts read off the nonzero entries of A.  Each
+    row in turn is reduced against the pivot rows found so far, smallest
+    column first, until its leading column has no pivot yet; scaled to a
+    leading 1 it becomes that column's pivot row.  Back-substitution in
+    decreasing pivot order then clears every other pivot column from each
+    pivot row.  The reduced row echelon form of a matrix is unique, so R is
+    the one any Gauss-Jordan pivot order gives.
     """
-    R = np.array(A, dtype=np.int64) % p
-    m, n = R.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        nz = np.nonzero(R[row:, col])[0]
-        if nz.size == 0:
-            continue
-        pivot = row + int(nz[0])
-        if pivot != row:
-            R[[row, pivot]] = R[[pivot, row]]
-        inv = _inv_mod(R[row, col], p)
-        if inv != 1:
-            R[row] = (R[row] * inv) % p
-        mask = np.nonzero(R[:, col])[0]
-        mask = mask[mask != row]
-        if mask.size:
-            R[mask] = (R[mask] - R[mask, col][:, None] * R[row]) % p
-        pivots.append(col)
-        row += 1
+    A = np.asarray(A, dtype=np.int64)
+    m, n = A.shape
+    at_row, at_col = np.nonzero(A)
+    rows = [{} for _ in range(m)]
+    for i, j, v in zip(at_row.tolist(), at_col.tolist(), (A[at_row, at_col] % p).tolist()):
+        if v:
+            rows[i][j] = v
+    piv = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = piv.get(c)
+            if prow is None:
+                inv = _inv_mod(row[c], p)
+                piv[c] = row if inv == 1 else {j: v * inv % p for j, v in row.items()}
+                break
+            _sub_multiple(row, row[c], prow, p)
+    pivots = sorted(piv)
+    for c in reversed(pivots):
+        row = piv[c]
+        for j in [j for j in row if j != c and j in piv]:
+            _sub_multiple(row, row[j], piv[j], p)
+    R = np.zeros((m, n), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        row = piv[c]
+        R[i, list(row)] = list(row.values())
     return R, pivots
+
+
+def _sub_multiple(row, f, prow, p):
+    """row -= f * prow (mod p), in place, dropping the entries that vanish."""
+    for j, v in prow.items():
+        x = (row.get(j, 0) - f * v) % p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def rank(A, p):
@@ -168,7 +191,8 @@ class FpLinearMap:
 
     def compose(self, other):
         """self after other."""
-        assert self.p == other.p
+        if self.p != other.p:
+            raise ValueError("cannot compose maps over F_%d and F_%d" % (self.p, other.p))
         return FpLinearMap((self.mat @ other.mat) % self.p, self.p)
 
     def image_rows(self):
@@ -190,13 +214,28 @@ class FpLinearMap:
 def flatten(images, cod, p):
     """The (cod.dim(), len(images)) matrix whose k-th column is the
     coordinate vector of images[k] in the flat space `cod`.  `images` may be
-    any iterable; only the coordinate columns are held at once."""
-    cols = [cod.coords(z) for z in images]
-    if not cols:
-        return np.zeros((cod.dim(), 0), dtype=np.int64)
-    mat = np.array(cols, dtype=np.int64).T % p
-    assert mat.shape[0] == cod.dim()
-    return mat
+    any iterable.  A zero matrix is filled part by part: a `BlockSpace` part
+    goes to its key's offset, so only the parts an image has are written."""
+    images = list(images)
+    out = np.zeros((len(images), cod.dim()), dtype=np.int64)
+    for row, z in zip(out, images):
+        _fill(row, cod, z, p)
+    return out.T
+
+
+def _fill(vec, space, elem, p):
+    """Write the coordinates of elem in `space` into the zero vector vec."""
+    if isinstance(space, BlockSpace):
+        n = space.inner.dim()
+        for key, part in space.split(elem):
+            at = space.at(key)
+            _fill(vec[at : at + n], space.inner, part, p)
+        return
+    c = space.coords(elem)
+    if len(c) != len(vec):
+        raise ValueError("%d coordinates for a space of dimension %d" % (len(c), len(vec)))
+    vec[:] = c
+    vec %= p
 
 
 def matrix_of_map(domain_basis, apply_fn, cod, p):
@@ -236,16 +275,18 @@ class BlockSpace:
             for b in self.inner.basis_elems():
                 yield self.join({k: b})
 
+    def at(self, key):
+        """The offset of key's copy; a ValueError names a key outside."""
+        at = self.offset.get(key)
+        if at is None:
+            span = "%r .. %r" % (self.keys[0], self.keys[-1]) if self.keys else "none"
+            raise ValueError("part %r lies outside this space (keys %s)" % (key, span))
+        return at
+
     def coords(self, elem):
-        vec = [0] * self.dim()
-        for key, part in self.split(elem):
-            at = self.offset.get(key)
-            if at is None:
-                span = "%r .. %r" % (self.keys[0], self.keys[-1]) if self.keys else "none"
-                raise ValueError("part %r lies outside this space (keys %s)" % (key, span))
-            c = self.inner.coords(part)
-            vec[at : at + len(c)] = c
-        return vec
+        vec = np.zeros(self.dim(), dtype=np.int64)
+        _fill(vec, self, elem, self.p)
+        return vec.tolist()
 
     def from_coords(self, vec):
         n = self.inner.dim()

@@ -10,6 +10,11 @@ from frobext.cartier import (
     ArtinianTarget,
     ConeComplex,
     FreeTarget,
+    HomSpot,
+    _dual_images,
+    _evaluate_hom,
+    _is_zero_value,
+    _value_degree,
     coker_formula,
     cone_acyclicity_report,
     ext_r_dims,
@@ -24,7 +29,7 @@ from frobext.cartier import (
     zero_structure_module,
 )
 from frobext.field import GF
-from frobext.linalg import FpLinearMap
+from frobext.linalg import FpLinearMap, flatten
 from frobext.poly import ring_over
 from frobext.skew import check_two_step_exact, flatten_two_step, two_step_maps
 
@@ -151,6 +156,38 @@ def test_top_ext_against_free_target(p):
     assert top["dim"] == 1 and top["stable"]
     above = ext_rf(module, target, 3)
     assert above["dim"] == 0 and above["structural_zero"]
+
+
+def _dual_targets(p, d):
+    """(module, target, value space) triples: a rank-2 random structure into
+    itself, and the standard structure into the free target at two caps."""
+    ring = ring_over(p, 1, d)
+    exps = (2,) * d
+    module = random_module(ArtinianAlgebra(ring, exps), rank=2, seed=3)
+    target = ArtinianTarget(module)
+    out = [(module, target, target.space())]
+    free = FreeTarget(ring)
+    for cap in (1, 2):
+        out.append((standard_module(ArtinianAlgebra(ring, exps)), free, free.space(cap)))
+    return out
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_indexed_dual_images_match_evaluate_hom(p, d):
+    for module, target, nspace in _dual_targets(p, d):
+        cone = ConeComplex(module)
+        for n in range(cone.length + 1):
+            dom = HomSpot(cone, n).flat(nspace)
+            fast = _dual_images(cone, target, n, dom)
+            bounded = [(key, cone.differential(n + 1, g)) for key, g in cone.generators(n + 1)]
+            slow = []
+            for fvals in dom.basis_elems():
+                values = ((key, _evaluate_hom(cone, target, fvals, dz)) for key, dz in bounded)
+                slow.append({key: v for key, v in values if not _is_zero_value(target, v)})
+            assert len(fast) == len(slow) == dom.dim()
+            cap = max([0] + [_value_degree(target, img) for img in fast + slow])
+            cod = HomSpot(cone, n + 1).flat(target.space(cap))
+            assert (flatten(fast, cod, p) == flatten(slow, cod, p)).all()
 
 
 def test_trivial_action_ext_splits_as_a_direct_sum():

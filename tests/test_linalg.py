@@ -136,6 +136,87 @@ def test_unsat_certificate_is_checked_independently(monkeypatch):
         solve_with_certificate(A, b, p)
 
 
+def dense_rref(A, p):
+    """Dense Gauss-Jordan over F_p (oracle): columns in order, the first
+    nonzero entry going down is the pivot, and each pivot column is cleared
+    in every other row at once."""
+    R = np.array(A, dtype=np.int64) % p
+    m, n = R.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        nz = np.nonzero(R[row:, col])[0]
+        if nz.size == 0:
+            continue
+        pivot = row + int(nz[0])
+        if pivot != row:
+            R[[row, pivot]] = R[[pivot, row]]
+        inv = pow(int(R[row, col]), p - 2, p)
+        if inv != 1:
+            R[row] = (R[row] * inv) % p
+        mask = np.nonzero(R[:, col])[0]
+        mask = mask[mask != row]
+        if mask.size:
+            R[mask] = (R[mask] - R[mask, col][:, None] * R[row]) % p
+        pivots.append(col)
+        row += 1
+    return R, pivots
+
+
+def dense_kernel_rows(R, pivots, p):
+    """One kernel row per free column f, in increasing f: 1 at f, minus the
+    pivot rows' entries of column f at the pivot columns, 0 elsewhere."""
+    n = R.shape[1]
+    rows = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = int(-R[i, f]) % p
+        rows.append(v)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.8, 1.0]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=400, deadline=None)
+def test_row_sparse_rref_matches_dense_gauss_jordan(p, m, n, density, unreduced, seed):
+    rng = np.random.default_rng(seed)
+    if unreduced:
+        # any integers, multiples of p included: reduction mod p is the eliminator's
+        vals = rng.integers(-3 * p, 3 * p, size=(m, n))
+    else:
+        vals = rng.integers(1, p, size=(m, n))  # nonzero mod p: density 1.0 is fully dense
+    A = vals * (rng.random((m, n)) < density)
+    R, pivots = rref_transform(A, p)
+    R0, pivots0 = dense_rref(A, p)
+    assert pivots == pivots0
+    assert R.dtype == np.int64 and R.shape == (m, n)
+    assert (R == R0).all()
+    ker = kernel_basis(A, p)
+    if n:
+        assert (ker == dense_kernel_rows(R0, pivots0, p)).all()
+    else:
+        assert ker.shape == (0, 0)
+
+
+def test_row_sparse_rref_on_large_sparse_and_dense_matrices():
+    rng = np.random.default_rng(3)
+    for p, (m, n), density in ((2, (120, 80), 0.02), (3, (60, 90), 0.05), (5, (40, 40), 1.0)):
+        A = rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < density)
+        R, pivots = rref_transform(A, p)
+        R0, pivots0 = dense_rref(A, p)
+        assert pivots == pivots0 and (R == R0).all()
+
+
 def test_rref_transform_certifies_itself():
     rng = np.random.default_rng(7)
     for p in (2, 3, 5):
@@ -217,6 +298,9 @@ def test_linear_map_composition_and_image():
     B = FpLinearMap(np.array([[1, 0], [1, 1]], dtype=np.int64), p)
     assert ((A.compose(B)).mat == (A.mat @ B.mat) % p).all()
     assert A.image_rows().shape[0] == 2
+    # an explicit raise, which holds under python -O
+    with pytest.raises(ValueError, match="F_2 and F_3"):
+        A.compose(FpLinearMap(np.eye(2, dtype=np.int64), 3))
 
 
 # -- the composite flat spaces ------------------------------------------------
@@ -318,6 +402,35 @@ def test_flatten_zero_shapes():
     assert flatten([(), (), ()], empty, 3).shape == (0, 3)
     x = ring.gens()[0]
     assert (flatten([x, 2 * x + 1], cod, 3) == np.array([[0, 1], [1, 2]])).all()
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITE_SPACES))
+def test_flatten_fills_by_parts_and_locates_outside_parts(name):
+    space, outside = COMPOSITE_SPACES[name]()
+    rng = random.Random(11)
+    vecs = [[rng.randrange(space.p) for _ in range(space.dim())] for _ in range(3)]
+    mat = flatten([space.from_coords(v) for v in vecs], space, space.p)
+    assert mat.dtype == np.int64
+    assert mat.shape == (space.dim(), 3)
+    assert (mat == np.array(vecs, dtype=np.int64).T).all()
+    # the sparse fill raises the same located error as coords
+    with pytest.raises(ValueError) as from_coords_:
+        space.coords(outside)
+    with pytest.raises(ValueError, match=r"^part .+ lies outside this space \(keys .+\)$") as from_flatten:
+        flatten([space.from_coords(vecs[0]), outside], space, space.p)
+    assert str(from_flatten.value) == str(from_coords_.value)
+
+
+def test_flatten_rejects_coordinates_of_the_wrong_length():
+    class Short(_PairSpace):
+        def coords(self, v):
+            return [int(v[0]) % self.p]
+
+    with pytest.raises(ValueError, match="1 coordinates for a space of dimension 2"):
+        flatten([np.array([1, 0])], Short(3), 3)
+    # inside a block the inner space's slot is checked the same way
+    with pytest.raises(ValueError, match="1 coordinates for a space of dimension 2"):
+        flatten([(np.array([1, 0]),)], tuple_space(Short(3), 1, None), 3)
 
 
 def brute_complex_dims(mats, p):
