@@ -41,9 +41,6 @@ class ArtinianAlgebra:
         }
         return MultiPoly(self.ring, keep)
 
-    def in_ideal(self, f):
-        return not self.reduce(f)
-
     def multiply(self, f, g):
         return self.reduce(self.ring.coerce(f) * g)
 
@@ -81,10 +78,15 @@ class ERing:
     def algebra(self, n):
         return ArtinianAlgebra(self.ring, (n,) * self.ring.d)
 
+    def reduce(self, f, n):
+        """f mod (x1^n, ..., xd^n): algebra(n).reduce(f) without building the
+        algebra and its monomial box."""
+        return MultiPoly(self.ring, {e: c for e, c in f.terms.items() if max(e) < n})
+
     def elem(self, numer, level):
         if level < 1:
             raise ValueError("level must be >= 1")
-        numer = self.algebra(level).reduce(self.ring.coerce(numer))
+        numer = self.reduce(self.ring.coerce(numer), level)
         return EElem(self, level, numer)
 
     def zero(self):
@@ -113,7 +115,7 @@ class EElem:
         if m == self.level:
             return self
         shift = self.ering.xprod ** (m - self.level)
-        numer = self.ering.algebra(m).reduce(self.numer * shift)
+        numer = self.ering.reduce(self.numer * shift, m)
         return EElem(self.ering, m, numer)
 
     def normalize(self):
@@ -140,7 +142,7 @@ class EElem:
             return NotImplemented
         m = max(self.level, other.level)
         a, b = self.raise_to(m), other.raise_to(m)
-        return EElem(self.ering, m, self.ering.algebra(m).reduce(a.numer + b.numer))
+        return EElem(self.ering, m, self.ering.reduce(a.numer + b.numer, m))
 
     __radd__ = __add__
 
@@ -158,13 +160,13 @@ class EElem:
 
     def act(self, f):
         """Module action of a ring element f."""
-        numer = self.ering.algebra(self.level).reduce(self.numer * f)
+        numer = self.ering.reduce(self.numer * f, self.level)
         return EElem(self.ering, self.level, numer)
 
     def pth_power(self):
         """(r; x^n) -> (r^p; x^(np))."""
         p = self.ering.ring.field.p
-        numer = self.ering.algebra(self.level * p).reduce(self.numer.frobenius())
+        numer = self.ering.reduce(self.numer.frobenius(), self.level * p)
         return EElem(self.ering, self.level * p, numer)
 
     def __bool__(self):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .artinian import ELevelSpace
 from .linalg import BlockSpace, kernel_basis, matrix_of_map, solve_with_certificate
-from .poly import PolySpace
+from .poly import PolySpace, random_poly
 from .rational import BoundedRationalSpace, is_squarefree, u_divmod
 
 
@@ -52,7 +52,7 @@ class StdR:
         return f.frobenius() - f
 
     def sample(self, rng, degree=2):
-        return _rand_poly(self.ring, PolySpace.total_degree(self.ring, degree), rng)
+        return random_poly(self.ring, PolySpace.total_degree(self.ring, degree).mons, rng, 0.5)
 
     def describe(self):
         return "polynomial ring, F = p-th power"
@@ -138,9 +138,9 @@ class ShiftRInf:
         return self.pth_power(z) - z
 
     def sample(self, rng, degree=1, lo=-2, hi=2):
-        space = PolySpace.total_degree(self.ring, degree)
+        mons = PolySpace.total_degree(self.ring, degree).mons
         return ShiftElem(
-            self.ring, {j: _rand_poly(self.ring, space, rng) for j in range(lo, hi + 1)}
+            self.ring, {j: random_poly(self.ring, mons, rng, 0.5) for j in range(lo, hi + 1)}
         )
 
     def describe(self):
@@ -503,13 +503,14 @@ def ext1_class(module, u1, u2, level_bound=4, degree_bound=6, samples=20, seed=0
     psi, carried = e1.section_shift(m.neg(x))
     assert carried.z == e2.z
     fx = m.pth_power(x)
+    quadratic = PolySpace.total_degree(ring, 2).mons
     for _ in range(samples):
         y = m.sample(rng)
-        r = _rand_poly(ring, PolySpace.total_degree(ring, 2), rng)
+        r = random_poly(ring, quadratic, rng, 0.5)
         left = m.add(y, m.add(m.scal(r, u1), m.scal(r, fx)))
         right = m.add(y, m.add(m.scal(r, u2), m.scal(r, x)))
         assert left == right
-        a, b = m.sample(rng), _rand_poly(ring, PolySpace.total_degree(ring, 2), rng)
+        a, b = m.sample(rng), random_poly(ring, quadratic, rng, 0.5)
         assert psi(e1.pth_power((a, b))) == e2.pth_power(psi((a, b)))
     out["section_shift"] = res["witness"]
     out["checked_samples"] = samples
@@ -628,17 +629,6 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
         and not report["split"]
     )
     return report
-
-
-def _rand_poly(ring, pspace, rng):
-    f = ring.zero
-    field = ring.field
-    for m in pspace.mons:
-        if rng.random() < 0.5:
-            f = f + ring.monomial(
-                m, field.from_coords([rng.randrange(field.p) for _ in range(field.e)])
-            )
-    return f
 
 
 def shift_window(ring, lo, hi, pspace):

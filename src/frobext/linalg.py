@@ -306,7 +306,7 @@ class StructureError(ValueError):
     """Raised when a map handed in as additive/semilinear fails the check."""
 
 
-def artin_schreier_map(domain, codomain, pth_power, check=True):
+def artin_schreier_map(domain, codomain, pth_power):
     """Flatten x -> x^p - x to an FpLinearMap between two flat spaces.
 
     `domain` and `codomain` expose basis_elems() / coords() / dim() / p, and
@@ -316,7 +316,7 @@ def artin_schreier_map(domain, codomain, pth_power, check=True):
     """
     p = domain.p
     basis = list(domain.basis_elems())
-    if check and len(basis) >= 2:
+    if len(basis) >= 2:
         a, b = basis[0], basis[1]
         if codomain.coords(pth_power(a + b)) != codomain.coords(pth_power(a) + pth_power(b)):
             raise StructureError("p-power map is not additive on basis pair")

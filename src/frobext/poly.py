@@ -113,9 +113,6 @@ class MultiPoly:
             {tuple(a * p for a in e): c.frobenius() for e, c in self.terms.items()},
         )
 
-    def monomials(self):
-        return sorted(self.terms, key=grlex_key)
-
     def __repr__(self):
         return self.ring.format(self)
 
@@ -162,18 +159,15 @@ class PolyRing:
 
     # -- the digit-projection operator ------------------------------------
 
-    def cartier(self, f, c=None):
+    def cartier(self, f):
         """The p^(-1)-semilinear projection picking out the top Frobenius
         digit: a term b*x^m contributes b^(1/p) * x^((m-(p-1))/p) exactly when
         every exponent of m is congruent to p-1 mod p, and is dropped
-        otherwise.  With the optional premultiplier: cartier(f, c) computes
-        the operator applied to c*f.
+        otherwise.
 
         Identities (tested): cartier(x^(p-1,...,p-1) * g^p) == g and
         cartier(r^p * f) == r * cartier(f).
         """
-        if c is not None:
-            f = self.coerce(c) * f
         p = self.field.p
         out = {}
         for e, coeff in self.coerce(f).terms.items():
@@ -410,15 +404,24 @@ class PolySpace:
                 terms[m] = coeff
         return MultiPoly(self.ring, terms)
 
-    def contains(self, f):
-        return all(exp in self.index for exp in self.ring.coerce(f).terms)
-
 
 class FieldSpace(PolySpace):
     """F_q itself, as the d-variable polynomial space of constants."""
 
     def __init__(self, field):
         super().__init__(PolyRing(field, 0), [()])
+
+
+def random_poly(ring, mons, rng, density):
+    """A seeded random polynomial on the monomial list `mons`: each monomial,
+    in list order, is kept when rng.random() < density and then gets e random
+    F_p coordinates.  Seeded structures and samples depend on this draw order."""
+    field = ring.field
+    f = ring.zero
+    for m in mons:
+        if rng.random() < density:
+            f = f + ring.monomial(m, field.from_coords([rng.randrange(field.p) for _ in range(field.e)]))
+    return f
 
 
 def ring_over(p, e=1, d=1, var_names=None, gen_name="w"):

@@ -147,12 +147,6 @@ class FreeCartierCarrier:
     def format(self, a):
         return "(" + ", ".join(self.ring.format(x) for x in a) + ")"
 
-    def wrap(self, polys):
-        polys = tuple(self.ring.coerce(f) for f in polys)
-        if len(polys) != self.rank:
-            raise ValueError("expected %d components" % self.rank)
-        return polys
-
 
 class FreeSkewElem:
     """An element of M (x) R{F}: dict F-degree -> carrier element."""
@@ -201,9 +195,6 @@ class FreeSkewElem:
         for j, r in xi.terms.items():
             out = out + self.act_ring(r).act_F(j)
         return out
-
-    def top_degree(self):
-        return max(self.terms) if self.terms else -1
 
     def __eq__(self, other):
         if not isinstance(other, FreeSkewElem):
@@ -306,20 +297,18 @@ def flatten_two_step(module, dmax):
     return amap, bmap, dom, cod
 
 
-def check_two_step_exact(module, dmax, alpha_override=None, beta_override=None):
+def check_two_step_exact(module, dmax, alpha_override=None):
     """Exactness report for 0 -> M' (x) R{F} -> M (x) R{F} -> M -> 0 on the
     F-degree window <= dmax.
 
     Checks: beta.alpha = 0; alpha injective; every beta-kernel element with
     top degree <= dmax - 1 is hit by alpha, producing the explicit witness
-    x_j = -sum_{k>j} phi^(k-j-1)(y_k) and verifying it exactly.  The
-    *_override hooks replace the flattened matrices (used by mutation tests).
+    x_j = -sum_{k>j} phi^(k-j-1)(y_k) and verifying it exactly.
+    alpha_override replaces the flattened alpha (used by mutation tests).
     """
     amap, bmap, dom, cod = flatten_two_step(module, dmax)
     if alpha_override is not None:
         amap = alpha_override
-    if beta_override is not None:
-        bmap = beta_override
     p = dom.p
     report = {
         "dmax": dmax,
@@ -342,9 +331,9 @@ def check_two_step_exact(module, dmax, alpha_override=None, beta_override=None):
         report["alpha_injective"] = False
         report["counterexample"] = repr(dom.from_coords(list(ker_a[0])))
     # beta-kernel elements with top degree <= dmax - 1
+    # sub's layout is the first sub.dim() coordinates of cod's
     sub = graded_skew_space(module, dmax - 1, twist=0)
-    beta_small = matrix_of_map(sub.basis_elems(), two_step_maps(module)[1], module.space(), p)
-    for vec in kernel_basis(beta_small.mat, p):
+    for vec in kernel_basis(bmap.mat[:, : sub.dim()], p):
         y = sub.from_coords(list(vec))
         x = two_step_witness(module, y)
         target = cod.coords(y)
@@ -448,27 +437,6 @@ def seq_space(ring, lo, hi, poly_space):
         lambda w: w.entries.items(),
         lambda parts: SeqWindow(ring, lo, hi, parts),
     )
-
-
-def h_apply(ring, y, i=0):
-    """The tail map on a generator y (x) F^i of the twisted rank-1 spot:
-
-      h(y (x) F^i) = (-1)^d (y (x) F^(i+1) - C(y) (x) F^i)
-                     (+)  (x_1 y, ..., x_d y) (x) F^i
-
-    Returns (part_in_omega, part_in_omega_power_d) as FreeSkewElems, where C
-    is the digit-projection structure map of the ring.
-    """
-    d = ring.d
-    y = ring.coerce(y)
-    sign = 1 if d % 2 == 0 else -1
-    omega = FreeCartierCarrier(ring, 1)
-    omega_d = FreeCartierCarrier(ring, d)
-    part1 = FreeSkewElem(omega, {i + 1: (y,)}, 0) - FreeSkewElem(omega, {i: (ring.cartier(y),)}, 0)
-    part1 = FreeSkewElem(omega, {k: omega.scal(sign, m) for k, m in part1.terms.items()}, 0)
-    gens = ring.gens()
-    part2 = FreeSkewElem(omega_d, {i: tuple(g * y for g in gens)}, 1)
-    return part1, part2
 
 
 def h_dual_apply(s, ts):

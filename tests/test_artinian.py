@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobext.artinian import ArtinianAlgebra, ELevelSpace, ERing
 from frobext.poly import ring_over
@@ -18,6 +20,20 @@ def test_reduce_is_multiplicative():
         for g in polys:
             assert alg.reduce(f * g) == alg.reduce(alg.reduce(f) * g)
             assert alg.reduce(f * g) == alg.reduce(f * alg.reduce(g))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_ering_reduce_matches_the_algebra(data):
+    p, e, d = (data.draw(st.sampled_from(vals)) for vals in ([2, 3], [1, 2], [1, 2]))
+    n = data.draw(st.integers(1, 4))
+    ring = ring_over(p, e, d)
+    coords = st.lists(st.integers(0, p - 1), min_size=e, max_size=e)
+    exps = st.tuples(*[st.integers(0, 2 * n)] * d)
+    f = ring.zero
+    for exp, c in data.draw(st.lists(st.tuples(exps, coords), max_size=8)):
+        f = f + ring.monomial(exp, ring.field.from_coords(c))
+    assert ERing(ring).reduce(f, n) == ArtinianAlgebra(ring, (n,) * d).reduce(f)
 
 
 def test_algebra_dimension_is_product_of_exponents():

@@ -29,9 +29,9 @@ from frobext.cartier import (
     zero_structure_module,
 )
 from frobext.field import GF
-from frobext.linalg import FpLinearMap, flatten
+from frobext.linalg import FpLinearMap, flatten, matrix_of_map
 from frobext.poly import ring_over
-from frobext.skew import check_two_step_exact, flatten_two_step, two_step_maps
+from frobext.skew import check_two_step_exact, flatten_two_step, graded_skew_space, two_step_maps
 
 
 def module_zoo(p):
@@ -62,6 +62,19 @@ def test_two_step_exactness_across_the_zoo(p):
     for module in module_zoo(p):
         report = check_two_step_exact(module, 4)
         assert report["passed"], report
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_beta_prefix_columns_are_beta_on_the_shorter_window(p):
+    # check_two_step_exact takes the beta-kernel on F-degree <= dmax-1 from
+    # the first sub.dim() columns of the flattened beta
+    for module in module_zoo(p):
+        beta = two_step_maps(module)[1]
+        for dmax in range(1, 5):
+            _, bmap, _, _ = flatten_two_step(module, dmax)
+            sub = graded_skew_space(module, dmax - 1)
+            ref = matrix_of_map(sub.basis_elems(), beta, module.space(), p)
+            assert np.array_equal(bmap.mat[:, : sub.dim()], ref.mat)
 
 
 @pytest.mark.parametrize("p", [2, 3])

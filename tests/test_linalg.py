@@ -279,7 +279,6 @@ def test_artin_schreier_map_requires_semilinearity():
         domain=space,
         codomain=space,
         pth_power=lambda v: v,
-        check=True,
     )
     assert good.mat.shape == (2, 2)
     assert not good.mat.any()  # F = identity makes F - id the zero map
@@ -288,7 +287,6 @@ def test_artin_schreier_map_requires_semilinearity():
             domain=space,
             codomain=space,
             pth_power=lambda v: v + 1,  # not additive
-            check=True,
         )
 
 

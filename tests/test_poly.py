@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobext.artinian import ArtinianAlgebra
+from frobext.cartier import random_module
+from frobext.fmodules import StdR
 from frobext.poly import (
     PolySpace,
     monomials_box,
@@ -127,3 +130,21 @@ def test_monomial_multiplication_adds_exponents(a, b, c):
     f = x**a * y**b
     g = x**b * y**c
     assert f * g == x ** (a + b) * y ** (b + c)
+
+
+def test_seeded_structures_and_samples_keep_their_draws():
+    # reports echo only `random:<seed>`, so these pins are what shows a
+    # changed draw order in random_poly
+    def cmatrix(ring, exps, seed):
+        module = random_module(ArtinianAlgebra(ring, exps), 2, seed)
+        return [[ring.format(c) for c in row] for row in module.cmatrix]
+
+    f9 = ring_over(3, 2, 2)
+    assert cmatrix(f9, (2, 1), 11) == [
+        ["2*x1 + (2 + w)", "(2 + w)"],
+        ["x1", "(1 + w)*x1 + (2 + 2*w)"],
+    ]
+    f2 = ring_over(2, 1, 1)
+    assert cmatrix(f2, (3,), 5) == [["0", "0"], ["1", "x1"]]
+    f4 = ring_over(2, 2, 2)
+    assert f4.format(StdR(f4).sample(random.Random(7))) == "w*x1^2 + w*x1 + w"
