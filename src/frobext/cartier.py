@@ -17,13 +17,12 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
-
 from .artinian import ArtinianAlgebra
 from .koszul import KoszulComplex
 from .linalg import (
     BlockSpace,
     FpLinearMap,
+    SparseMatrix,
     StructureError,
     artin_schreier_map,
     complex_dims,
@@ -731,8 +730,7 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
         prev_images = _dual_images(cone, target, j - 1, dom_prev)
         ambcap = max([L] + [_value_degree(target, img) for img in prev_images])
         amb = HomSpot(cone, j).flat(target.space(ambcap))
-        # the capped cycles re-expressed in the ambient value space
-        lift = flatten((dom.from_coords(v) for v in ker), amb, p).T
+        lift = _reembed(ker, dom, amb)
         B = flatten(prev_images, amb, p).T
         return int(lift.shape[0]) - intersection_dim(lift, B, p)
 
@@ -745,6 +743,17 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
             return {"dim": val, "stable": True, "structural_zero": False, "caps": caps}
         prev = val
     return {"dim": prev, "stable": False, "structural_zero": False, "caps": caps}
+
+
+def _reembed(rows, dom, amb):
+    """The rows (coordinates in `dom`) re-expressed in `amb`, a Hom layout with
+    the same keys and wider free-target boxes: coordinate (key, monomial,
+    F_q digit) of dom moves to the same (key, monomial, digit) of amb."""
+    inner, wide = dom.inner, amb.inner
+    e = inner.e
+    moved = [wide.index[m] * e + k for m in inner.mons for k in range(e)]
+    to = [amb.offset[key] + i for key in dom.keys for i in moved]
+    return SparseMatrix([{to[j]: v for j, v in row.items()} for row in rows.rows], amb.dim())
 
 
 def ext_rf(module, target, j, **caps):
@@ -973,8 +982,10 @@ def unitalize_report(module, levels):
     def transition_matrix(l):
         """Flat matrix of t_l: level l -> level l+1.  Level l is laid out as
         (index tuple, module coordinate), so t_l applies the transpose to
-        each index tuple's block and appends the fresh index last."""
-        return FpLinearMap(np.kron(np.eye(nd**l, dtype=np.int64), fmap.mat) % p, p)
+        each index tuple's block and appends the fresh index last: the
+        block-diagonal matrix with one copy of the transpose's per tuple."""
+        rows = [{b * mdim + j: v for j, v in row.items()} for b in range(nd**l) for row in fmap.mat.rows]
+        return FpLinearMap(SparseMatrix(rows, level_dim(l)), p)
 
     report = {"level_dims": [level_dim(l) for l in range(levels + 1)], "transition_ranks": []}
     comp = None

@@ -17,8 +17,6 @@ import sys
 import time
 import traceback
 
-import numpy as np
-
 from .artinian import ArtinianAlgebra, ERing
 from .cartier import (
     ArtinianTarget,
@@ -540,8 +538,8 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if isinstance(obj, (bool, str)) or obj is None:
         return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+    if isinstance(obj, int):
+        return obj
     if isinstance(obj, float):
         return obj
     return str(obj)

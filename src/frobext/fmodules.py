@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from .artinian import ELevelSpace
-from .linalg import BlockSpace, kernel_basis, matrix_of_map, solve_with_certificate
+from .linalg import BlockSpace, kernel_basis, matrix_of_map, solve_with_certificate, vstack
 from .poly import PolySpace, random_poly
 from .rational import BoundedRationalSpace, is_squarefree, u_divmod
 
@@ -318,17 +316,17 @@ def _as_solve_poly(module, u):
     space = PolySpace.total_degree(ring, deg // p)
     big = PolySpace.total_degree(ring, deg)
     fmap = matrix_of_map(space.basis_elems(), lambda z: z.frobenius() - z, big, p)
-    x, cert = solve_with_certificate(fmap.mat, np.array(big.coords(u), dtype=np.int64), p)
+    x, cert = solve_with_certificate(fmap.mat, big.coords(u), p)
     if x is None:
         rep = _unsat(
             proven=True,
             reason="any solution must have degree exactly %d; the exact solve "
             "over that box has a cokernel certificate" % (deg // p),
             bound={"degree": deg // p},
-            certificate=[int(v) for v in cert],
+            certificate=cert,
         )
         return rep, None
-    z = space.from_coords([int(v) for v in x])
+    z = space.from_coords(x)
     assert z.frobenius() - z == u
     return _sat(ring.format(z), "forced-degree linear solve"), z
 
@@ -341,10 +339,9 @@ def _as_solve_limit(module, u, level_bound):
     dom = ELevelSpace(ering, n)
     cod = ELevelSpace(ering, n * p)
     fmap = matrix_of_map(dom.basis_elems(), lambda z: z.pth_power() - z, cod, p)
-    ucoords = np.array(cod.coords(u), dtype=np.int64)
-    x, cert = solve_with_certificate(fmap.mat, ucoords, p)
+    x, cert = solve_with_certificate(fmap.mat, cod.coords(u), p)
     if x is not None:
-        z = dom.from_coords([int(v) for v in x])
+        z = dom.from_coords(x)
         assert z.pth_power() - z == u
         return _sat(repr(z), "flattened solve at level %d" % n), z
     bottom = bool(u) and u.level == 1
@@ -360,7 +357,7 @@ def _as_solve_limit(module, u, level_bound):
         proven=bottom,
         reason=reason,
         bound={"level": n},
-        certificate=[int(v) for v in cert],
+        certificate=cert,
     )
     return rep, None
 
@@ -582,7 +579,7 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
     kdim = 0
     for vec in kernel_basis(bmap.mat, p):
         kdim += 1
-        z = space.from_coords([int(v) for v in vec])
+        z = space.from_coords(vec)
         acc = ring.zero
         partial = {}
         for j in range(lo, hi + 1):
@@ -606,11 +603,9 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
         rhs.extend([0] * big.dim())
     rows.append(matrix_of_map(space.basis_elems(), B, big, p).mat)
     rhs.extend(big.coords(ring.one))
-    x, cert = solve_with_certificate(
-        np.vstack(rows), np.array(rhs, dtype=np.int64), p
-    )
+    x, cert = solve_with_certificate(vstack(rows), rhs, p)
     report["split"] = x is not None
-    report["split_window_certificate"] = [int(v) for v in cert] if x is None else None
+    report["split_window_certificate"] = cert
     report["support_escape"] = (
         "a nonzero y_j forces y_(j+1) nonzero through y_j = y_(j+1)^p, "
         "escaping every window upward; within the window the top slot dies "
@@ -757,16 +752,14 @@ def rational_class_distinct(base, a, b, level_bound=3, degree_bound=3):
     dom = BoundedRationalSpace(base, level_bound, degree_bound)
     cod = BoundedRationalSpace(base, level_bound * p, max(degree_bound * p, degree_bound + 1))
     fmap = matrix_of_map(dom.basis_elems(), lambda z: z.pth_power() - z, cod, p)
-    x, cert = solve_with_certificate(
-        fmap.mat, np.array(cod.coords(target), dtype=np.int64), p
-    )
+    x, cert = solve_with_certificate(fmap.mat, cod.coords(target), p)
     assert x is None  # the symbolic layer says this solve can never succeed
     return {
         "distinct": True,
         "proven": True,
         "bounded_check_unsat": True,
         "bound": {"level": level_bound, "degree": degree_bound},
-        "certificate": [int(v) for v in cert],
+        "certificate": cert,
         "symbolic_branch": branch,
         "reason": "a lowest-terms solution f/g forces g^p to divide "
         "(t-a)(t-b) up to a unit; " + branch,

@@ -383,17 +383,23 @@ class PolySpace:
                 yield self.ring.monomial(m, coeff)
 
     def coords(self, f):
-        f = self.ring.coerce(f)
         vec = [0] * self.dim()
+        for i, v in self.coord_items(f):
+            vec[i] = v
+        return vec
+
+    def coord_items(self, f):
+        """The nonzero coordinates of f, as (index, value) pairs."""
+        f = self.ring.coerce(f)
+        out = []
         for exp, c in f.terms.items():
             i = self.index.get(exp)
             if i is None:
                 raise ValueError(
                     "polynomial has a monomial %r outside this space" % (exp,)
                 )
-            for k, ck in enumerate(c.val):
-                vec[i * self.e + k] = ck
-        return vec
+            out.extend((i * self.e + k, ck) for k, ck in enumerate(c.val) if ck)
+        return out
 
     def from_coords(self, vec):
         field = self.ring.field

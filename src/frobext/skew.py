@@ -13,8 +13,6 @@ one Frobenius twist (its R-action goes through r -> r^p).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .linalg import (
     BlockSpace,
     kernel_basis,
@@ -320,27 +318,27 @@ def check_two_step_exact(module, dmax, alpha_override=None):
         "passed": False,
     }
     comp = bmap.compose(amap)
-    if np.any(comp.mat):
+    if any(comp.mat.rows):
         report["beta_alpha_zero"] = False
-        col = int(np.nonzero(np.any(comp.mat, axis=0))[0][0])
+        col = min(min(row) for row in comp.mat.rows if row)
         vec = [0] * amap.domain_dim
         vec[col] = 1
         report["counterexample"] = repr(dom.from_coords(vec))
     ker_a = kernel_basis(amap.mat, p)
     if ker_a.shape[0]:
         report["alpha_injective"] = False
-        report["counterexample"] = repr(dom.from_coords(list(ker_a[0])))
+        report["counterexample"] = repr(dom.from_coords(next(iter(ker_a))))
     # beta-kernel elements with top degree <= dmax - 1
     # sub's layout is the first sub.dim() coordinates of cod's
     sub = graded_skew_space(module, dmax - 1, twist=0)
-    for vec in kernel_basis(bmap.mat[:, : sub.dim()], p):
-        y = sub.from_coords(list(vec))
+    for vec in kernel_basis(bmap.mat.first_columns(sub.dim()), p):
+        y = sub.from_coords(vec)
         x = two_step_witness(module, y)
         target = cod.coords(y)
         image = amap.apply(dom.coords(x))
-        if list(image) != [int(t) % p for t in target]:
+        if image != [int(t) % p for t in target]:
             report["witness_formula_ok"] = False
-            sol = solve(amap.mat, np.array(target, dtype=np.int64), p)
+            sol = solve(amap.mat, target, p)
             if sol is None:
                 report["kernel_covered"] = False
                 report["counterexample"] = repr(y)
@@ -508,8 +506,7 @@ def in_image_hdual(ring, target, window, degree_bound):
     dom = tuple_space(seq_space(ring, lo, hi, dom_poly), d + 1, SeqWindow(ring, lo, hi))
     cod = seq_space(ring, lo, hi + 1, cod_poly)
     A = matrix_of_map(dom.basis_elems(), lambda st: h_dual_apply(st[0], st[1:]), cod, p).mat
-    b = np.array(cod.coords(target), dtype=np.int64)
-    x, cert = solve_with_certificate(A, b, p)
+    x, cert = solve_with_certificate(A, cod.coords(target), p)
     trace, proven = residue_trace(ring, target)
     trace_str = {str(j): ring.field.format_elem(v) for j, v in sorted(trace.items())}
     if x is not None:
@@ -527,7 +524,7 @@ def in_image_hdual(ring, target, window, degree_bound):
         "verdict": "UNSAT",
         "window": [lo, hi],
         "degree_bound": B,
-        "certificate": [int(v) for v in cert],
+        "certificate": cert,
         "residue_trace": trace_str,
         "proven": bool(proven),
     }

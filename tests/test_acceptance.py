@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from frobext.artinian import ArtinianAlgebra, ELevelSpace, ERing
@@ -87,7 +88,7 @@ def test_ac1_two_step_exactness_with_mutation_detection(criterion):
             ring = ring_over(p, 1, 1)
             module = standard_module(ArtinianAlgebra(ring, (2,)))
             amap, _, _, _ = flatten_two_step(module, 3)
-            bad = amap.mat.copy()
+            bad = np.asarray(amap.mat)
             col = next(c for c in range(bad.shape[1]) if bad[:, c].any())
             if p == 2:
                 bad[:, col] = 0

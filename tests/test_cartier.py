@@ -1,6 +1,14 @@
 """Cartier structures on Artinian carriers, their two-step presentations,
 and the glued resolution."""
 
+import json
+import os
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +21,7 @@ from frobext.cartier import (
     HomSpot,
     _dual_images,
     _evaluate_hom,
+    _reembed,
     _is_zero_value,
     _value_degree,
     coker_formula,
@@ -29,7 +38,7 @@ from frobext.cartier import (
     zero_structure_module,
 )
 from frobext.field import GF
-from frobext.linalg import FpLinearMap, flatten, matrix_of_map
+from frobext.linalg import FpLinearMap, SparseMatrix, flatten, kernel_basis, matrix_of_map
 from frobext.poly import ring_over
 from frobext.skew import check_two_step_exact, flatten_two_step, graded_skew_space, two_step_maps
 
@@ -74,7 +83,8 @@ def test_beta_prefix_columns_are_beta_on_the_shorter_window(p):
             _, bmap, _, _ = flatten_two_step(module, dmax)
             sub = graded_skew_space(module, dmax - 1)
             ref = matrix_of_map(sub.basis_elems(), beta, module.space(), p)
-            assert np.array_equal(bmap.mat[:, : sub.dim()], ref.mat)
+            assert np.array_equal(np.asarray(bmap.mat)[:, : sub.dim()], np.asarray(ref.mat))
+            assert bmap.mat.first_columns(sub.dim()) == ref.mat
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -96,7 +106,7 @@ def test_mutated_alpha_is_detected(p):
     ring = ring_over(p, 1, 1)
     module = standard_module(ArtinianAlgebra(ring, (2,)))
     amap, _, dom, cod = flatten_two_step(module, 3)
-    bad = amap.mat.copy()
+    bad = np.asarray(amap.mat)
     col = next(c for c in range(bad.shape[1]) if bad[:, c].any())
     if p == 2:
         bad[:, col] = 0  # a sign flip is invisible in characteristic 2
@@ -171,6 +181,49 @@ def test_top_ext_against_free_target(p):
     assert above["dim"] == 0 and above["structural_zero"]
 
 
+@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (2, 2, 1), (3, 1, 2), (2, 1, 3)])
+def test_reembedded_cycles_match_the_coordinate_round_trip(p, e, d):
+    # ext_dim_free_target moves its capped cycles into the wider ambient
+    # layout by an index map; the reference rebuilds each row as a Hom
+    # element and flattens it again
+    ring = ring_over(p, e, d)
+    cone = ConeComplex(standard_module(ArtinianAlgebra(ring, (1,) * d)))
+    target = FreeTarget(ring)
+    rng = random.Random(p * 100 + e * 10 + d)
+    for j in range(cone.length + 1):
+        for L in (1, 2):
+            dom = HomSpot(cone, j).flat(target.space(L))
+            amb = HomSpot(cone, j).flat(target.space(L + 3))
+            images = _dual_images(cone, target, j, dom)
+            cod = HomSpot(cone, j + 1).flat(target.space(2 * L + 2 * p))
+            ker = kernel_basis(flatten(images, cod, p), p)
+            n = dom.dim()
+            drawn = [{c: rng.randrange(1, p) for c in rng.sample(range(n), min(n, 4))} for _ in range(3)]
+            for rows in (ker, SparseMatrix(drawn, n)):
+                reference = flatten((dom.from_coords(v) for v in rows), amb, p).T
+                assert _reembed(rows, dom, amb) == reference
+
+
+def test_ext_rf_top_spot_at_d3_runs_in_a_gib(tmp_path):
+    # p = 2, d = 3: the top spot's widest matrix is 25000 x 10648 with
+    # 25,998 nonzeros, 2 GiB as a dense int64 array
+    path = tmp_path / "top.scenario"
+    path.write_text("task: ext-rf\np: 2\nd: 3\nexponents: 1,1,1\nj: 4\ntarget: free\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "frobext.cli", "run", str(path)],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    rep = json.loads(run.stdout)
+    assert (rep["dim"], rep["stable"]) == (1, True)
+
+
 def _dual_targets(p, d):
     """(module, target, value space) triples: a rank-2 random structure into
     itself, and the standard structure into the free target at two caps."""
@@ -200,7 +253,7 @@ def test_indexed_dual_images_match_evaluate_hom(p, d):
             assert len(fast) == len(slow) == dom.dim()
             cap = max([0] + [_value_degree(target, img) for img in fast + slow])
             cod = HomSpot(cone, n + 1).flat(target.space(cap))
-            assert (flatten(fast, cod, p) == flatten(slow, cod, p)).all()
+            assert flatten(fast, cod, p) == flatten(slow, cod, p)
 
 
 def test_trivial_action_ext_splits_as_a_direct_sum():

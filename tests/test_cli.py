@@ -2,7 +2,10 @@
 exit codes, determinism, and corpus regression."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,6 +143,25 @@ def test_regress_passes_on_the_shipped_corpus(capsys):
     code, out, _ = run_cli(capsys, "regress", str(CORPUS))
     assert code == 0
     assert "drift" not in out.lower() or "0 drift" in out.lower()
+
+
+def test_the_runtime_needs_no_numpy():
+    # importing the CLI leaves numpy out; with numpy then made unimportable
+    # the whole corpus still regresses clean
+    child = (
+        "import sys\n"
+        "import frobext.cli\n"
+        "if 'numpy' in sys.modules:\n"
+        "    sys.exit('import frobext.cli imported numpy')\n"
+        "sys.modules['numpy'] = None\n"
+        "sys.exit(frobext.cli.main(['regress', sys.argv[1]]))\n"
+    )
+    src = str(CORPUS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", child, str(CORPUS)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 def test_regress_detects_drift(tmp_path, capsys):

@@ -127,11 +127,11 @@ def test_unsat_certificate_is_checked_independently(monkeypatch):
     p = 2
     A = np.array([[1], [1]], dtype=np.int64)
     b = np.array([0, 1], dtype=np.int64)
-    assert (solve_with_certificate(A, b, p)[1] == [1, 1]).all()
-    monkeypatch.setattr(linalg, "kernel_basis", lambda At, p: np.array([[0, 1]], dtype=np.int64))
+    assert solve_with_certificate(A, b, p)[1] == [1, 1]
+    monkeypatch.setattr(linalg, "kernel_basis", lambda At, p: linalg.SparseMatrix([{1: 1}], 2))
     with pytest.raises(RuntimeError, match=r"y @ A != 0"):
         solve_with_certificate(A, b, p)
-    monkeypatch.setattr(linalg, "kernel_basis", lambda At, p: np.array([[0, 0]], dtype=np.int64))
+    monkeypatch.setattr(linalg, "kernel_basis", lambda At, p: linalg.SparseMatrix([{}], 2))
     with pytest.raises(RuntimeError, match=r"y @ b != 0"):
         solve_with_certificate(A, b, p)
 
@@ -199,13 +199,100 @@ def test_row_sparse_rref_matches_dense_gauss_jordan(p, m, n, density, unreduced,
     R, pivots = rref_transform(A, p)
     R0, pivots0 = dense_rref(A, p)
     assert pivots == pivots0
-    assert R.dtype == np.int64 and R.shape == (m, n)
-    assert (R == R0).all()
+    r = len(pivots)
+    # R holds the nonzero rows of the reduced row echelon form
+    assert R.shape == (r, n) and not R0[r:].any()
+    assert (np.asarray(R) == R0[:r]).all()
+    assert all(0 < v < p for row in R.rows for v in row.values())
     ker = kernel_basis(A, p)
     if n:
-        assert (ker == dense_kernel_rows(R0, pivots0, p)).all()
+        dense = dense_kernel_rows(R0, pivots0, p)
+        assert ker.shape == dense.shape and (np.asarray(ker) == dense).all()
     else:
         assert ker.shape == (0, 0)
+
+
+def dense_rank(A, p):
+    return len(dense_rref(A, p)[1])
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.8, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_sparse_matrices_match_the_dense_oracles(p, m, n, k, density, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(rows, cols):  # residues, zero with probability 1 - density
+        return rng.integers(1, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+
+    A, B, U = draw(m, n), draw(m, k), draw(k, n)
+    S = linalg.as_sparse(A, p)
+    assert S.shape == (m, n) and (np.asarray(S) == A).all()
+    assert S.T == linalg.as_sparse(A.T, p)
+    assert all(0 < v < p for row in S.rows for v in row.values())
+    assert (np.asarray(S.first_columns(n // 2)) == A[:, : n // 2]).all()
+
+    R, pivots = rref_transform(S, p)
+    R0, pivots0 = dense_rref(A, p)
+    r = len(pivots0)
+    assert pivots == pivots0 and R.shape == (r, n)
+    assert (np.asarray(R) == R0[:r]).all()
+    assert rank(S, p) == r
+    ker = kernel_basis(S, p)
+    assert isinstance(ker, linalg.SparseMatrix)
+    if n:
+        assert (np.asarray(ker) == dense_kernel_rows(R0, pivots0, p)).all()
+    assert ker.shape == (n - r, n)
+
+    # one target: the solution and the certificate are the ones the dense
+    # reduced row echelon forms of [A | b] and A.T give
+    b = B[:, 0]
+    x, y = solve_with_certificate(S, b.tolist(), p)
+    Rb, pivb = dense_rref(np.hstack([A, b[:, None]]), p)
+    if n not in pivb:
+        assert y is None and solve(S, b.tolist(), p) == x
+        want = np.zeros(n, dtype=np.int64)
+        want[pivb] = Rb[: len(pivb), n]
+        assert x == want.tolist()
+    else:
+        assert x is None and solve(S, b.tolist(), p) is None
+        Rt, pivt = dense_rref(A.T, p)
+        first = next(row for row in dense_kernel_rows(Rt, pivt, p) if (row @ b) % p)
+        assert y == first.tolist()
+        assert not ((np.array(y) @ A) % p).any()
+
+    # stacked targets
+    X = solve(S, linalg.as_sparse(B, p), p)
+    RB, pivB = dense_rref(np.hstack([A, B]), p)
+    if pivB and pivB[-1] >= n:
+        assert X is None
+        assert solve_with_certificate(S, B, p)[0] is None
+    else:
+        want = np.zeros((n, k), dtype=np.int64)
+        want[pivB] = RB[: len(pivB), n:]
+        assert X.shape == (n, k) and (np.asarray(X) == want).all()
+        assert solve_with_certificate(S, B, p)[0] == X
+
+    # a two-map complex: the rows of the second span the left kernel of A
+    Rt, pivt = dense_rref(A.T, p)
+    left = dense_kernel_rows(Rt, pivt, p) if m else np.zeros((0, 0), dtype=np.int64)
+    mats = [S, linalg.as_sparse(left, p)]
+    assert complex_dims(mats, p) == [n - r, m - dense_rank(left, p) - r]
+
+    assert intersection_dim(linalg.as_sparse(U, p), S, p) == (
+        dense_rank(U, p) + r - dense_rank(np.vstack([U, A]), p)
+    )
+    f = FpLinearMap(S, p)
+    v = rng.integers(0, p, size=n)
+    assert f.apply(v.tolist()) == ((A @ v) % p).tolist()
+    g = FpLinearMap(U.T, p)  # n x k
+    assert (np.asarray(f.compose(g).mat) == (A @ U.T) % p).all()
 
 
 def test_row_sparse_rref_on_large_sparse_and_dense_matrices():
@@ -214,7 +301,7 @@ def test_row_sparse_rref_on_large_sparse_and_dense_matrices():
         A = rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < density)
         R, pivots = rref_transform(A, p)
         R0, pivots0 = dense_rref(A, p)
-        assert pivots == pivots0 and (R == R0).all()
+        assert pivots == pivots0 and (np.asarray(R) == R0[: len(pivots)]).all()
 
 
 def test_rref_transform_certifies_itself():
@@ -224,8 +311,9 @@ def test_rref_transform_certifies_itself():
             A = rng.integers(0, p, size=(4, 5))
             R, pivots = rref_transform(A, p)
             r = len(pivots)
-            assert (R[:r][:, pivots] == np.eye(r, dtype=np.int64)).all()
-            assert not R[r:].any()
+            R = np.asarray(R)
+            assert R.shape == (r, A.shape[1])  # only the nonzero rows
+            assert (R[:, pivots] == np.eye(r, dtype=np.int64)).all()
             # R's rows lie in A's row space and span all of it
             assert rank(np.vstack([A, R]), p) == r == rank(A, p)
 
@@ -269,7 +357,7 @@ def test_matrix_of_map_on_explicit_basis():
     p = 3
     basis = [(1, 0), (0, 1)]
     swap = matrix_of_map(basis, lambda v: (v[1], 2 * v[0]), _PairSpace(p), p)
-    assert (swap.mat == np.array([[0, 1], [2, 0]])).all()
+    assert (np.asarray(swap.mat) == np.array([[0, 1], [2, 0]])).all()
     assert swap.rank() == 2
 
 
@@ -281,7 +369,7 @@ def test_artin_schreier_map_requires_semilinearity():
         pth_power=lambda v: v,
     )
     assert good.mat.shape == (2, 2)
-    assert not good.mat.any()  # F = identity makes F - id the zero map
+    assert not np.asarray(good.mat).any()  # F = identity makes F - id the zero map
     with pytest.raises(StructureError):
         artin_schreier_map(
             domain=space,
@@ -294,7 +382,7 @@ def test_linear_map_composition_and_image():
     p = 2
     A = FpLinearMap(np.array([[1, 1], [0, 1]], dtype=np.int64), p)
     B = FpLinearMap(np.array([[1, 0], [1, 1]], dtype=np.int64), p)
-    assert ((A.compose(B)).mat == (A.mat @ B.mat) % p).all()
+    assert (np.asarray(A.compose(B).mat) == (np.asarray(A.mat) @ np.asarray(B.mat)) % p).all()
     assert A.image_rows().shape[0] == 2
     # an explicit raise, which holds under python -O
     with pytest.raises(ValueError, match="F_2 and F_3"):
@@ -408,9 +496,9 @@ def test_flatten_fills_by_parts_and_locates_outside_parts(name):
     rng = random.Random(11)
     vecs = [[rng.randrange(space.p) for _ in range(space.dim())] for _ in range(3)]
     mat = flatten([space.from_coords(v) for v in vecs], space, space.p)
-    assert mat.dtype == np.int64
+    assert isinstance(mat, linalg.SparseMatrix)
     assert mat.shape == (space.dim(), 3)
-    assert (mat == np.array(vecs, dtype=np.int64).T).all()
+    assert (np.asarray(mat) == np.array(vecs, dtype=np.int64).T).all()
     # the sparse fill raises the same located error as coords
     with pytest.raises(ValueError) as from_coords_:
         space.coords(outside)
@@ -485,5 +573,5 @@ def test_complex_dims_on_koszul_complex_of_a_power(p, a, b):
     (x,) = ring.gens()
     (row,) = KoszulComplex(ring, [x**a]).differential(1)
     alg = ArtinianAlgebra(ring, (b,))
-    mats = [alg.action_matrix(row[0]).mat, np.zeros((0, alg.dim_fp()), dtype=np.int64)]
+    mats = [np.asarray(alg.action_matrix(row[0]).mat), np.zeros((0, alg.dim_fp()), dtype=np.int64)]
     assert complex_dims(mats, p) == brute_complex_dims(mats, p) == [min(a, b)] * 2
