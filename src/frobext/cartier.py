@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import random
 
-from .artinian import ArtinianAlgebra
 from .koszul import KoszulComplex
 from .linalg import (
     BlockSpace,
@@ -30,10 +29,12 @@ from .linalg import (
     intersection_dim,
     kernel_basis,
     matrix_of_map,
+    reembed,
     solve,
     tuple_space,
 )
 from .poly import FieldSpace, PolySpace, monomials_box, random_poly
+from .skew import FreeCartierCarrier
 
 
 def _boundary(S):
@@ -45,80 +46,41 @@ def _digit_tuples(p, d):
     return list(itertools.product(range(p), repeat=d))
 
 
-class ArtinianCartierModule:
+class ArtinianCartierModule(FreeCartierCarrier):
     """A = R/(x1^a1..xd^ad) to the power `rank`, with structure map
 
-        phi(y)_t = reduce(C(c * cmatrix[t][s] * twist * y_s summed over s))
+        phi(y)_t = reduce(C(sum_s kern[t][s] * y_s)),  kern[t][s] = c * cmatrix[t][s] * twist
 
     where twist = prod_i xi^(ai*(p-1)).  c = 1 is the standard structure,
     c = 0 the zero one, any other scalar a rescaling; cmatrix couples the
-    components of a higher-rank module.
+    components of a higher-rank module.  As a dual-complex target it is
+    exact: its flat space is finite.
     """
 
+    exact = True
+
     def __init__(self, algebra, rank=1, c=None, cmatrix=None):
+        super().__init__(algebra.ring, rank, cmatrix)
         self.algebra = algebra
-        self.ring = algebra.ring
-        self.rank = rank
         ring = self.ring
-        if c is None:
-            c = ring.one
-        self.c = ring.coerce(c)
-        if cmatrix is None:
-            cmatrix = [[ring.one if s == t else ring.zero for s in range(rank)] for t in range(rank)]
-        self.cmatrix = [[ring.coerce(v) for v in row] for row in cmatrix]
-        if len(self.cmatrix) != rank or any(len(r) != rank for r in self.cmatrix):
-            raise ValueError("cmatrix must be rank x rank")
+        self.c = ring.one if c is None else ring.coerce(c)
         p = ring.field.p
         twist = ring.one
         for i, a in enumerate(algebra.exponents):
             twist = twist * ring.gens()[i] ** (a * (p - 1))
-        self.twist_poly = twist
+        self.kern = [[self.c * v * twist for v in row] for row in self.cmatrix]
         self._space = tuple_space(algebra.space, rank, ring.zero)
         self.structure_check()
 
-    # -- carrier protocol --------------------------------------------------
+    def normal_form(self, f):
+        return self.algebra.reduce(f)
 
-    def zero(self):
-        return (self.ring.zero,) * self.rank
-
-    def add(self, a, b):
-        return tuple(self.algebra.reduce(x + y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def scal(self, c, a):
-        return tuple(self.algebra.reduce(x * c) for x in a)
-
-    def act(self, r, a):
-        return tuple(self.algebra.reduce(x * r) for x in a)
-
-    def phi(self, a):
-        out = []
-        for t in range(self.rank):
-            acc = self.ring.zero
-            for s in range(self.rank):
-                k = self.c * self.cmatrix[t][s]
-                if k and a[s]:
-                    acc = acc + k * self.twist_poly * a[s]
-            out.append(self.algebra.reduce(self.ring.cartier(acc)))
-        return tuple(out)
-
-    def phi_iter(self, a, k):
-        for _ in range(k):
-            a = self.phi(a)
-        return a
-
-    def eq(self, a, b):
-        return all(x == y for x, y in zip(a, b))
-
-    def format(self, a):
-        if self.rank == 1:
-            return self.ring.format(a[0])
-        return "(" + ", ".join(self.ring.format(x) for x in a) + ")"
-
-    def space(self):
+    def space(self, cap=None):
+        # the whole quotient is finite: a degree cap changes nothing
         return self._space
+
+    def degree(self, v):
+        return 0
 
     def basis_gen(self, s=0):
         m = list(self.zero())
@@ -173,44 +135,6 @@ def random_module(algebra, rank, seed):
     mons = algebra.space.mons
     cm = [[random_poly(algebra.ring, mons, rng, 0.5) for _ in range(rank)] for _ in range(rank)]
     return ArtinianCartierModule(algebra, rank=rank, cmatrix=cm)
-
-
-# -- lifting the structure map over the wedge resolution ---------------------
-
-
-class KoszulCartierLift:
-    """The diagonal lift of the structure map over the wedge resolution of
-    A^rank: on the spot-j generator g . e_(S,s) it acts by
-
-        (g . e_(S,s))  |->  sum_t C(kernel(S,t,s) * g) . e_(S,t)
-
-    with kernel(S,t,s) = c * cmatrix[t][s] * prod_(i not in S) fi^(p-1).
-    Each square against the wedge differential commutes exactly.  The check
-    is ConeComplex.d_squared_on_generators: the plain part of d(d(g)) on a
-    twisted generator g is boundary . lift - lift . boundary, so d^2 = 0 on
-    the digit-monomial generators is the square identity.
-    """
-
-    def __init__(self, module):
-        self.module = module
-        ring = module.ring
-        self.ring = ring
-        self.d = ring.d
-        self.fs = [ring.gens()[i] ** a for i, a in enumerate(module.algebra.exponents)]
-        # wedge-spot validation (regularity of the defining sequence)
-        self.K = KoszulComplex(ring, self.fs)
-        p = ring.field.p
-        self._outside = {}
-        for j in range(self.d + 1):
-            for S in itertools.combinations(range(self.d), j):
-                prod = ring.one
-                for i in range(self.d):
-                    if i not in S:
-                        prod = prod * self.fs[i] ** (p - 1)
-                self._outside[S] = prod
-
-    def kernel(self, S, t, s):
-        return self.module.c * self.module.cmatrix[t][s] * self._outside[tuple(S)]
 
 
 # -- the mapping cone over R{F} ----------------------------------------------
@@ -296,16 +220,37 @@ class ConeComplex:
         (c, y)  |->  (-boundary(c), lift(c) - shift(c) + boundary(y))
 
     where shift is the F-degree bump.  Spots run 0..d+1.
+
+    lift is the diagonal lift of the structure map over the wedge resolution
+    of A^rank: on the spot-j generator g . e_(S,s) it acts by
+
+        (g . e_(S,s))  |->  sum_t C(kernel[S][t][s] * g) . e_(S,t)
+
+    with kernel[S][t][s] = c * cmatrix[t][s] * prod_(i not in S) fi^(p-1).
+    Each square against the wedge differential commutes exactly.  The check
+    is d_squared_on_generators: the plain part of d(d(g)) on a twisted
+    generator g is boundary . lift - lift . boundary, so d^2 = 0 on the
+    digit-monomial generators is the square identity.
     """
 
     def __init__(self, module):
         self.module = module
-        self.ring = module.ring
-        self.d = self.ring.d
-        self.p = self.ring.field.p
-        self.lift = KoszulCartierLift(module)
-        self.fs = self.lift.fs
+        ring = module.ring
+        self.ring = ring
+        self.d = ring.d
+        self.p = ring.field.p
+        self.fs = [ring.gens()[i] ** a for i, a in enumerate(module.algebra.exponents)]
+        KoszulComplex(ring, self.fs)  # raises unless the defining sequence is regular
         self.length = self.d + 1
+        coupling = [[module.c * v for v in row] for row in module.cmatrix]
+        self.kernel = {}
+        for j in range(self.d + 1):
+            for S in itertools.combinations(range(self.d), j):
+                outside = ring.one
+                for i in range(self.d):
+                    if i not in S:
+                        outside = outside * self.fs[i] ** (self.p - 1)
+                self.kernel[S] = [[k * outside for k in row] for row in coupling]
 
     def subsets(self, j):
         if j < 0 or j > self.d:
@@ -341,7 +286,7 @@ class ConeComplex:
             # the two-step leg into the plain part
             D = {}
             for t in range(self.module.rank):
-                v = ring.cartier(self.lift.kernel(S, t, s) * g)
+                v = ring.cartier(self.kernel[S][t][s] * g)
                 if v:
                     D[(S, t, i)] = D.get((S, t, i), ring.zero) + v
             D[(S, s, i + 1)] = D.get((S, s, i + 1), ring.zero) - g
@@ -463,13 +408,13 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
     step = max(max(module.algebra.exponents), 1)
     report = {"cap": cap, "dfmax": dfmax, "spots": [], "passed": True}
 
-    def hit_by_next(n, cycles_coords, cyc_space):
-        """Can each cycle (coords in cyc_space) be written as d_(n+1) of an
-        element from a grown window?"""
+    def hit_by_next(n, cycles, cyc_space):
+        """Can each cycle (a row of coords in cyc_space) be written as
+        d_(n+1) of an element from a grown window?"""
         for g in range(1, max_growth + 1):
             dom = cone_window(cone, n + 1, cap + g * step, dfmax)
             A, cod = _flatten_diff(cone, n + 1, dom, cap, dfmax)
-            targets = flatten((cyc_space.from_coords(vec) for vec in cycles_coords), cod, p)
+            targets = reembed(cycles, cyc_space, cod).T
             if solve(A, targets, p) is not None:
                 return True, g
         return False, max_growth
@@ -518,34 +463,6 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
 # -- value targets for the dual complex --------------------------------------
 
 
-class ArtinianTarget:
-    """Dual-complex values in an Artinian carrier: everything is exact."""
-
-    exact = True
-
-    def __init__(self, module):
-        self.module = module
-        self.ring = module.ring
-
-    def zero(self):
-        return self.module.zero()
-
-    def add(self, a, b):
-        return self.module.add(a, b)
-
-    def act(self, r, v):
-        return self.module.act(r, v)
-
-    def phi(self, v):
-        return self.module.phi(v)
-
-    def space(self, cap=None):
-        return self.module.space()
-
-    def degree(self, v):
-        return 0
-
-
 class FreeTarget:
     """Dual-complex values in the polynomial ring itself, structure map
     C(cN * -).  Flat spaces are degree-capped boxes; callers must run the
@@ -568,6 +485,11 @@ class FreeTarget:
 
     def phi(self, v):
         return self.ring.cartier(self.cN * v)
+
+    def phi_iter(self, v, k):
+        for _ in range(k):
+            v = self.phi(v)
+        return v
 
     def space(self, cap):
         # cap is the largest exponent allowed, inclusive
@@ -620,17 +542,11 @@ def _evaluate_hom(cone, target, fvals, z):
             v = fvals.get(("C", S, s, b))
             if v is not None and w:
                 inner = target.add(inner, target.act(w, v))
-        for _ in range(i):
-            inner = target.phi(inner)
-        acc = target.add(acc, inner)
+        acc = target.add(acc, target.phi_iter(inner, i))
     for (S, s, i), g in z.D.items():
         v = fvals.get(("D", S, s))
-        if v is None:
-            continue
-        inner = target.act(g, v)
-        for _ in range(i):
-            inner = target.phi(inner)
-        acc = target.add(acc, inner)
+        if v is not None:
+            acc = target.add(acc, target.phi_iter(target.act(g, v), i))
     return acc
 
 
@@ -661,9 +577,7 @@ def _dual_images(cone, target, n, dom_space):
         for b in basis:
             img = {}
             for gkey, i, w in terms:
-                v = target.act(w, b)
-                for _ in range(i):
-                    v = target.phi(v)
+                v = target.phi_iter(target.act(w, b), i)
                 img[gkey] = target.add(img[gkey], v) if gkey in img else v
             images.append({gkey: v for gkey, v in img.items() if not _is_zero_value(target, v)})
     return images
@@ -671,7 +585,7 @@ def _dual_images(cone, target, n, dom_space):
 
 def _is_zero_value(target, v):
     if target.exact:
-        return target.module.eq(v, target.module.zero())
+        return target.eq(v, target.zero())
     return not v
 
 
@@ -730,7 +644,7 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
         prev_images = _dual_images(cone, target, j - 1, dom_prev)
         ambcap = max([L] + [_value_degree(target, img) for img in prev_images])
         amb = HomSpot(cone, j).flat(target.space(ambcap))
-        lift = _reembed(ker, dom, amb)
+        lift = reembed(ker, dom, amb)
         B = flatten(prev_images, amb, p).T
         return int(lift.shape[0]) - intersection_dim(lift, B, p)
 
@@ -743,17 +657,6 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
             return {"dim": val, "stable": True, "structural_zero": False, "caps": caps}
         prev = val
     return {"dim": prev, "stable": False, "structural_zero": False, "caps": caps}
-
-
-def _reembed(rows, dom, amb):
-    """The rows (coordinates in `dom`) re-expressed in `amb`, a Hom layout with
-    the same keys and wider free-target boxes: coordinate (key, monomial,
-    F_q digit) of dom moves to the same (key, monomial, digit) of amb."""
-    inner, wide = dom.inner, amb.inner
-    e = inner.e
-    moved = [wide.index[m] * e + k for m in inner.mons for k in range(e)]
-    to = [amb.offset[key] + i for key in dom.keys for i in moved]
-    return SparseMatrix([{to[j]: v for j, v in row.items()} for row in rows.rows], amb.dim())
 
 
 def ext_rf(module, target, j, **caps):
@@ -840,10 +743,9 @@ def ext_split_check(module, nmodule):
     comparison must be an equality."""
     cone = ConeComplex(module)
     jmax = cone.length
-    target = ArtinianTarget(nmodule)
-    lhs = ext_dims_artinian(cone, target)
-    plain = ext_r_dims(module, target)
-    twisted = ext_r_twisted_dims(module, target)
+    lhs = ext_dims_artinian(cone, nmodule)
+    plain = ext_r_dims(module, nmodule)
+    twisted = ext_r_twisted_dims(module, nmodule)
 
     def at(arr, j):
         return arr[j] if 0 <= j < len(arr) else 0
@@ -851,7 +753,7 @@ def ext_split_check(module, nmodule):
     rhs = [at(plain, j) + at(twisted, j - 1) for j in range(jmax + 1)]
     cross_zero = None
     if module.is_trivial() and nmodule.is_trivial():
-        cross_zero = _cross_block_is_zero(cone, target)
+        cross_zero = _cross_block_is_zero(cone, nmodule)
     return {
         "dims": lhs,
         "plain": plain,

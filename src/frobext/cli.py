@@ -19,7 +19,6 @@ import traceback
 
 from .artinian import ArtinianAlgebra, ERing
 from .cartier import (
-    ArtinianTarget,
     ConeComplex,
     FreeTarget,
     coker_formula,
@@ -406,7 +405,7 @@ def run_ext_rf(sc):
     target_name = sc.get("target", "artinian")
     caps = {}
     if target_name == "artinian":
-        target = ArtinianTarget(module)
+        target = module
     elif target_name == "free":
         target = FreeTarget(ring)
         cap = sc.int("cap", None, minimum=0)

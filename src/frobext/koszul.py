@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .artinian import ArtinianAlgebra
-from .linalg import flatten, kernel_basis, matrix_of_map, solve, tuple_space
+from .linalg import flatten, kernel_basis, matrix_of_map, reembed, solve, tuple_space
 from .poly import PolySpace
 
 
@@ -164,7 +164,7 @@ def koszul_window_report(K, cap, growth=None):
         if cycles.shape[0]:
             small_t = tuple_space(small, K.rank(j), ring.zero)
             bigger_t = tuple_space(bigger, K.rank(j), ring.zero)
-            targets = flatten((small_t.from_coords(vec) for vec in cycles), bigger_t, p)
+            targets = reembed(cycles, small_t, bigger_t).T
             ok = solve(dnext.mat, targets, p) is not None
         report["spots"][j] = {"cycles": int(cycles.shape[0]), "hit": bool(ok)}
         report["passed"] = report["passed"] and bool(ok)

@@ -342,6 +342,19 @@ def flatten(images, cod, p):
     return SparseMatrix(cols, n).T
 
 
+def reembed(rows, dom, amb):
+    """The rows (coordinates in the BlockSpace `dom`) re-expressed in `amb`,
+    a BlockSpace with each of dom's keys whose PolySpace copies hold each of
+    dom's monomials: coordinate (key, monomial, F_q digit) of dom moves to
+    the same (key, monomial, digit) of amb.  This is flatten(dom.from_coords
+    of each row) into amb, as an index map."""
+    inner, wide = dom.inner, amb.inner
+    e = inner.e
+    moved = [wide.index[m] * e + k for m in inner.mons for k in range(e)]
+    to = [amb.at(key) + i for key in dom.keys for i in moved]
+    return SparseMatrix([{to[j]: v for j, v in row.items()} for row in rows.rows], amb.dim())
+
+
 def _fill(out, at, n, space, elem, p):
     """Write the nonzero coordinates of elem in `space`, of dimension n, into
     the dict `out`, shifted by `at`.  A leaf space that has `coord_items`

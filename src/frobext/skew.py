@@ -102,9 +102,11 @@ def skew_mul(a, b):
 class FreeCartierCarrier:
     """M = R^rank with a Cartier-type structure map.
 
-    The structure map is phi(y)_t = C(sum_s c[t][s] * y_s) where C is the
+    The structure map is phi(y)_t = C(sum_s kern[t][s] * y_s) where C is the
     digit-projection operator of the ring; any additive map with the twist law
-    phi(r^p y) = r phi(y) between free modules has this shape.
+    phi(r^p y) = r phi(y) between free modules has this shape.  On R^rank the
+    kernel matrix is cmatrix itself; a quotient carrier builds its own kern
+    once and puts each value in its normal form.
     """
 
     def __init__(self, ring, rank, cmatrix=None):
@@ -112,37 +114,48 @@ class FreeCartierCarrier:
         self.rank = rank
         if cmatrix is None:
             cmatrix = [[ring.one if s == t else ring.zero for s in range(rank)] for t in range(rank)]
-        self.cmatrix = [[ring.coerce(c) for c in row] for row in cmatrix]
+        self.cmatrix = [[ring.coerce(v) for v in row] for row in cmatrix]
+        if len(self.cmatrix) != rank or any(len(r) != rank for r in self.cmatrix):
+            raise ValueError("cmatrix must be rank x rank")
+        self.kern = self.cmatrix
+
+    def normal_form(self, f):
+        return f
 
     def zero(self):
         return (self.ring.zero,) * self.rank
 
     def add(self, a, b):
+        # a sum of normal forms is one
         return tuple(x + y for x, y in zip(a, b))
 
     def neg(self, a):
         return tuple(-x for x in a)
 
-    def scal(self, c, a):
-        return tuple(x * c for x in a)
-
     def act(self, r, a):
-        return tuple(x * r for x in a)
+        return tuple(self.normal_form(x * r) for x in a)
 
     def phi(self, a):
         out = []
-        for t in range(self.rank):
+        for row in self.kern:
             acc = self.ring.zero
-            for s in range(self.rank):
-                if self.cmatrix[t][s] and a[s]:
-                    acc = acc + self.cmatrix[t][s] * a[s]
-            out.append(self.ring.cartier(acc))
+            for k, y in zip(row, a):
+                if k and y:
+                    acc = acc + k * y
+            out.append(self.normal_form(self.ring.cartier(acc)))
         return tuple(out)
+
+    def phi_iter(self, a, k):
+        for _ in range(k):
+            a = self.phi(a)
+        return a
 
     def eq(self, a, b):
         return all(x == y for x, y in zip(a, b))
 
     def format(self, a):
+        if self.rank == 1:
+            return self.ring.format(a[0])
         return "(" + ", ".join(self.ring.format(x) for x in a) + ")"
 
 
@@ -160,7 +173,8 @@ class FreeSkewElem:
                 self.terms[i] = m
 
     def __add__(self, other):
-        assert self.twist == other.twist
+        if self.twist != other.twist:
+            raise ValueError("cannot add elements of twist %d and %d" % (self.twist, other.twist))
         out = dict(self.terms)
         for i, m in other.terms.items():
             cur = out.get(i)
@@ -223,13 +237,14 @@ def two_step_maps(module):
         alpha(x (x) F^i) = phi(x) (x) F^i - x (x) F^(i+1)
         beta(y (x) F^i)  = phi^i(y)
 
-    `module` is any carrier exposing phi/add/neg/act; alpha consumes a
+    `module` is any carrier exposing phi/phi_iter/add/neg; alpha consumes a
     twist-1 element and produces a twist-0 one, beta consumes twist-0 and
     lands in the carrier itself.
     """
 
     def alpha(elt):
-        assert elt.twist == 1
+        if elt.twist != 1:
+            raise ValueError("alpha takes twist-1 elements, got twist %d" % elt.twist)
         out = FreeSkewElem(module, {}, 0)
         for i, m in elt.terms.items():
             out = out + FreeSkewElem(module, {i: module.phi(m)}, 0)
@@ -237,13 +252,11 @@ def two_step_maps(module):
         return out
 
     def beta(elt):
-        assert elt.twist == 0
+        if elt.twist != 0:
+            raise ValueError("beta takes twist-0 elements, got twist %d" % elt.twist)
         acc = module.zero()
         for i, m in elt.terms.items():
-            v = m
-            for _ in range(i):
-                v = module.phi(v)
-            acc = module.add(acc, v)
+            acc = module.add(acc, module.phi_iter(m, i))
         return acc
 
     return alpha, beta
@@ -251,23 +264,17 @@ def two_step_maps(module):
 
 def two_step_witness(module, kernel_elt):
     """The preimage formula x_j = -sum_{k > j} phi^(k-j-1)(y_k) for a
-    beta-kernel element y = sum y_k (x) F^k; returns a twist-1 element."""
+    beta-kernel element y = sum y_k (x) F^k; returns a twist-1 element.
+
+    Computed top down by the recurrence x_(n-1) = -y_n, x_j = phi(x_(j+1)) -
+    y_(j+1), with n the top degree of y: one phi per degree."""
     terms = kernel_elt.terms
-    if not terms:
-        return FreeSkewElem(module, {}, 1)
-    n = max(terms)
     out = {}
-    for j in range(n):
-        acc = module.zero()
-        for k in range(j + 1, n + 1):
-            y = terms.get(k)
-            if y is None:
-                continue
-            v = y
-            for _ in range(k - j - 1):
-                v = module.phi(v)
-            acc = module.add(acc, v)
-        out[j] = module.neg(acc)
+    x = None
+    for j in range(max(terms, default=0) - 1, -1, -1):
+        y = module.neg(terms.get(j + 1, module.zero()))
+        x = y if x is None else module.add(module.phi(x), y)
+        out[j] = x
     return FreeSkewElem(module, out, 1)
 
 

@@ -15,17 +15,17 @@ import pytest
 from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import (
     ArtinianCartierModule,
-    ArtinianTarget,
     ConeComplex,
     FreeTarget,
     HomSpot,
     _dual_images,
+    _flatten_diff,
     _evaluate_hom,
-    _reembed,
     _is_zero_value,
     _value_degree,
     coker_formula,
     cone_acyclicity_report,
+    cone_window,
     ext_r_dims,
     ext_rf,
     ext_split_check,
@@ -38,9 +38,25 @@ from frobext.cartier import (
     zero_structure_module,
 )
 from frobext.field import GF
-from frobext.linalg import FpLinearMap, SparseMatrix, flatten, kernel_basis, matrix_of_map
-from frobext.poly import ring_over
-from frobext.skew import check_two_step_exact, flatten_two_step, graded_skew_space, two_step_maps
+from frobext.koszul import KoszulComplex, flatten_poly_matrix
+from frobext.linalg import (
+    FpLinearMap,
+    SparseMatrix,
+    flatten,
+    kernel_basis,
+    matrix_of_map,
+    reembed,
+    tuple_space,
+)
+from frobext.poly import PolySpace, ring_over
+from frobext.skew import (
+    FreeSkewElem,
+    check_two_step_exact,
+    flatten_two_step,
+    graded_skew_space,
+    two_step_maps,
+    two_step_witness,
+)
 
 
 def module_zoo(p):
@@ -99,6 +115,37 @@ def test_beta_alpha_composes_to_zero_symbolically(p):
                 z = FreeSkewElem(module, {i: m}, twist=1)
                 img = beta(alpha(z))
                 assert module.eq(img, module.zero())
+
+
+def closed_form_witness(module, y):
+    """x_j = -sum_{k>j} phi^(k-j-1)(y_k), each term from scratch: the
+    reference for the recurrence in two_step_witness."""
+    n = max(y.terms, default=0)
+    out = {}
+    for j in range(n):
+        acc = module.zero()
+        for k in range(j + 1, n + 1):
+            if k in y.terms:
+                acc = module.add(acc, module.phi_iter(y.terms[k], k - j - 1))
+        out[j] = module.neg(acc)
+    return FreeSkewElem(module, out, 1)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 2)])
+def test_two_step_witness_recurrence_matches_the_closed_form(p, e):
+    # beta-kernel rows over F_4 and F_9 with a rank-2 random structure; the
+    # sums of two rows have gaps below the top degree
+    ring = ring_over(p, e, 1)
+    module = random_module(ArtinianAlgebra(ring, (2,)), rank=2, seed=17)
+    alpha, _ = two_step_maps(module)
+    _, bmap, _, cod = flatten_two_step(module, 4)
+    rows = list(kernel_basis(bmap.mat, p))
+    assert len(rows) > 8
+    for vec in rows + [[(a + b) % p for a, b in zip(u, v)] for u, v in zip(rows, rows[3:])]:
+        y = cod.from_coords(vec)
+        x = two_step_witness(module, y)
+        assert x == closed_form_witness(module, y)
+        assert alpha(x) == y
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -183,25 +230,38 @@ def test_top_ext_against_free_target(p):
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (2, 2, 1), (3, 1, 2), (2, 1, 3)])
 def test_reembedded_cycles_match_the_coordinate_round_trip(p, e, d):
-    # ext_dim_free_target moves its capped cycles into the wider ambient
-    # layout by an index map; the reference rebuilds each row as a Hom
-    # element and flattens it again
+    # ext_dim_free_target, the cone sweep and the Koszul window report move
+    # their cycles into a wider layout by an index map; the reference
+    # rebuilds each row as an element and flattens it again
     ring = ring_over(p, e, d)
     cone = ConeComplex(standard_module(ArtinianAlgebra(ring, (1,) * d)))
     target = FreeTarget(ring)
     rng = random.Random(p * 100 + e * 10 + d)
+    cases = []  # (dom, amb, cycles in dom)
     for j in range(cone.length + 1):
         for L in (1, 2):
             dom = HomSpot(cone, j).flat(target.space(L))
             amb = HomSpot(cone, j).flat(target.space(L + 3))
             images = _dual_images(cone, target, j, dom)
             cod = HomSpot(cone, j + 1).flat(target.space(2 * L + 2 * p))
-            ker = kernel_basis(flatten(images, cod, p), p)
-            n = dom.dim()
-            drawn = [{c: rng.randrange(1, p) for c in rng.sample(range(n), min(n, 4))} for _ in range(3)]
-            for rows in (ker, SparseMatrix(drawn, n)):
-                reference = flatten((dom.from_coords(v) for v in rows), amb, p).T
-                assert _reembed(rows, dom, amb) == reference
+            cases.append((dom, amb, kernel_basis(flatten(images, cod, p), p)))
+    for n in range(cone.length):
+        # a cone window and the one grown in cap and dfmax, as in the sweep
+        dom = cone_window(cone, n, 1, 1)
+        A, _ = _flatten_diff(cone, n, dom, 1, 1)
+        cases.append((dom, cone_window(cone, n, 3, 2), kernel_basis(A, p)))
+    K = KoszulComplex(ring, cone.fs)
+    small, big, bigger = (PolySpace.box(ring, c) for c in (1, 2, 3))
+    for j in range(1, K.k + 1):
+        cycles = kernel_basis(flatten_poly_matrix(K.differential(j), small, big).mat, p)
+        dom, amb = (tuple_space(box, K.rank(j), ring.zero) for box in (small, bigger))
+        cases.append((dom, amb, cycles))
+    for dom, amb, cycles in cases:
+        n = dom.dim()
+        drawn = [{c: rng.randrange(1, p) for c in rng.sample(range(n), min(n, 4))} for _ in range(3)]
+        for rows in (cycles, SparseMatrix(drawn, n)):
+            reference = flatten((dom.from_coords(v) for v in rows), amb, p).T
+            assert reembed(rows, dom, amb) == reference
 
 
 def test_ext_rf_top_spot_at_d3_runs_in_a_gib(tmp_path):
@@ -230,8 +290,7 @@ def _dual_targets(p, d):
     ring = ring_over(p, 1, d)
     exps = (2,) * d
     module = random_module(ArtinianAlgebra(ring, exps), rank=2, seed=3)
-    target = ArtinianTarget(module)
-    out = [(module, target, target.space())]
+    out = [(module, module, module.space())]
     free = FreeTarget(ring)
     for cap in (1, 2):
         out.append((standard_module(ArtinianAlgebra(ring, exps)), free, free.space(cap)))
@@ -276,8 +335,7 @@ def test_plain_ring_ext_dims_for_the_point():
     # R/(x) against itself over R = F_2[x]: one dimension at each spot
     ring = ring_over(2, 1, 1)
     module = standard_module(ArtinianAlgebra(ring, (1,)))
-    target = ArtinianTarget(module)
-    assert ext_r_dims(module, target) == [1, 1]
+    assert ext_r_dims(module, module) == [1, 1]
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)])

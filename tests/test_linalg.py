@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from frobext import linalg
 from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import (
-    ArtinianTarget,
     ConeComplex,
     FreeTarget,
     HomSpot,
@@ -402,7 +401,7 @@ def _cone_window():
 
 def _hom_artinian():
     module = standard_module(ArtinianAlgebra(ring_over(3, 1, 1), (2,)))
-    space = HomSpot(ConeComplex(module), 1).flat(ArtinianTarget(module).space())
+    space = HomSpot(ConeComplex(module), 1).flat(module.space())
     # a twisted-part key of spot 2
     return space, {("C", (0,), 0, (0,)): module.basis_gen()}
 

@@ -15,6 +15,7 @@ from frobext.skew import (
     in_image_hdual,
     residue_trace,
     skew_mul,
+    two_step_maps,
 )
 
 
@@ -70,6 +71,21 @@ def test_right_action_twist_law(p, d):
         m = FreeSkewElem(carrier, {rng.randrange(3): (rand_poly(ring, rng),)})
         r = rand_poly(ring, rng, deg=2)
         assert m.act_F().act_ring(r) == m.act_ring(r.frobenius()).act_F()
+
+
+def test_mixing_twists_raises_value_error():
+    # the guards are checks, not asserts: they hold under python -O
+    ring = ring_over(2, 1, 1)
+    carrier = FreeCartierCarrier(ring, 1)
+    plain = FreeSkewElem(carrier, {0: (ring.one,)}, 0)
+    twisted = FreeSkewElem(carrier, {0: (ring.one,)}, 1)
+    alpha, beta = two_step_maps(carrier)
+    with pytest.raises(ValueError, match="twist 0 and 1"):
+        plain + twisted
+    with pytest.raises(ValueError, match="alpha takes twist-1"):
+        alpha(plain)
+    with pytest.raises(ValueError, match="beta takes twist-0"):
+        beta(twisted)
 
 
 def test_right_action_is_associative_over_skew_elements():
