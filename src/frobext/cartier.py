@@ -34,7 +34,7 @@ from .linalg import (
     tuple_space,
 )
 from .poly import FieldSpace, PolySpace, monomials_box, random_poly
-from .skew import FreeCartierCarrier
+from .skew import FreeCartierCarrier, frob_power
 
 
 def _boundary(S):
@@ -140,77 +140,19 @@ def random_module(algebra, rank, seed):
 # -- the mapping cone over R{F} ----------------------------------------------
 
 
-class ConeElem:
-    """An element of a cone spot: two parts, keyed (S, s, F-degree) -> poly.
+def _add_at(out, key, v):
+    """out[key] += v, dropping the key when the sum vanishes."""
+    if key in out:
+        v = out[key] + v
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
 
-    Part "C" carries the twisted copies (right action through one extra
-    p-th power), part "D" the plain ones.
-    """
 
-    __slots__ = ("cone", "C", "D")
-
-    def __init__(self, cone, C=None, D=None):
-        self.cone = cone
-        self.C = {k: v for k, v in (C or {}).items() if v}
-        self.D = {k: v for k, v in (D or {}).items() if v}
-
-    def _merge(self, mine, theirs):
-        out = dict(mine)
-        for k, v in theirs.items():
-            cur = out.get(k)
-            cur = v if cur is None else cur + v
-            if cur:
-                out[k] = cur
-            else:
-                out.pop(k, None)
-        return out
-
-    def __add__(self, other):
-        return ConeElem(self.cone, self._merge(self.C, other.C), self._merge(self.D, other.D))
-
-    def __neg__(self):
-        return ConeElem(
-            self.cone,
-            {k: -v for k, v in self.C.items()},
-            {k: -v for k, v in self.D.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def act_ring(self, r):
-        from .skew import frob_power
-
-        C = {}
-        for (S, s, i), g in self.C.items():
-            C[(S, s, i)] = g * frob_power(r, i + 1)
-        D = {}
-        for (S, s, i), g in self.D.items():
-            D[(S, s, i)] = g * frob_power(r, i)
-        return ConeElem(self.cone, C, D)
-
-    def act_F(self, k=1):
-        return ConeElem(
-            self.cone,
-            {(S, s, i + k): g for (S, s, i), g in self.C.items()},
-            {(S, s, i + k): g for (S, s, i), g in self.D.items()},
-        )
-
-    def __bool__(self):
-        return bool(self.C) or bool(self.D)
-
-    def __eq__(self, other):
-        return isinstance(other, ConeElem) and self.C == other.C and self.D == other.D
-
-    def __repr__(self):
-        if not self:
-            return "0"
-        bits = []
-        for (S, s, i), g in sorted(self.C.items()):
-            bits.append("[%s . e%r_%d]'(x)F^%d" % (self.cone.ring.format(g), list(S), s, i))
-        for (S, s, i), g in sorted(self.D.items()):
-            bits.append("[%s . e%r_%d](x)F^%d" % (self.cone.ring.format(g), list(S), s, i))
-        return " + ".join(bits)
+def _keyed(keys, inner):
+    """Flat coordinates for key -> inner element dicts (absent keys are zero)."""
+    return BlockSpace(keys, inner, dict.items, dict)
 
 
 class ConeComplex:
@@ -219,7 +161,10 @@ class ConeComplex:
 
         (c, y)  |->  (-boundary(c), lift(c) - shift(c) + boundary(y))
 
-    where shift is the F-degree bump.  Spots run 0..d+1.
+    where shift is the F-degree bump.  Spots run 0..d+1.  An element of a
+    spot is a dict (part, S, s, i) -> nonzero polynomial g, the term
+    g . e_(S,s) (x) F^i: part "C" holds the twisted copies (right action
+    through one extra p-th power), part "D" the plain ones.
 
     lift is the diagonal lift of the structure map over the wedge resolution
     of A^rank: on the spot-j generator g . e_(S,s) it acts by
@@ -266,61 +211,63 @@ class ConeComplex:
             comb(self.d, n) if 0 <= n <= self.d else 0
         )
 
-    def zero(self):
-        return ConeElem(self)
-
-    def elem(self, C=None, D=None):
-        return ConeElem(self, C, D)
-
     def differential(self, n, z):
         """d_n: spot n -> spot n-1."""
         ring = self.ring
-        out = self.zero()
-        for (S, s, i), g in z.C.items():
+        out = {}
+        for (part, S, s, i), g in z.items():
+            if part == "D":
+                for sign, l, T in _boundary(S):
+                    _add_at(out, ("D", T, s, i), self.fs[l] * g * sign)
+                continue
             # -boundary into the twisted part
-            C = {}
             for sign, l, T in _boundary(S):
-                v = self.fs[l] * g * (-sign)
-                if v:
-                    C[(T, s, i)] = C.get((T, s, i), ring.zero) + v
+                _add_at(out, ("C", T, s, i), self.fs[l] * g * (-sign))
             # the two-step leg into the plain part
-            D = {}
             for t in range(self.module.rank):
-                v = ring.cartier(self.kernel[S][t][s] * g)
-                if v:
-                    D[(S, t, i)] = D.get((S, t, i), ring.zero) + v
-            D[(S, s, i + 1)] = D.get((S, s, i + 1), ring.zero) - g
-            out = out + ConeElem(self, C, D)
-        for (S, s, i), g in z.D.items():
-            D = {}
-            for sign, l, T in _boundary(S):
-                v = self.fs[l] * g * sign
-                if v:
-                    D[(T, s, i)] = D.get((T, s, i), ring.zero) + v
-            out = out + ConeElem(self, {}, D)
+                _add_at(out, ("D", S, t, i), ring.cartier(self.kernel[S][t][s] * g))
+            _add_at(out, ("D", S, s, i + 1), -g)
         return out
 
     def augment(self, z):
         """Spot 0 -> M: g . e_s (x) F^i  |->  phi^i(class(g) . e_s)."""
         m = self.module.zero()
-        for (S, s, i), g in z.D.items():
-            v = list(self.module.zero())
-            v[s] = self.module.algebra.reduce(g)
-            m = self.module.add(m, self.module.phi_iter(tuple(v), i))
+        for (part, S, s, i), g in z.items():
+            if part == "D":
+                v = list(self.module.zero())
+                v[s] = self.module.algebra.reduce(g)
+                m = self.module.add(m, self.module.phi_iter(tuple(v), i))
         return m
 
+    def act_ring(self, z, r):
+        """z . r: a term at F-degree i carries r^(p^i), one more p-th power
+        on the twisted part."""
+        out = {}
+        for (part, S, s, i), g in z.items():
+            _add_at(out, (part, S, s, i), g * frob_power(r, i + (part == "C")))
+        return out
+
+    def act_F(self, z, k=1):
+        """z . F^k."""
+        return {(part, S, s, i + k): g for (part, S, s, i), g in z.items()}
+
+    def generator_keys(self, n):
+        """Keys of the right-module generators of spot n: ("C", S, s, a) for
+        the digit monomial x^a on the twisted part, ("D", S, s) for the unit
+        on the plain part."""
+        digits = _digit_tuples(self.p, self.d)
+        rank = range(self.module.rank)
+        return [("C", S, s, a) for S in self.subsets(n - 1) for s in rank for a in digits] + [
+            ("D", S, s) for S in self.subsets(n) for s in rank
+        ]
+
     def generators(self, n):
-        """Right-module generators of spot n: digit monomials on the twisted
-        part, plain unit coefficients on the other."""
+        """(key, element) for each right-module generator of spot n."""
+        ring = self.ring
         gens = []
-        for S in self.subsets(n - 1):
-            for s in range(self.module.rank):
-                for a in _digit_tuples(self.p, self.d):
-                    g = self.ring.monomial(a, self.ring.field.one)
-                    gens.append((("C", S, s, a), ConeElem(self, {(S, s, 0): g}, {})))
-        for S in self.subsets(n):
-            for s in range(self.module.rank):
-                gens.append((("D", S, s), ConeElem(self, {}, {(S, s, 0): self.ring.one})))
+        for key in self.generator_keys(n):
+            g = ring.monomial(key[3], ring.field.one) if key[0] == "C" else ring.one
+            gens.append((key, {key[:3] + (0,): g}))
         return gens
 
     def d_squared_on_generators(self):
@@ -345,11 +292,12 @@ class ConeComplex:
             gens = self.generators(n)
             for _ in range(4):
                 key, z = gens[rng.randrange(len(gens))]
-                z = z.act_F(rng.randrange(2))
+                z = self.act_F(z, rng.randrange(2))
                 r = random_poly(self.ring, mons, rng, 0.4)
-                if self.differential(n, z.act_ring(r)) != self.differential(n, z).act_ring(r):
+                dz = self.differential(n, z)
+                if self.differential(n, self.act_ring(z, r)) != self.act_ring(dz, r):
                     return False
-                if self.differential(n, z.act_F()) != self.differential(n, z).act_F():
+                if self.differential(n, self.act_F(z)) != self.act_F(dz):
                     return False
         return True
 
@@ -365,20 +313,8 @@ def cone_window(cone, n, cap, dfmax):
         for s in range(cone.module.rank)
         for i in range(dfmax + 1)
     ]
-
-    def split(z):
-        for part, terms in (("C", z.C), ("D", z.D)):
-            for (S, s, i), g in terms.items():
-                yield (part, S, s, i), g
-
-    def join(parts):
-        C, D = {}, {}
-        for (part, S, s, i), g in parts.items():
-            (C if part == "C" else D)[(S, s, i)] = g
-        return ConeElem(cone, C, D)
-
     # cap is the largest exponent allowed, inclusive
-    return BlockSpace(keys, PolySpace.box(cone.ring, cap + 1), split, join)
+    return _keyed(keys, PolySpace.box(cone.ring, cap + 1))
 
 
 def _flatten_diff(cone, n, dom, cap, dfmax):
@@ -386,11 +322,10 @@ def _flatten_diff(cone, n, dom, cap, dfmax):
     (cap, dfmax) one, grown to fit the images."""
     images = [cone.differential(n, z) for z in dom.basis_elems()]
     for z in images:
-        for terms in (z.C, z.D):
-            for (S, s, i), g in terms.items():
-                dfmax = max(dfmax, i)
-                for exp in g.terms:
-                    cap = max(cap, max(exp) if exp else 0)
+        for key, g in z.items():
+            dfmax = max(dfmax, key[3])
+            for exp in g.terms:
+                cap = max(cap, max(exp) if exp else 0)
     cod = cone_window(cone, n - 1, cap, dfmax)
     return flatten(images, cod, cone.p), cod
 
@@ -500,29 +435,17 @@ class FreeTarget:
 
 
 class HomSpot:
-    """Keys of the value tuple describing Hom(spot n, N): the twisted part
-    contributes one key per (S, s, digit), the plain part one per (S, s)."""
+    """Keys of the value dict describing Hom(spot n, N): a right R{F}-linear
+    map is fixed by its values at the generators of spot n, so the keys are
+    `ConeComplex.generator_keys(n)`; `part` ("C" or "D") keeps that part's
+    only."""
 
-    def __init__(self, cone, n):
-        self.cone = cone
-        self.n = n
-        p = cone.p
-        self.keys = []
-        for S in cone.subsets(n - 1):
-            for s in range(cone.module.rank):
-                for a in _digit_tuples(p, cone.d):
-                    self.keys.append(("C", S, s, a))
-        for S in cone.subsets(n):
-            for s in range(cone.module.rank):
-                self.keys.append(("D", S, s))
+    def __init__(self, cone, n, part=None):
+        self.keys = [k for k in cone.generator_keys(n) if part in (None, k[0])]
 
     def flat(self, nspace):
         """Hom elements (key -> value dicts) with values in `nspace`."""
         return _keyed(self.keys, nspace)
-
-
-def _keyed(keys, nspace):
-    return BlockSpace(keys, nspace, dict.items, dict)
 
 
 def _evaluate_hom(cone, target, fvals, z):
@@ -536,23 +459,27 @@ def _evaluate_hom(cone, target, fvals, z):
     is the reference it is tested against."""
     ring = cone.ring
     acc = target.zero()
-    for (S, s, i), g in z.C.items():
-        inner = target.zero()
-        for b, w in ring.frobenius_digits(g).items():
-            v = fvals.get(("C", S, s, b))
-            if v is not None and w:
-                inner = target.add(inner, target.act(w, v))
+    for (part, S, s, i), g in z.items():
+        if part == "C":
+            inner = target.zero()
+            for b, w in ring.frobenius_digits(g).items():
+                v = fvals.get(("C", S, s, b))
+                if v is not None and w:
+                    inner = target.add(inner, target.act(w, v))
+        else:
+            v = fvals.get(("D", S, s))
+            if v is None:
+                continue
+            inner = target.act(g, v)
         acc = target.add(acc, target.phi_iter(inner, i))
-    for (S, s, i), g in z.D.items():
-        v = fvals.get(("D", S, s))
-        if v is not None:
-            acc = target.add(acc, target.phi_iter(target.act(g, v), i))
     return acc
 
 
-def _dual_images(cone, target, n, dom_space):
+def _dual_images(cone, target, n, dom_space, part=None):
     """Images of the dual differential Hom(spot n) -> Hom(spot n+1) on the
-    flat basis of dom_space; each image is a key -> value dict.
+    flat basis of dom_space; each image is a key -> value dict.  `part`
+    ("C" or "D") reads only that part's generators of spot n+1, which gives
+    one block of the dual differential.
 
     A basis functional is one key k with one inner basis value b, so it
     reads only the terms of the bounded differentials that name k.  These
@@ -563,13 +490,15 @@ def _dual_images(cone, target, n, dom_space):
     ring = cone.ring
     reads = {}
     for gkey, g in cone.generators(n + 1):
-        dz = cone.differential(n + 1, g)
-        for (S, s, i), h in dz.C.items():
+        if part not in (None, gkey[0]):
+            continue
+        for (hpart, S, s, i), h in cone.differential(n + 1, g).items():
+            if hpart == "D":
+                reads.setdefault(("D", S, s), []).append((gkey, i, h))
+                continue
             for b, w in ring.frobenius_digits(h).items():
                 if w:
                     reads.setdefault(("C", S, s, b), []).append((gkey, i, w))
-        for (S, s, i), h in dz.D.items():
-            reads.setdefault(("D", S, s), []).append((gkey, i, h))
     basis = list(dom_space.inner.basis_elems())
     images = []
     for key in dom_space.keys:
@@ -581,6 +510,19 @@ def _dual_images(cone, target, n, dom_space):
                 img[gkey] = target.add(img[gkey], v) if gkey in img else v
             images.append({gkey: v for gkey, v in img.items() if not _is_zero_value(target, v)})
     return images
+
+
+def _dual_dims(cone, target, spots, part=None):
+    """Cohomology dimensions of the dual complex against an Artinian target
+    on the given consecutive spots: the whole complex, or with `part` the
+    diagonal block of that part."""
+    nspace = target.space()
+    mats = []
+    for n in spots:
+        dom = HomSpot(cone, n, part).flat(nspace)
+        cod = HomSpot(cone, n + 1, part).flat(nspace)
+        mats.append(flatten(_dual_images(cone, target, n, dom, part), cod, nspace.p))
+    return complex_dims(mats, nspace.p)
 
 
 def _is_zero_value(target, v):
@@ -597,13 +539,7 @@ def ext_dims_artinian(cone, target, jmax=None):
     """Exact Ext dimensions over R{F} against an Artinian target, one per
     spot 0..d+1 (and 0 beyond)."""
     jmax = cone.length if jmax is None else jmax
-    nspace = target.space()
-    mats = []
-    for n in range(min(jmax, cone.length) + 1):
-        dom = HomSpot(cone, n).flat(nspace)
-        cod = HomSpot(cone, n + 1).flat(nspace)
-        mats.append(flatten(_dual_images(cone, target, n, dom), cod, nspace.p))
-    dims = complex_dims(mats, nspace.p)
+    dims = _dual_dims(cone, target, range(min(jmax, cone.length) + 1))
     return dims + [0] * (jmax + 1 - len(dims))
 
 
@@ -672,68 +608,19 @@ def ext_rf(module, target, j, **caps):
 
 
 def ext_r_dims(module, ntarget):
-    """Ext over the plain ring via the wedge resolution, Artinian target."""
+    """Ext over the plain ring via the wedge resolution, Artinian target:
+    the "D" block of the cone's dual complex, on spots 0..d."""
     cone = ConeComplex(module)
-    nspace = ntarget.space()
-
-    def flat(j):
-        return _keyed([(S, s) for S in cone.subsets(j) for s in range(module.rank)], nspace)
-
-    mats = []
-    for jj in range(0, cone.d + 1):
-        dom, cod = flat(jj), flat(jj + 1)
-        images = []
-        for fvals in dom.basis_elems():
-            ((key, b),) = fvals.items()
-            img = {}
-            for T, s in cod.keys:
-                acc = ntarget.zero()
-                for sign, l, U in _boundary(T):
-                    if (U, s) == key:
-                        acc = ntarget.add(acc, ntarget.act(cone.fs[l] * sign, b))
-                if not _is_zero_value(ntarget, acc):
-                    img[(T, s)] = acc
-            images.append(img)
-        mats.append(flatten(images, cod, cone.p))
-    return complex_dims(mats, cone.p)
+    return _dual_dims(cone, ntarget, range(cone.d + 1), "D")
 
 
 def ext_r_twisted_dims(module, ntarget):
     """Ext over the plain ring of the p-th power relabeling of the module:
-    the resolution spots are free on (digit, wedge) pairs and the
-    differential pushes the wedge entries through digit decomposition."""
+    the "C" block of the cone's dual complex, on spots 1..d+1, free on
+    (wedge, digit) pairs.  Its differential is minus the wedge boundary,
+    which changes no kernel or image dimension."""
     cone = ConeComplex(module)
-    ring = cone.ring
-    nspace = ntarget.space()
-    digits = _digit_tuples(cone.p, cone.d)
-
-    def flat(j):
-        keys = [(S, s, a) for S in cone.subsets(j) for s in range(module.rank) for a in digits]
-        return _keyed(keys, nspace)
-
-    mats = []
-    for jj in range(0, cone.d + 1):
-        dom, cod = flat(jj), flat(jj + 1)
-        images = []
-        for fvals in dom.basis_elems():
-            (((S0, s0, b0), bval),) = fvals.items()
-            img = {}
-            for T, s, a in cod.keys:
-                if s != s0:
-                    continue
-                acc = ntarget.zero()
-                for sign, l, U in _boundary(T):
-                    if U != S0:
-                        continue
-                    # fl * x^a = sum_b digit_b^p x^b ; the x^(b0) leg acts by digit_(b0)
-                    w = ring.frobenius_digits(cone.fs[l] * ring.monomial(a, ring.field.one)).get(b0)
-                    if w:
-                        acc = ntarget.add(acc, ntarget.act(w * sign, bval))
-                if not _is_zero_value(ntarget, acc):
-                    img[(T, s, a)] = acc
-            images.append(img)
-        mats.append(flatten(images, cod, cone.p))
-    return complex_dims(mats, cone.p)
+    return _dual_dims(cone, ntarget, range(1, cone.d + 2), "C")
 
 
 def ext_split_check(module, nmodule):
@@ -765,21 +652,14 @@ def ext_split_check(module, nmodule):
 
 
 def _cross_block_is_zero(cone, target):
-    """The connecting leg of the dual differential, evaluated on plain-part
-    functionals at twisted-part generators, must vanish when both structure
-    maps are zero."""
+    """The connecting leg of the dual differential, plain-part functionals
+    read at twisted-part generators, must vanish when both structure maps
+    are zero."""
     nspace = target.space()
-    for n in range(0, cone.length):
-        dom = HomSpot(cone, n)
-        plain_keys = [k for k in dom.keys if k[0] == "D"]
-        bounded = [cone.differential(n + 1, g) for key, g in cone.generators(n + 1) if key[0] == "C"]
-        for key in plain_keys:
-            for b in nspace.basis_elems():
-                fvals = {key: b}
-                for dz in bounded:
-                    v = _evaluate_hom(cone, target, fvals, dz)
-                    if not _is_zero_value(target, v):
-                        return False
+    for n in range(cone.length):
+        dom = HomSpot(cone, n, "D").flat(nspace)
+        if any(_dual_images(cone, target, n, dom, "C")):
+            return False
     return True
 
 

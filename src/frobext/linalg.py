@@ -430,10 +430,15 @@ class BlockSpace:
         return _dense(out, n)
 
     def from_coords(self, vec):
+        """The element with coordinates vec; a part whose coordinates are all
+        zero is left out, and `join` reads it as zero."""
         n = self.inner.dim()
-        return self.join(
-            {k: self.inner.from_coords(vec[at : at + n]) for k, at in self.offset.items()}
-        )
+        parts = {}
+        for k, at in self.offset.items():
+            c = vec[at : at + n]
+            if any(c):
+                parts[k] = self.inner.from_coords(c)
+        return self.join(parts)
 
 
 def tuple_space(inner, n, zero):

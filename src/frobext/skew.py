@@ -335,17 +335,18 @@ def check_two_step_exact(module, dmax, alpha_override=None):
     if ker_a.shape[0]:
         report["alpha_injective"] = False
         report["counterexample"] = repr(dom.from_coords(next(iter(ker_a))))
-    # beta-kernel elements with top degree <= dmax - 1
-    # sub's layout is the first sub.dim() coordinates of cod's
+    # beta-kernel elements with top degree <= dmax - 1; sub's layout is the
+    # first sub.dim() coordinates of cod's, so a kernel row is also y's
+    # coordinates in cod, and alpha's image of each witness is compared to it
     sub = graded_skew_space(module, dmax - 1, twist=0)
-    for vec in kernel_basis(bmap.mat.first_columns(sub.dim()), p):
-        y = sub.from_coords(vec)
-        x = two_step_witness(module, y)
-        target = cod.coords(y)
-        image = amap.apply(dom.coords(x))
-        if image != [int(t) % p for t in target]:
+    kernel = kernel_basis(bmap.mat.first_columns(sub.dim()), p)
+    ys = [sub.from_coords(vec) for vec in kernel]
+    witnesses = matrix_of_map(ys, lambda y: two_step_witness(module, y), dom, p)
+    images = amap.compose(witnesses).mat.T.rows
+    for y, row, image in zip(ys, kernel.rows, images):
+        if image != row:
             report["witness_formula_ok"] = False
-            sol = solve(amap.mat, target, p)
+            sol = solve(amap.mat, cod.coords(y), p)
             if sol is None:
                 report["kernel_covered"] = False
                 report["counterexample"] = repr(y)

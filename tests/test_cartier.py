@@ -18,6 +18,7 @@ from frobext.cartier import (
     ConeComplex,
     FreeTarget,
     HomSpot,
+    _cross_block_is_zero,
     _dual_images,
     _flatten_diff,
     _evaluate_hom,
@@ -27,6 +28,7 @@ from frobext.cartier import (
     cone_acyclicity_report,
     cone_window,
     ext_r_dims,
+    ext_r_twisted_dims,
     ext_rf,
     ext_split_check,
     free_transpose_roundtrip,
@@ -336,6 +338,33 @@ def test_plain_ring_ext_dims_for_the_point():
     ring = ring_over(2, 1, 1)
     module = standard_module(ArtinianAlgebra(ring, (1,)))
     assert ext_r_dims(module, module) == [1, 1]
+
+
+# (p, d, exponent) where the seed-7 rank-2 random structure's cross block
+# vanishes; for every other case in the grid below it does not
+RANDOM_CROSS_BLOCK_ZERO = {(2, 1, 1), (2, 2, 1)}
+
+
+@pytest.mark.parametrize("structure", ["standard", "zero", "random"])
+@pytest.mark.parametrize("a", [1, 2])
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_plain_and_twisted_blocks_are_pinned(p, d, a, structure):
+    # the "D" and "C" blocks of the cone's dual complex against pinned
+    # values, which separate wedge complexes over R also give: for
+    # A = R/(x1^a..xd^a), Ext_R^j(A^r, A^r) = (A^(r*r))^C(d,j), and the
+    # p-th power relabeled copy has the same dimensions
+    from math import comb
+
+    alg = ArtinianAlgebra(ring_over(p, 1, d), (a,) * d)
+    if structure == "random":
+        module = random_module(alg, rank=2, seed=7)
+    else:
+        module = (standard_module if structure == "standard" else zero_structure_module)(alg)
+    want = [module.rank**2 * a**d * comb(d, j) for j in range(d + 1)]
+    assert ext_r_dims(module, module) == want
+    assert ext_r_twisted_dims(module, module) == want
+    cross_zero = structure == "zero" or (structure == "random" and (p, d, a) in RANDOM_CROSS_BLOCK_ZERO)
+    assert _cross_block_is_zero(ConeComplex(module), module) == cross_zero
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)])

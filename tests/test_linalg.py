@@ -396,7 +396,7 @@ def _cone_window():
     ring = ring_over(2, 1, 1)
     cone = ConeComplex(standard_module(ArtinianAlgebra(ring, (2,))))
     # spot 1 has a C part (the empty wedge) and a D part; F-degree 2 > dfmax 1
-    return cone_window(cone, 1, 2, 1), cone.elem(D={((0,), 0, 2): ring.one})
+    return cone_window(cone, 1, 2, 1), {("D", (0,), 0, 2): ring.one}
 
 
 def _hom_artinian():
