@@ -19,7 +19,6 @@ import random
 
 from .koszul import KoszulComplex
 from .linalg import (
-    BlockSpace,
     FpLinearMap,
     SparseMatrix,
     StructureError,
@@ -28,12 +27,13 @@ from .linalg import (
     flatten,
     intersection_dim,
     kernel_basis,
+    keyed,
     matrix_of_map,
     reembed,
     solve,
     tuple_space,
 )
-from .poly import FieldSpace, PolySpace, monomials_box, random_poly
+from .poly import FieldSpace, PolySpace, add_at, monomials_box, random_poly
 from .skew import FreeCartierCarrier, frob_power
 
 
@@ -140,21 +140,6 @@ def random_module(algebra, rank, seed):
 # -- the mapping cone over R{F} ----------------------------------------------
 
 
-def _add_at(out, key, v):
-    """out[key] += v, dropping the key when the sum vanishes."""
-    if key in out:
-        v = out[key] + v
-    if v:
-        out[key] = v
-    else:
-        out.pop(key, None)
-
-
-def _keyed(keys, inner):
-    """Flat coordinates for key -> inner element dicts (absent keys are zero)."""
-    return BlockSpace(keys, inner, dict.items, dict)
-
-
 class ConeComplex:
     """The mapping cone gluing the twisted and plain wedge resolutions of M
     over R{F}.  Spot n is C_(n-1) (+) D_n; the differential sends
@@ -218,15 +203,15 @@ class ConeComplex:
         for (part, S, s, i), g in z.items():
             if part == "D":
                 for sign, l, T in _boundary(S):
-                    _add_at(out, ("D", T, s, i), self.fs[l] * g * sign)
+                    add_at(out, ("D", T, s, i), self.fs[l] * g * sign)
                 continue
             # -boundary into the twisted part
             for sign, l, T in _boundary(S):
-                _add_at(out, ("C", T, s, i), self.fs[l] * g * (-sign))
+                add_at(out, ("C", T, s, i), self.fs[l] * g * (-sign))
             # the two-step leg into the plain part
             for t in range(self.module.rank):
-                _add_at(out, ("D", S, t, i), ring.cartier(self.kernel[S][t][s] * g))
-            _add_at(out, ("D", S, s, i + 1), -g)
+                add_at(out, ("D", S, t, i), ring.cartier(self.kernel[S][t][s] * g))
+            add_at(out, ("D", S, s, i + 1), -g)
         return out
 
     def augment(self, z):
@@ -244,7 +229,7 @@ class ConeComplex:
         on the twisted part."""
         out = {}
         for (part, S, s, i), g in z.items():
-            _add_at(out, (part, S, s, i), g * frob_power(r, i + (part == "C")))
+            add_at(out, (part, S, s, i), g * frob_power(r, i + (part == "C")))
         return out
 
     def act_F(self, z, k=1):
@@ -314,7 +299,7 @@ def cone_window(cone, n, cap, dfmax):
         for i in range(dfmax + 1)
     ]
     # cap is the largest exponent allowed, inclusive
-    return _keyed(keys, PolySpace.box(cone.ring, cap + 1))
+    return keyed(keys, PolySpace.box(cone.ring, cap + 1))
 
 
 def _flatten_diff(cone, n, dom, cap, dfmax):
@@ -445,7 +430,7 @@ class HomSpot:
 
     def flat(self, nspace):
         """Hom elements (key -> value dicts) with values in `nspace`."""
-        return _keyed(self.keys, nspace)
+        return keyed(self.keys, nspace)
 
 
 def _evaluate_hom(cone, target, fvals, z):

@@ -32,7 +32,6 @@ from .cartier import (
 )
 from .fmodules import (
     DirectSum,
-    ShiftElem,
     ShiftRInf,
     StdE,
     StdR,
@@ -44,7 +43,7 @@ from .fmodules import (
 )
 from .poly import ring_over
 from .rational import RationalBase
-from .skew import SeqWindow, check_two_step_exact, in_image_hdual
+from .skew import check_two_step_exact, format_seq, in_image_hdual
 
 
 class ScenarioError(Exception):
@@ -272,7 +271,7 @@ def parse_module_elem(sc, module, key, text=None):
         numer = parse_poly(sc, ring, key, text=m.group(1))
         return module.ering.elem(numer, level)
     if isinstance(module, ShiftRInf):
-        return ShiftElem(ring, parse_entries(sc, ring, key, text=raw))
+        return module.coerce(parse_entries(sc, ring, key, text=raw))
     if isinstance(module, DirectSum):
         comps = raw.split("|")
         if len(comps) != len(module.parts):
@@ -293,6 +292,8 @@ def fmt_elem(module, z):
         return module.ring.format(z)
     if isinstance(module, DirectSum):
         return " | ".join(fmt_elem(p, c) for p, c in zip(module.parts, z))
+    if isinstance(module, ShiftRInf):
+        return module.format(z)
     return repr(z)
 
 
@@ -443,9 +444,9 @@ def run_hdual_membership(sc):
     outside = sorted(j for j in entries if not lo <= j <= hi + 1)
     if outside:
         sc.fail("target", "target slot %d lies outside %d..%d" % (outside[0], lo, hi + 1))
-    target = SeqWindow(ring, entries=entries)
+    target = {j: f for j, f in entries.items() if f}
     rep = in_image_hdual(ring, target, (lo, hi), bound)
-    rep["target"] = repr(target)
+    rep["target"] = format_seq(ring, target)
     return rep
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 
 from .artinian import ELevelSpace
-from .linalg import BlockSpace, kernel_basis, matrix_of_map, solve_with_certificate, vstack
-from .poly import PolySpace, random_poly
+from .linalg import kernel_basis, keyed, matrix_of_map, solve_with_certificate, vstack
+from .poly import PolySpace, add_at, random_poly
 from .rational import BoundedRationalSpace, is_squarefree, u_divmod
 
 
@@ -100,8 +100,9 @@ class ShiftRInf:
 
         F(sum r_j z[j]) = sum r_j^p z[j-1]
 
-    Elements are finitely supported (a direct sum, never a product); any
-    window imposed later is a search bound, not a truncation of the carrier.
+    Elements are finitely supported (a direct sum, never a product): dicts
+    j -> nonzero polynomial.  Any window imposed later is a search bound, not
+    a truncation of the carrier.
     """
 
     kind = "ShiftRInf"
@@ -110,88 +111,45 @@ class ShiftRInf:
         self.ring = ring
 
     def coerce(self, z):
-        return z
-
-    def elem(self, entries):
-        return ShiftElem(self.ring, entries)
+        """A dict j -> polynomial with its zero slots dropped."""
+        out = {}
+        for j, r in z.items():
+            r = self.ring.coerce(r)
+            if r:
+                out[j] = r
+        return out
 
     def zero(self):
-        return ShiftElem(self.ring, {})
+        return {}
 
     def add(self, x, y):
-        return x + y
+        out = dict(x)
+        for j, r in y.items():
+            add_at(out, j, r)
+        return out
 
     def neg(self, x):
-        return -x
+        return {j: -r for j, r in x.items()}
 
     def scal(self, r, x):
-        return ShiftElem(self.ring, {j: r * c for j, c in x.entries.items()})
+        return {j: rc for j, c in x.items() if (rc := r * c)}
 
     def pth_power(self, z):
-        return ShiftElem(
-            self.ring, {j - 1: r.frobenius() for j, r in z.entries.items()}
-        )
+        return {j - 1: r.frobenius() for j, r in z.items()}
 
     def artin_schreier(self, z):
-        return self.pth_power(z) - z
+        return self.add(self.pth_power(z), self.neg(z))
 
     def sample(self, rng, degree=1, lo=-2, hi=2):
         mons = PolySpace.total_degree(self.ring, degree).mons
-        return ShiftElem(
-            self.ring, {j: random_poly(self.ring, mons, rng, 0.5) for j in range(lo, hi + 1)}
-        )
+        return self.coerce({j: random_poly(self.ring, mons, rng, 0.5) for j in range(lo, hi + 1)})
+
+    def format(self, z):
+        """`(f)*z[j] + ...` with the slots in increasing order, or `0`."""
+        return " + ".join("(%s)*z[%d]" % (self.ring.format(z[j]), j) for j in sorted(z)) or "0"
 
     def describe(self):
         return "integer-indexed shifted sum of ring copies"
-
-
-class ShiftElem:
-    __slots__ = ("ring", "entries")
-
-    def __init__(self, ring, entries):
-        self.ring = ring
-        self.entries = {}
-        for j, r in entries.items():
-            r = ring.coerce(r)
-            if r:
-                self.entries[int(j)] = r
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for j, r in other.entries.items():
-            s = out.get(j)
-            s = r if s is None else s + r
-            if s:
-                out[j] = s
-            else:
-                out.pop(j, None)
-        return ShiftElem(self.ring, out)
-
-    def __neg__(self):
-        return ShiftElem(self.ring, {j: -r for j, r in self.entries.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return isinstance(other, ShiftElem) and self.entries == other.entries
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def coeff(self, j):
-        return self.entries.get(j, self.ring.zero)
-
-    def support(self):
-        return sorted(self.entries)
-
-    def __repr__(self):
-        if not self.entries:
-            return "0"
-        return " + ".join(
-            "(%s)*z[%d]" % (self.ring.format(r), j)
-            for j, r in sorted(self.entries.items())
-        )
 
 
 class DirectSum:
@@ -280,7 +238,7 @@ def as_solve_elem(module, u, level_bound=4, degree_bound=6):
     if isinstance(module, StdE):
         return _as_solve_limit(module, u, level_bound)
     if isinstance(module, ShiftRInf):
-        return _as_solve_shift(module, u)
+        return _as_solve_shift(module, module.coerce(u))
     if isinstance(module, DirectSum):
         return _as_solve_sum(module, u, level_bound, degree_bound)
     raise TypeError("no solver for %r" % type(module).__name__)
@@ -366,21 +324,20 @@ def _as_solve_shift(module, u):
     ring = module.ring
     if not u:
         return _sat("0", "zero right-hand side"), module.zero()
-    lo, hi = min(u.support()), max(u.support())
+    lo, hi = min(u), max(u)
     # slots above hi are forced to zero (a nonzero top slot would propagate
     # upward forever); descend from there
     ys = {}
     nxt = ring.zero  # y_(j+1) while descending
     for j in range(hi, lo - 1, -1):
-        yj = nxt.frobenius() - u.coeff(j)
+        yj = nxt.frobenius() - u.get(j, ring.zero)
         if yj:
             ys[j] = yj
         nxt = yj
     forced_bottom = nxt  # the value forced at slot lo
     if not forced_bottom:
-        z = ShiftElem(ring, ys)
-        assert module.artin_schreier(z) == u
-        return _sat(repr(z), "forced recurrence from the top slot"), z
+        assert module.artin_schreier(ys) == u
+        return _sat(module.format(ys), "forced recurrence from the top slot"), ys
     rep = _unsat(
         proven=False,
         reason=(
@@ -541,20 +498,21 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
     lo, hi = -nmax, nmax
 
     def A(z):
-        out = M.zero()
-        for j, r in z.entries.items():
-            out = out + ShiftElem(ring, {j: r, j + 1: -r})
+        out = {}
+        for j, r in z.items():
+            add_at(out, j, r)
+            add_at(out, j + 1, -r)
         return out
 
     def B(z):
         acc = ring.zero
-        for r in z.entries.values():
+        for r in z.values():
             acc = acc + r
         return acc
 
     report = {"window": [lo, hi], "degree_bound": degree_bound}
 
-    space = shift_window(ring, lo, hi, pspace)
+    space = keyed(range(lo, hi + 1), pspace)
     ok_a = ok_b = True
     for gen in space.basis_elems():
         ok_a = ok_a and M.pth_power(A(gen)) == A(M.pth_power(gen))
@@ -567,7 +525,7 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
     report["second_map_commutes_with_F"] = ok_b
 
     # flattened exactness on the window
-    cod = shift_window(ring, lo, hi + 1, pspace)
+    cod = keyed(range(lo, hi + 2), pspace)
     amap = matrix_of_map(space.basis_elems(), A, cod, p)
     report["first_map_injective"] = int(kernel_basis(amap.mat, p).shape[0]) == 0
 
@@ -583,11 +541,10 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
         acc = ring.zero
         partial = {}
         for j in range(lo, hi + 1):
-            acc = acc + z.coeff(j)
+            acc = acc + z.get(j, ring.zero)
             if acc:
                 partial[j] = acc
-        witness = ShiftElem(ring, partial)
-        middle_ok = middle_ok and not witness.coeff(hi) and A(witness) == z
+        middle_ok = middle_ok and hi not in partial and A(partial) == z
     report["kernel_dim"] = kdim
     report["middle_exact_with_witness"] = middle_ok
 
@@ -597,7 +554,7 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
     rhs = []
     for j in range(lo - 1, hi + 1):
         def cond(z, j=j):
-            return z.coeff(j) - z.coeff(j + 1).frobenius()
+            return z.get(j, ring.zero) - z.get(j + 1, ring.zero).frobenius()
 
         rows.append(matrix_of_map(space.basis_elems(), cond, big, p).mat)
         rhs.extend([0] * big.dim())
@@ -624,14 +581,6 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
         and not report["split"]
     )
     return report
-
-
-def shift_window(ring, lo, hi, pspace):
-    """Flattening basis for window-supported shifted sums: slots lo..hi,
-    coefficients from a fixed polynomial space."""
-    return BlockSpace(
-        range(lo, hi + 1), pspace, lambda z: z.entries.items(), lambda parts: ShiftElem(ring, parts)
-    )
 
 
 # -- homomorphism spaces ---------------------------------------------------------

@@ -301,25 +301,11 @@ class FpLinearMap:
     def domain_dim(self):
         return self.mat.ncols
 
-    @property
-    def codomain_dim(self):
-        return len(self.mat.rows)
-
-    def apply(self, vec):
-        """The image of the coordinate vector vec, as an int list."""
-        p = self.p
-        v = [int(x) % p for x in vec]
-        return [sum(c * v[j] for j, c in row.items()) % p for row in self.mat.rows]
-
     def compose(self, other):
         """self after other."""
         if self.p != other.p:
             raise ValueError("cannot compose maps over F_%d and F_%d" % (self.p, other.p))
         return FpLinearMap(_product(self.mat, other.mat, self.p), self.p)
-
-    def image_rows(self):
-        """Row-span generating set for the image (columns transposed)."""
-        return self.mat.T
 
     def rank(self):
         return rank(self.mat, self.p)
@@ -439,6 +425,11 @@ class BlockSpace:
             if any(c):
                 parts[k] = self.inner.from_coords(c)
         return self.join(parts)
+
+
+def keyed(keys, inner):
+    """Flat coordinates for key -> inner element dicts (absent keys are zero)."""
+    return BlockSpace(keys, inner, dict.items, dict)
 
 
 def tuple_space(inner, n, zero):

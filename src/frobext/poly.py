@@ -418,6 +418,18 @@ class FieldSpace(PolySpace):
         super().__init__(PolyRing(field, 0), [()])
 
 
+def add_at(out, key, v):
+    """out[key] += v, dropping the key when the sum vanishes: the one merge
+    step of every key -> polynomial dict (sequences, cone elements, skew
+    terms)."""
+    if key in out:
+        v = out[key] + v
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
 def random_poly(ring, mons, rng, density):
     """A seeded random polynomial on the monomial list `mons`: each monomial,
     in list order, is kept when rng.random() < density and then gets e random

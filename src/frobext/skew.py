@@ -16,12 +16,13 @@ from __future__ import annotations
 from .linalg import (
     BlockSpace,
     kernel_basis,
+    keyed,
     matrix_of_map,
     solve,
     solve_with_certificate,
     tuple_space,
 )
-from .poly import MultiPoly, PolySpace
+from .poly import MultiPoly, PolySpace, add_at
 
 
 def frob_power(f, k):
@@ -46,12 +47,7 @@ class SkewElem:
     def __add__(self, other):
         out = dict(self.terms)
         for i, c in other.terms.items():
-            s = out.get(i)
-            s = c if s is None else s + c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
+            add_at(out, i, c)
         return SkewElem(self.ring, out)
 
     def __neg__(self):
@@ -64,11 +60,11 @@ class SkewElem:
         """(r F^i)(s F^j) = r s^(p^i) F^(i+j)."""
         if isinstance(other, (int, MultiPoly)):
             other = SkewElem.of(self.ring, self.ring.coerce(other))
-        out = SkewElem(self.ring, {})
+        out = {}
         for i, r in self.terms.items():
             for j, s in other.terms.items():
-                out = out + SkewElem(self.ring, {i + j: r * frob_power(s, i)})
-        return out
+                add_at(out, i + j, r * frob_power(s, i))
+        return SkewElem(self.ring, out)
 
     def __rmul__(self, other):
         return SkewElem.of(self.ring, self.ring.coerce(other)) * self
@@ -360,111 +356,34 @@ def check_two_step_exact(module, dmax, alpha_override=None):
     return report
 
 
-# -- windows of sequences and the tail maps ---------------------------------
+# -- finitely supported sequences and the dual tail map ----------------------
+#
+# A sequence j -> polynomial is a dict holding its nonzero slots; absent slots
+# are zero, and `keyed` gives such dicts their flat coordinates.
 
 
-class SeqWindow:
-    """A finitely supported sequence j -> polynomial, with window bounds.
-
-    Writes outside the declared window grow it and set .grew (reported by the
-    CLI instead of erroring)."""
-
-    def __init__(self, ring, lo=0, hi=-1, entries=None):
-        self.ring = ring
-        self.lo = lo
-        self.hi = hi
-        self.entries = {}
-        self.grew = False
-        if entries:
-            for j, f in entries.items():
-                self.set(j, ring.coerce(f))
-
-    def set(self, j, f):
-        if self.lo > self.hi:
-            self.lo = self.hi = j
-        elif j < self.lo:
-            self.lo = j
-            self.grew = True
-        elif j > self.hi:
-            self.hi = j
-            self.grew = True
-        if f:
-            self.entries[j] = f
-        else:
-            self.entries.pop(j, None)
-
-    def get(self, j):
-        return self.entries.get(j, self.ring.zero)
-
-    def support(self):
-        return sorted(self.entries)
-
-    def __add__(self, other):
-        out = SeqWindow(self.ring, min(self.lo, other.lo), max(self.hi, other.hi))
-        for j in set(self.entries) | set(other.entries):
-            out.set(j, self.get(j) + other.get(j))
-        return out
-
-    def __neg__(self):
-        out = SeqWindow(self.ring, self.lo, self.hi)
-        for j, f in self.entries.items():
-            out.set(j, -f)
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, c):
-        out = SeqWindow(self.ring, self.lo, self.hi)
-        for j, f in self.entries.items():
-            out.set(j, f * c)
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, SeqWindow) and self.entries == other.entries
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __repr__(self):
-        if not self.entries:
-            return "0"
-        return "; ".join("%d: %s" % (j, self.ring.format(self.entries[j])) for j in self.support())
+def format_seq(ring, z):
+    """`j: f; ...` with the slots in increasing order, or `0`."""
+    return "; ".join("%d: %s" % (j, ring.format(z[j])) for j in sorted(z)) or "0"
 
 
-def seq_space(ring, lo, hi, poly_space):
-    """Flat coordinates for sequences supported in [lo, hi] with polynomial
-    entries drawn from a PolySpace."""
-    return BlockSpace(
-        range(lo, hi + 1),
-        poly_space,
-        lambda w: w.entries.items(),
-        lambda parts: SeqWindow(ring, lo, hi, parts),
-    )
-
-
-def h_dual_apply(s, ts):
-    """The dual of the tail map, on sequence coordinates:
+def h_dual_apply(ring, s, ts):
+    """The dual of the tail map, on sequences:
 
       out_j = (-1)^d (s_j^p - s_(j-1)) + sum_i x_i t_(i,j)
 
-    `s` is a SeqWindow, `ts` a list of d SeqWindows.  The result window is
-    [lo, hi+1] for the combined input window.
+    `s` and the d sequences `ts` are dicts j -> nonzero polynomial; only
+    their slots are visited, and the result is such a dict too.
     """
-    ring = s.ring
-    d = ring.d
-    sign = 1 if d % 2 == 0 else -1
-    lo = min([s.lo] + [t.lo for t in ts])
-    hi = max([s.hi] + [t.hi for t in ts])
-    out = SeqWindow(ring, lo, hi + 1)
-    gens = ring.gens()
-    for j in range(lo, hi + 2):
-        val = sign * (frob_power(s.get(j), 1) - s.get(j - 1))
-        for i, t in enumerate(ts):
-            val = val + gens[i] * t.get(j)
-        out.set(j, val)
+    odd = ring.d % 2
+    out = {}
+    for j, f in s.items():
+        fp = f.frobenius()
+        add_at(out, j, -fp if odd else fp)
+        add_at(out, j + 1, f if odd else -f)
+    for x, t in zip(ring.gens(), ts):
+        for j, f in t.items():
+            add_at(out, j, x * f)
     return out
 
 
@@ -481,23 +400,23 @@ def residue_trace(ring, target):
     """
     d = ring.d
     sign = ring.field.one if d % 2 == 0 else -ring.field.one
-    sup = target.support()
-    if not sup:
+    if not target:
         return {}, False
-    jmax, jmin = max(sup), min(sup)
+    jmax, jmin = max(target), min(target)
     trace = {}
     cur = ring.field.zero  # res(s_jmax) = 0
     trace[jmax] = cur
     for j in range(jmax, jmin - 1, -1):
-        r_j = target.get(j).constant_term()
+        r_j = target.get(j, ring.zero).constant_term()
         cur = cur.frobenius() - sign * r_j
         trace[j - 1] = cur
     return trace, bool(cur)
 
 
 def in_image_hdual(ring, target, window, degree_bound):
-    """Membership of `target` in the image of the dual tail map, searched over
-    sequences supported in `window` with polynomial degree <= degree_bound.
+    """Membership of `target` (a dict j -> nonzero polynomial) in the image of
+    the dual tail map, searched over sequences supported in `window` with
+    polynomial degree <= degree_bound.
 
     Returns a dict with verdict SAT (witness included, re-verified exactly)
     or UNSAT (cokernel functional; plus the residue trace, and proven=True
@@ -508,24 +427,24 @@ def in_image_hdual(ring, target, window, degree_bound):
     p = ring.field.p
     B = degree_bound
     dom_poly = PolySpace.total_degree(ring, B)
-    cod_deg = max(p * B, B + 1, max((f.total_degree() for f in target.entries.values()), default=0))
+    cod_deg = max(p * B, B + 1, max((f.total_degree() for f in target.values()), default=0))
     cod_poly = PolySpace.total_degree(ring, cod_deg)
     # the unknowns (s, t_1, ..., t_d), all supported in the window
-    dom = tuple_space(seq_space(ring, lo, hi, dom_poly), d + 1, SeqWindow(ring, lo, hi))
-    cod = seq_space(ring, lo, hi + 1, cod_poly)
-    A = matrix_of_map(dom.basis_elems(), lambda st: h_dual_apply(st[0], st[1:]), cod, p).mat
+    dom = tuple_space(keyed(range(lo, hi + 1), dom_poly), d + 1, {})
+    cod = keyed(range(lo, hi + 2), cod_poly)
+    A = matrix_of_map(dom.basis_elems(), lambda st: h_dual_apply(ring, st[0], st[1:]), cod, p).mat
     x, cert = solve_with_certificate(A, cod.coords(target), p)
     trace, proven = residue_trace(ring, target)
     trace_str = {str(j): ring.field.format_elem(v) for j, v in sorted(trace.items())}
     if x is not None:
         s, *ts = dom.from_coords(x)
-        assert h_dual_apply(s, ts) == target  # exact re-verification
+        assert h_dual_apply(ring, s, ts) == target  # exact re-verification
         return {
             "verdict": "SAT",
             "window": [lo, hi],
             "degree_bound": B,
-            "witness_s": repr(s),
-            "witness_t": [repr(t) for t in ts],
+            "witness_s": format_seq(ring, s),
+            "witness_t": [format_seq(ring, t) for t in ts],
             "proven": False,
         }
     return {

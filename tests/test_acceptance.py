@@ -27,7 +27,6 @@ from frobext.cartier import (
 )
 from frobext.field import GF
 from frobext.fmodules import (
-    ShiftElem,
     ShiftRInf,
     StdE,
     StdR,
@@ -41,7 +40,6 @@ from frobext.linalg import FpLinearMap
 from frobext.poly import PolySpace, ring_over
 from frobext.rational import RationalBase
 from frobext.skew import (
-    SeqWindow,
     check_two_step_exact,
     flatten_two_step,
     h_dual_apply,
@@ -154,7 +152,7 @@ def test_ac5_tail_dual_misses_the_delta_sequence(criterion):
     with criterion(5, "z0 refuted on every window ≤ 9, bound ≤ 4; controls SAT"):
         for p in (2, 3):
             ring = ring_over(p, 1, 1)
-            z0 = SeqWindow(ring, 0, 0, {0: ring.one})
+            z0 = {0: ring.one}
             for width in range(1, 10):
                 for lo in range(-width, 1):
                     hi = lo + width - 1
@@ -166,12 +164,10 @@ def test_ac5_tail_dual_misses_the_delta_sequence(criterion):
                         assert rep["proven"], (p, lo, hi, bound)
             # first control: x * z0 is hit by a pure tail term
             x = ring.gens()[0]
-            ctrl1 = in_image_hdual(ring, SeqWindow(ring, 0, 0, {0: x}), (0, 0), 0)
+            ctrl1 = in_image_hdual(ring, {0: x}, (0, 0), 0)
             assert ctrl1["verdict"] == "SAT"
             # second control: the image of the delta sequence itself
-            s = SeqWindow(ring, 0, 0, {0: ring.one})
-            t = SeqWindow(ring, 0, 0)
-            target = h_dual_apply(s, [t])
+            target = h_dual_apply(ring, {0: ring.one}, [{}])
             ctrl2 = in_image_hdual(ring, target, (0, 0), 1)
             assert ctrl2["verdict"] == "SAT"
 
@@ -354,7 +350,7 @@ def test_ac11_solvers_agree_with_exhaustive_enumeration(criterion):
                     entries[j] = wspace.from_coords(
                         list(vec[k * wspace.dim() : (k + 1) * wspace.dim()])
                     )
-                image.append(m.artin_schreier(ShiftElem(ring, entries)))
+                image.append(m.artin_schreier(m.coerce(entries)))
             tspace = PolySpace.total_degree(ring, bound)
             tslots = list(range(lo, hi + 1))
             for vec in itertools.product(
@@ -365,7 +361,7 @@ def test_ac11_solvers_agree_with_exhaustive_enumeration(criterion):
                     entries[j] = tspace.from_coords(
                         list(vec[k * tspace.dim() : (k + 1) * tspace.dim()])
                     )
-                u = ShiftElem(ring, entries)
+                u = m.coerce(entries)
                 rep = as_solve(m, u)
                 assert (rep["verdict"] == "SAT") == (u in image), (repr(u), rep)
                 checked += 1
@@ -376,23 +372,22 @@ def test_ac11_solvers_agree_with_exhaustive_enumeration(criterion):
             slots = list(range(lo, hi + 1))
             per = len(slots) * dom.dim()
 
-            def window_from(vec, pspace, wslots, w_lo, w_hi):
-                w = SeqWindow(ring, w_lo, w_hi)
+            def window_from(vec, pspace, wslots):
+                w = {}
                 for k, j in enumerate(wslots):
-                    w.set(j, pspace.from_coords(list(vec[k * pspace.dim() : (k + 1) * pspace.dim()])))
+                    f = pspace.from_coords(list(vec[k * pspace.dim() : (k + 1) * pspace.dim()]))
+                    if f:
+                        w[j] = f
                 return w
 
             image = []
             for vec in itertools.product(range(p), repeat=(1 + d) * per):
-                s = window_from(vec[:per], dom, slots, lo, hi)
-                ts = [
-                    window_from(vec[(1 + i) * per : (2 + i) * per], dom, slots, lo, hi)
-                    for i in range(d)
-                ]
-                image.append(h_dual_apply(s, ts))
+                s = window_from(vec[:per], dom, slots)
+                ts = [window_from(vec[(1 + i) * per : (2 + i) * per], dom, slots) for i in range(d)]
+                image.append(h_dual_apply(ring, s, ts))
             cslots = list(range(lo, hi + 2))
             for vec in itertools.product(range(p), repeat=len(cslots) * cod.dim()):
-                u = window_from(vec, cod, cslots, lo, hi + 1)
+                u = window_from(vec, cod, cslots)
                 rep = in_image_hdual(ring, u, (lo, hi), bound)
                 assert (rep["verdict"] == "SAT") == (u in image), (repr(u), rep)
                 checked += 1

@@ -17,7 +17,6 @@ from frobext.cartier import (
     cone_window,
     standard_module,
 )
-from frobext.fmodules import ShiftElem, shift_window
 from frobext.koszul import KoszulComplex
 from frobext.linalg import (
     FpLinearMap,
@@ -27,6 +26,7 @@ from frobext.linalg import (
     flatten,
     intersection_dim,
     kernel_basis,
+    keyed,
     matrix_of_map,
     rank,
     row_space_contains,
@@ -36,7 +36,7 @@ from frobext.linalg import (
     tuple_space,
 )
 from frobext.poly import PolySpace, ring_over
-from frobext.skew import FreeSkewElem, SeqWindow, graded_skew_space, seq_space
+from frobext.skew import FreeSkewElem, graded_skew_space
 
 
 def brute_kernel_count(A, p):
@@ -288,8 +288,6 @@ def test_sparse_matrices_match_the_dense_oracles(p, m, n, k, density, seed):
         dense_rank(U, p) + r - dense_rank(np.vstack([U, A]), p)
     )
     f = FpLinearMap(S, p)
-    v = rng.integers(0, p, size=n)
-    assert f.apply(v.tolist()) == ((A @ v) % p).tolist()
     g = FpLinearMap(U.T, p)  # n x k
     assert (np.asarray(f.compose(g).mat) == (A @ U.T) % p).all()
 
@@ -382,7 +380,6 @@ def test_linear_map_composition_and_image():
     A = FpLinearMap(np.array([[1, 1], [0, 1]], dtype=np.int64), p)
     B = FpLinearMap(np.array([[1, 0], [1, 1]], dtype=np.int64), p)
     assert (np.asarray(A.compose(B).mat) == (np.asarray(A.mat) @ np.asarray(B.mat)) % p).all()
-    assert A.image_rows().shape[0] == 2
     # an explicit raise, which holds under python -O
     with pytest.raises(ValueError, match="F_2 and F_3"):
         A.compose(FpLinearMap(np.eye(2, dtype=np.int64), 3))
@@ -415,8 +412,8 @@ def _hom_free():
 
 def _seq_window():
     ring = ring_over(2, 2, 1)
-    space = seq_space(ring, -1, 1, PolySpace.total_degree(ring, 1))
-    return space, SeqWindow(ring, entries={2: ring.one})
+    space = keyed(range(-1, 2), PolySpace.total_degree(ring, 1))
+    return space, {2: ring.one}
 
 
 def _graded_skew(twist):
@@ -436,8 +433,8 @@ def _tuple_box():
 
 def _shift_window():
     ring = ring_over(3, 1, 1)
-    space = shift_window(ring, -1, 1, PolySpace.total_degree(ring, 1))
-    return space, ShiftElem(ring, {-2: ring.one})
+    space = keyed(range(-1, 2), PolySpace.total_degree(ring, 1))
+    return space, {-2: ring.one}
 
 
 def _koszul_tuple():

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from frobext.cli import run_scenario_file
+from frobext.fmodules import ShiftRInf
 from frobext.poly import ring_over
 from frobext.skew import (
     FreeCartierCarrier,
     FreeSkewElem,
-    SeqWindow,
     SkewElem,
+    format_seq,
     frob_power,
     h_dual_apply,
     in_image_hdual,
@@ -100,33 +102,75 @@ def test_right_action_is_associative_over_skew_elements():
         assert m.act_skew(skew_mul(a, b)) == m.act_skew(a).act_skew(b)
 
 
-def test_seq_window_grows_on_demand():
-    ring = ring_over(2, 1, 1)
-    w = SeqWindow(ring, 0, 1)
-    w.set(5, ring.one)
-    assert w.get(5) == ring.one
-    assert w.get(-3) == ring.zero
-    assert 5 in w.support()
-
-
 def test_hdual_formula_on_a_point_mass():
     # s supported at slot 0 only: out_0 = sign * s_0^p, out_1 = -sign * s_0
     ring = ring_over(3, 1, 1)
     x = ring.gens()[0]
-    s = SeqWindow(ring, 0, 0, {0: x})
-    out = h_dual_apply(s, [SeqWindow(ring, 0, 0)])
-    assert out.get(0) == -(x**3)
-    assert out.get(1) == x
+    out = h_dual_apply(ring, {0: x}, [{}])
+    assert out[0] == -(x**3)
+    assert out[1] == x
     # the t-part enters through multiplication by the variables
-    t = SeqWindow(ring, 0, 0, {0: ring.one})
-    out2 = h_dual_apply(SeqWindow(ring, 0, 0), [t])
-    assert out2.get(0) == x
+    out2 = h_dual_apply(ring, {}, [{0: ring.one}])
+    assert out2[0] == x
+
+
+def _random_seq(ring, rng, lo, hi):
+    """A dict j -> nonzero polynomial on slots lo..hi; empty one time in four."""
+    if rng.random() < 0.25:
+        return {}
+    return {j: f for j in range(lo, hi + 1) if (f := rand_poly(ring, rng, deg=2))}
+
+
+def _report(path, text):
+    path.write_text(text)
+    rep, code = run_scenario_file(str(path))
+    rep.pop("elapsed_ms")
+    return rep, code
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+def test_hdual_matches_the_slotwise_formula_and_formats(p, e, d, tmp_path):
+    ring = ring_over(p, e, d)
+    gens = ring.gens()
+    zero = ring.zero
+    rng = random.Random(100 * p + 10 * e + d)
+    for _ in range(20):
+        s = _random_seq(ring, rng, -3, 1)
+        ts = [_random_seq(ring, rng, -3, 1) for _ in range(d)]
+        # out_j = (-1)^d (s_j^p - s_(j-1)) + sum_i x_i t_(i,j), slot by slot
+        # over the window plus one, zero slots dropped
+        want = {}
+        for j in range(-3, 3):
+            v = (-1) ** d * (s.get(j, zero) ** p - s.get(j - 1, zero))
+            for x, t in zip(gens, ts):
+                v = v + x * t.get(j, zero)
+            if v:
+                want[j] = v
+        assert h_dual_apply(ring, s, ts) == want
+
+    x1 = gens[0]
+    c = ring.field.from_coords([1] * e)  # 1, or 1 + w over F_4 and F_9
+    coeff = "x1" if e == 1 else "(1 + w)*x1"
+    z = {0: ring.one, -2: x1 * c}
+    assert format_seq(ring, {}) == "0"
+    assert format_seq(ring, z) == "-2: %s; 0: 1" % coeff
+    assert ShiftRInf(ring).format({}) == "0"
+    assert ShiftRInf(ring).format(z) == "(%s)*z[-2] + (1)*z[0]" % coeff
+
+    # a zero slot in a ShiftRInf target is no slot at all
+    head = "task: as-solve\np: %d\ne: %d\nd: %d\nmodule: ShiftRInf\n" % (p, e, d)
+    with_zero = _report(tmp_path / "zero.scenario", head + "target: 0: 0; 1: x1\n")
+    without = _report(tmp_path / "plain.scenario", head + "target: 1: x1\n")
+    assert with_zero == without
+    assert with_zero[0]["target"] == "(x1)*z[1]"
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_residue_trace_forces_constant_ladder(p):
     ring = ring_over(p, 1, 1)
-    target = SeqWindow(ring, 0, 0, {0: ring.one})
+    target = {0: ring.one}
     trace, proven = residue_trace(ring, target)
     assert proven  # a nonzero forced residue rules out every window
     assert any(v for v in trace.values())
@@ -137,7 +181,7 @@ def test_hdual_sat_verdicts_are_monotone_in_the_bounds(p):
     # anything SAT in a window stays SAT in every containing window
     ring = ring_over(p, 1, 1)
     x = ring.gens()[0]
-    target = SeqWindow(ring, 0, 0, {0: x})
+    target = {0: x}
     base = in_image_hdual(ring, target, (-2, 2), 2)
     assert base["verdict"] == "SAT"
     for window, bound in [((-3, 2), 2), ((-2, 3), 2), ((-2, 2), 3), ((-4, 4), 4)]:
@@ -147,7 +191,7 @@ def test_hdual_sat_verdicts_are_monotone_in_the_bounds(p):
 
 def test_hdual_unsat_certificate_is_checkable():
     ring = ring_over(2, 1, 1)
-    target = SeqWindow(ring, 0, 0, {0: ring.one})
+    target = {0: ring.one}
     rep = in_image_hdual(ring, target, (-3, 3), 2)
     assert rep["verdict"] == "UNSAT"
     assert rep["proven"]
