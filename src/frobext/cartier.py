@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .koszul import KoszulComplex
+from .koszul import KoszulComplex, wedge_boundary
 from .linalg import (
     FpLinearMap,
     SparseMatrix,
@@ -35,11 +35,6 @@ from .linalg import (
 )
 from .poly import FieldSpace, PolySpace, add_at, monomials_box, random_poly
 from .skew import FreeCartierCarrier, frob_power
-
-
-def _boundary(S):
-    """Wedge-basis boundary terms: (sign, dropped index, remaining tuple)."""
-    return [((-1) ** idx, l, S[:idx] + S[idx + 1 :]) for idx, l in enumerate(S)]
 
 
 def _digit_tuples(p, d):
@@ -75,8 +70,7 @@ class ArtinianCartierModule(FreeCartierCarrier):
     def normal_form(self, f):
         return self.algebra.reduce(f)
 
-    def space(self, cap=None):
-        # the whole quotient is finite: a degree cap changes nothing
+    def space(self):
         return self._space
 
     def degree(self, v):
@@ -169,32 +163,26 @@ class ConeComplex:
         self.ring = ring
         self.d = ring.d
         self.p = ring.field.p
-        self.fs = [ring.gens()[i] ** a for i, a in enumerate(module.algebra.exponents)]
-        KoszulComplex(ring, self.fs)  # raises unless the defining sequence is regular
+        # the wedge resolution of R/(x1^a1..xd^ad); raises unless the
+        # defining sequence is regular
+        self.koszul = KoszulComplex(
+            ring, [ring.gens()[i] ** a for i, a in enumerate(module.algebra.exponents)]
+        )
+        self.fs = self.koszul.fs
         self.length = self.d + 1
         coupling = [[module.c * v for v in row] for row in module.cmatrix]
         self.kernel = {}
         for j in range(self.d + 1):
-            for S in itertools.combinations(range(self.d), j):
+            for S in self.koszul.subsets(j):
                 outside = ring.one
                 for i in range(self.d):
                     if i not in S:
                         outside = outside * self.fs[i] ** (self.p - 1)
                 self.kernel[S] = [[k * outside for k in row] for row in coupling]
 
-    def subsets(self, j):
-        if j < 0 or j > self.d:
-            return []
-        return list(itertools.combinations(range(self.d), j))
-
     def generator_count(self, n):
         """Wedge-level generators at spot n (twisted + plain)."""
-        from math import comb
-
-        r = self.module.rank
-        return r * (comb(self.d, n - 1) if 1 <= n <= self.d + 1 else 0) + r * (
-            comb(self.d, n) if 0 <= n <= self.d else 0
-        )
+        return self.module.rank * (self.koszul.rank(n - 1) + self.koszul.rank(n))
 
     def differential(self, n, z):
         """d_n: spot n -> spot n-1."""
@@ -202,11 +190,11 @@ class ConeComplex:
         out = {}
         for (part, S, s, i), g in z.items():
             if part == "D":
-                for sign, l, T in _boundary(S):
+                for sign, l, T in wedge_boundary(S):
                     add_at(out, ("D", T, s, i), self.fs[l] * g * sign)
                 continue
             # -boundary into the twisted part
-            for sign, l, T in _boundary(S):
+            for sign, l, T in wedge_boundary(S):
                 add_at(out, ("C", T, s, i), self.fs[l] * g * (-sign))
             # the two-step leg into the plain part
             for t in range(self.module.rank):
@@ -242,9 +230,17 @@ class ConeComplex:
         on the plain part."""
         digits = _digit_tuples(self.p, self.d)
         rank = range(self.module.rank)
-        return [("C", S, s, a) for S in self.subsets(n - 1) for s in rank for a in digits] + [
-            ("D", S, s) for S in self.subsets(n) for s in rank
+        subsets = self.koszul.subsets
+        return [("C", S, s, a) for S in subsets(n - 1) for s in rank for a in digits] + [
+            ("D", S, s) for S in subsets(n) for s in rank
         ]
+
+    def hom_space(self, n, nspace, part=None):
+        """Flat coordinates of Hom(spot n, N), values in `nspace`: a right
+        R{F}-linear map is fixed by its values at the generators of spot n,
+        so the keys are `generator_keys(n)`; `part` ("C" or "D") keeps that
+        part's only."""
+        return keyed([k for k in self.generator_keys(n) if part in (None, k[0])], nspace)
 
     def generators(self, n):
         """(key, element) for each right-module generator of spot n."""
@@ -294,7 +290,7 @@ def cone_window(cone, n, cap, dfmax):
     keys = [
         (part, S, s, i)
         for part, size in (("C", n - 1), ("D", n))
-        for S in cone.subsets(size)
+        for S in cone.koszul.subsets(size)
         for s in range(cone.module.rank)
         for i in range(dfmax + 1)
     ]
@@ -339,44 +335,21 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
                 return True, g
         return False, max_growth
 
-    # top spot: no cycles at all
-    top = cone.length
-    dom = cone_window(cone, top, cap, dfmax)
-    ker = kernel_basis(_flatten_diff(cone, top, dom, cap, dfmax)[0], p)
-    entry = {"spot": top, "window_dim": dom.dim(), "cycles": int(ker.shape[0]), "ok": ker.shape[0] == 0}
-    report["spots"].append(entry)
-    report["passed"] = report["passed"] and entry["ok"]
-
-    # inner spots
-    for n in range(1, top):
+    for n in range(cone.length + 1):
         dom = cone_window(cone, n, cap, dfmax)
-        ker = kernel_basis(_flatten_diff(cone, n, dom, cap, dfmax)[0], p)
-        ok, used = (True, 0) if ker.shape[0] == 0 else hit_by_next(n, ker, dom)
-        entry = {
-            "spot": n,
-            "window_dim": dom.dim(),
-            "cycles": int(ker.shape[0]),
-            "growth_used": used,
-            "ok": ok,
-        }
+        if n:
+            A = _flatten_diff(cone, n, dom, cap, dfmax)[0]
+        else:  # spot 0 is measured by the augmentation
+            A = matrix_of_map(dom.basis_elems(), cone.augment, module.space(), p).mat
+        ker = kernel_basis(A, p)
+        entry = {"spot": n, "window_dim": dom.dim(), "cycles": int(ker.shape[0])}
+        if n == cone.length:  # top spot: no cycles at all
+            entry["ok"] = ker.shape[0] == 0
+        else:
+            ok, used = (True, 0) if ker.shape[0] == 0 else hit_by_next(n, ker, dom)
+            entry.update(growth_used=used, ok=ok)
         report["spots"].append(entry)
-        report["passed"] = report["passed"] and ok
-
-    # spot 0: augmentation kernel
-    dom = cone_window(cone, 0, cap, dfmax)
-    amap = matrix_of_map(dom.basis_elems(), cone.augment, module.space(), p)
-    ker = kernel_basis(amap.mat, p)
-    ok, used = (True, 0) if ker.shape[0] == 0 else hit_by_next(0, ker, dom)
-    entry = {
-        "spot": 0,
-        "window_dim": dom.dim(),
-        "cycles": int(ker.shape[0]),
-        "growth_used": used,
-        "ok": ok,
-    }
-    report["spots"].append(entry)
-    report["passed"] = report["passed"] and ok
-    report["spots"].sort(key=lambda ent: ent["spot"])
+        report["passed"] = report["passed"] and entry["ok"]
     return report
 
 
@@ -384,15 +357,14 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
 
 
 class FreeTarget:
-    """Dual-complex values in the polynomial ring itself, structure map
-    C(cN * -).  Flat spaces are degree-capped boxes; callers must run the
-    stability protocol."""
+    """Dual-complex values in the polynomial ring itself, structure map the
+    digit projection C.  Flat spaces are degree-capped boxes; callers must
+    run the stability protocol."""
 
     exact = False
 
-    def __init__(self, ring, cN=None):
+    def __init__(self, ring):
         self.ring = ring
-        self.cN = ring.one if cN is None else ring.coerce(cN)
 
     def zero(self):
         return self.ring.zero
@@ -404,7 +376,7 @@ class FreeTarget:
         return r * v
 
     def phi(self, v):
-        return self.ring.cartier(self.cN * v)
+        return self.ring.cartier(v)
 
     def phi_iter(self, v, k):
         for _ in range(k):
@@ -417,20 +389,6 @@ class FreeTarget:
 
     def degree(self, v):
         return max((max(e) if e else 0 for e in v.terms), default=0)
-
-
-class HomSpot:
-    """Keys of the value dict describing Hom(spot n, N): a right R{F}-linear
-    map is fixed by its values at the generators of spot n, so the keys are
-    `ConeComplex.generator_keys(n)`; `part` ("C" or "D") keeps that part's
-    only."""
-
-    def __init__(self, cone, n, part=None):
-        self.keys = [k for k in cone.generator_keys(n) if part in (None, k[0])]
-
-    def flat(self, nspace):
-        """Hom elements (key -> value dicts) with values in `nspace`."""
-        return keyed(self.keys, nspace)
 
 
 def _evaluate_hom(cone, target, fvals, z):
@@ -504,8 +462,8 @@ def _dual_dims(cone, target, spots, part=None):
     nspace = target.space()
     mats = []
     for n in spots:
-        dom = HomSpot(cone, n, part).flat(nspace)
-        cod = HomSpot(cone, n + 1, part).flat(nspace)
+        dom = cone.hom_space(n, nspace, part)
+        cod = cone.hom_space(n + 1, nspace, part)
         mats.append(flatten(_dual_images(cone, target, n, dom, part), cod, nspace.p))
     return complex_dims(mats, nspace.p)
 
@@ -550,21 +508,21 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
     ring = cone.ring
     p = ring.field.p
     if gap is None:
-        gap = p + sum(cone.module.algebra.exponents) + target.degree(target.cN)
+        gap = p + sum(cone.module.algebra.exponents)
 
     def q(L):
-        dom = HomSpot(cone, j).flat(target.space(L))
+        dom = cone.hom_space(j, target.space(L))
         images = _dual_images(cone, target, j, dom)
         codcap = max([L] + [_value_degree(target, img) for img in images])
-        cod = HomSpot(cone, j + 1).flat(target.space(codcap))
+        cod = cone.hom_space(j + 1, target.space(codcap))
         ker = kernel_basis(flatten(images, cod, p), p)  # exact cycles with values capped at L
         if j == 0 or ker.shape[0] == 0:
             return int(ker.shape[0])
         big = p * L + gap
-        dom_prev = HomSpot(cone, j - 1).flat(target.space(big))
+        dom_prev = cone.hom_space(j - 1, target.space(big))
         prev_images = _dual_images(cone, target, j - 1, dom_prev)
         ambcap = max([L] + [_value_degree(target, img) for img in prev_images])
-        amb = HomSpot(cone, j).flat(target.space(ambcap))
+        amb = cone.hom_space(j, target.space(ambcap))
         lift = reembed(ker, dom, amb)
         B = flatten(prev_images, amb, p).T
         return int(lift.shape[0]) - intersection_dim(lift, B, p)
@@ -642,7 +600,7 @@ def _cross_block_is_zero(cone, target):
     are zero."""
     nspace = target.space()
     for n in range(cone.length):
-        dom = HomSpot(cone, n, "D").flat(nspace)
+        dom = cone.hom_space(n, nspace, "D")
         if any(_dual_images(cone, target, n, dom, "C")):
             return False
     return True

@@ -182,8 +182,8 @@ def parse_scalar(sc, ring, key):
     return f.constant_term()
 
 
-def parse_window(sc, key, default=None):
-    raw = sc.get(key, default)
+def parse_window(sc, key):
+    raw = sc.get(key, None)
     m = re.fullmatch(r"\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*", raw or "")
     if not m:
         sc.fail(key, "key %r must look like 'lo..hi'" % key)
@@ -214,14 +214,14 @@ def parse_entries(sc, ring, key, text=None):
     return entries
 
 
-def parse_exponents(sc, ring, key="exponents"):
-    raw = sc.get(key)
+def parse_exponents(sc, ring):
+    raw = sc.get("exponents")
     try:
         exps = tuple(int(t) for t in raw.split(","))
     except ValueError:
-        sc.fail(key, "exponents must be a comma-separated integer list")
+        sc.fail("exponents", "exponents must be a comma-separated integer list")
     if len(exps) != ring.d or any(a < 0 for a in exps):
-        sc.fail(key, "need %d exponents, each >= 0" % ring.d)
+        sc.fail("exponents", "need %d exponents, each >= 0" % ring.d)
     return exps
 
 
@@ -587,12 +587,12 @@ def flatten_lines(obj, prefix=""):
     return ["%s: %s" % (prefix, json.dumps(obj))]
 
 
-def diff_paths(got, expected, prefix="", limit=6):
-    """First few places where two canonical reports disagree."""
+def diff_paths(got, expected):
+    """The first six places where two canonical reports disagree."""
     diffs = []
 
     def walk(a, b, path):
-        if len(diffs) >= limit:
+        if len(diffs) >= 6:
             return
         if isinstance(a, dict) and isinstance(b, dict):
             for k in sorted(set(a) | set(b)):
@@ -612,7 +612,7 @@ def diff_paths(got, expected, prefix="", limit=6):
         elif a != b:
             diffs.append("%s: %r != expected %r" % (path, a, b))
 
-    walk(got, expected, prefix)
+    walk(got, expected, "")
     return diffs
 
 

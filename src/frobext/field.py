@@ -202,7 +202,9 @@ class FieldElem:
 class FqSpec:
     """The field F_q, q = p^e, with its fixed modulus and generator name."""
 
-    def __init__(self, p, e, gen_name="w"):
+    gen_name = "w"
+
+    def __init__(self, p, e):
         if not _is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
         if e < 1:
@@ -210,7 +212,6 @@ class FqSpec:
         self.p = p
         self.e = e
         self.q = p ** e
-        self.gen_name = gen_name
         self.modulus = lowest_irreducible(p, e)
         self.zero = FieldElem(self, (0,) * e)
         self.one = FieldElem(self, (1,) + (0,) * (e - 1))
@@ -289,6 +290,6 @@ class FqSpec:
 
 
 @lru_cache(maxsize=None)
-def GF(p, e=1, gen_name="w"):
+def GF(p, e=1):
     """Shared field instances, so parsed literals compare equal."""
-    return FqSpec(p, e, gen_name)
+    return FqSpec(p, e)

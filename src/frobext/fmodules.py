@@ -14,15 +14,13 @@ from __future__ import annotations
 import random
 
 from .artinian import ELevelSpace
-from .linalg import kernel_basis, keyed, matrix_of_map, solve_with_certificate, vstack
+from .linalg import kernel_basis, keyed, matrix_of_map, solve_with_certificate
 from .poly import PolySpace, add_at, random_poly
 from .rational import BoundedRationalSpace, is_squarefree, u_divmod
 
 
 class StdR:
     """The polynomial ring with F(f) = f^p."""
-
-    kind = "StdR"
 
     def __init__(self, ring):
         self.ring = ring
@@ -49,8 +47,8 @@ class StdR:
         """F(f) - f."""
         return f.frobenius() - f
 
-    def sample(self, rng, degree=2):
-        return random_poly(self.ring, PolySpace.total_degree(self.ring, degree).mons, rng, 0.5)
+    def sample(self, rng):
+        return random_poly(self.ring, PolySpace.total_degree(self.ring, 2).mons, rng, 0.5)
 
     def describe(self):
         return "polynomial ring, F = p-th power"
@@ -59,8 +57,6 @@ class StdR:
 class StdE:
     """The graded dual carrier built from inverse monomials, F = p-th power
     on numerator and level alike."""
-
-    kind = "StdE"
 
     def __init__(self, ering):
         self.ering = ering
@@ -87,8 +83,8 @@ class StdE:
     def artin_schreier(self, z):
         return z.pth_power() - z
 
-    def sample(self, rng, level=2):
-        space = ELevelSpace(self.ering, level)
+    def sample(self, rng):
+        space = ELevelSpace(self.ering, 2)
         return space.from_coords([rng.randrange(space.p) for _ in range(space.dim())])
 
     def describe(self):
@@ -104,8 +100,6 @@ class ShiftRInf:
     j -> nonzero polynomial.  Any window imposed later is a search bound, not
     a truncation of the carrier.
     """
-
-    kind = "ShiftRInf"
 
     def __init__(self, ring):
         self.ring = ring
@@ -154,8 +148,6 @@ class ShiftRInf:
 
 class DirectSum:
     """Componentwise F on a tuple of same-shaped instances."""
-
-    kind = "Sum"
 
     def __init__(self, parts):
         self.parts = list(parts)
@@ -549,18 +541,16 @@ def shift_ses_check(ring, nmax=3, degree_bound=2, seed=0):
     report["middle_exact_with_witness"] = middle_ok
 
     # the splitting system: y_j = y_(j+1)^p on every slot, sum y_j = 1
-    big = PolySpace.total_degree(ring, p * degree_bound)
-    rows = []
-    rhs = []
-    for j in range(lo - 1, hi + 1):
-        def cond(z, j=j):
-            return z.get(j, ring.zero) - z.get(j + 1, ring.zero).frobenius()
+    slots = list(range(lo - 1, hi + 1))
 
-        rows.append(matrix_of_map(space.basis_elems(), cond, big, p).mat)
-        rhs.extend([0] * big.dim())
-    rows.append(matrix_of_map(space.basis_elems(), B, big, p).mat)
-    rhs.extend(big.coords(ring.one))
-    x, cert = solve_with_certificate(vstack(rows), rhs, p)
+    def split_system(z):
+        out = {j: z.get(j, ring.zero) - z.get(j + 1, ring.zero).frobenius() for j in slots}
+        out["sum"] = B(z)
+        return out
+
+    cod = keyed(slots + ["sum"], PolySpace.total_degree(ring, p * degree_bound))
+    smap = matrix_of_map(space.basis_elems(), split_system, cod, p)
+    x, cert = solve_with_certificate(smap.mat, cod.coords({"sum": ring.one}), p)
     report["split"] = x is not None
     report["split_window_certificate"] = cert
     report["support_escape"] = (

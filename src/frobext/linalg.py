@@ -101,11 +101,6 @@ def _dense(row, n):
     return vec
 
 
-def vstack(mats):
-    """The rows of `mats`, one matrix after another."""
-    return SparseMatrix([row for A in mats for row in A.rows], mats[0].ncols)
-
-
 def _inv_mod(c, p):
     return pow(int(c), p - 2, p)
 
@@ -397,8 +392,9 @@ class BlockSpace:
         return len(self.keys) * self.inner.dim()
 
     def basis_elems(self):
+        inner = list(self.inner.basis_elems())
         for k in self.keys:
-            for b in self.inner.basis_elems():
+            for b in inner:
                 yield self.join({k: b})
 
     def at(self, key):

@@ -130,13 +130,13 @@ class PolyRing:
         self.var_names = tuple(var_names)
         self.zero = MultiPoly(self, {})
         self.one = MultiPoly(self, {(0,) * d: field.one})
+        self._gens = [
+            MultiPoly(self, {tuple(int(j == i) for j in range(d)): field.one}) for i in range(d)
+        ]
 
     def gens(self):
-        out = []
-        for i in range(self.d):
-            e = tuple(1 if j == i else 0 for j in range(self.d))
-            out.append(MultiPoly(self, {e: self.field.one}))
-        return out
+        """x_1, ..., x_d, in a fresh list; the elements are shared."""
+        return list(self._gens)
 
     def monomial(self, exp, coeff=None):
         exp = tuple(exp)
@@ -442,6 +442,6 @@ def random_poly(ring, mons, rng, density):
     return f
 
 
-def ring_over(p, e=1, d=1, var_names=None, gen_name="w"):
+def ring_over(p, e=1, d=1, var_names=None):
     """Convenience constructor used all over the tests and the CLI."""
-    return PolyRing(GF(p, e, gen_name), d, var_names)
+    return PolyRing(GF(p, e), d, var_names)

@@ -6,7 +6,9 @@ from frobext.koszul import KoszulComplex, koszul_window_report
 from frobext.poly import ring_over
 
 
-@pytest.mark.parametrize("p,d,exps", [(2, 1, (2,)), (2, 2, (1, 1)), (3, 2, (2, 1))])
+@pytest.mark.parametrize(
+    "p,d,exps", [(2, 1, (2,)), (2, 2, (1, 1)), (3, 2, (2, 1)), (2, 3, (1, 2, 1)), (3, 3, (2, 1, 1))]
+)
 def test_d_squared_is_zero_symbolically(p, d, exps):
     ring = ring_over(p, 1, d)
     fs = [g**a for g, a in zip(ring.gens(), exps)]
@@ -28,11 +30,9 @@ def test_two_variable_middle_differential():
     ring = ring_over(3, 1, 2)
     x, y = ring.gens()
     K = KoszulComplex(ring, [x, y])
-    d1 = K.differential(1)
-    assert d1 == [[x, y]]
-    d2 = K.differential(2)
-    flat = [row[0] for row in d2]
-    assert {ring.format(f) for f in flat} == {ring.format(-y), ring.format(x)}
+    assert K.differential({(0,): ring.one}) == {(): x}
+    assert K.differential({(1,): ring.one}) == {(): y}
+    assert K.differential({(0, 1): ring.one}) == {(0,): -y, (1,): x}
 
 
 @pytest.mark.parametrize("p,exps", [(2, (2,)), (3, (1, 1))])

@@ -13,7 +13,6 @@ from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import (
     ConeComplex,
     FreeTarget,
-    HomSpot,
     cone_window,
     standard_module,
 )
@@ -398,7 +397,7 @@ def _cone_window():
 
 def _hom_artinian():
     module = standard_module(ArtinianAlgebra(ring_over(3, 1, 1), (2,)))
-    space = HomSpot(ConeComplex(module), 1).flat(module.space())
+    space = ConeComplex(module).hom_space(1, module.space())
     # a twisted-part key of spot 2
     return space, {("C", (0,), 0, (0,)): module.basis_gen()}
 
@@ -407,7 +406,7 @@ def _hom_free():
     ring = ring_over(2, 1, 1)
     cone = ConeComplex(standard_module(ArtinianAlgebra(ring, (2,))))
     # a plain-part key of spot 0
-    return HomSpot(cone, 1).flat(FreeTarget(ring).space(2)), {("D", (), 0): ring.one}
+    return cone.hom_space(1, FreeTarget(ring).space(2)), {("D", (), 0): ring.one}
 
 
 def _seq_window():
@@ -567,7 +566,7 @@ def test_complex_dims_on_koszul_complex_of_a_power(p, a, b):
     # Hom of the Koszul complex R --x^a--> R into A = F_p[x]/(x^b)
     ring = ring_over(p, 1, 1)
     (x,) = ring.gens()
-    (row,) = KoszulComplex(ring, [x**a]).differential(1)
+    f = KoszulComplex(ring, [x**a]).differential({(0,): 1})[()]
     alg = ArtinianAlgebra(ring, (b,))
-    mats = [np.asarray(alg.action_matrix(row[0]).mat), np.zeros((0, alg.dim_fp()), dtype=np.int64)]
+    mats = [np.asarray(alg.action_matrix(f).mat), np.zeros((0, alg.dim_fp()), dtype=np.int64)]
     assert complex_dims(mats, p) == brute_complex_dims(mats, p) == [min(a, b)] * 2
