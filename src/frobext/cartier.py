@@ -391,33 +391,6 @@ class FreeTarget:
         return max((max(e) if e else 0 for e in v.terms), default=0)
 
 
-def _evaluate_hom(cone, target, fvals, z):
-    """Evaluate a Hom element (finitely supported key -> value dict) on a
-    cone element, using right R{F}-linearity:
-
-        f(g . e' (x) F^i) = phiN^i( sum_b digit_b(g) * f(x^b . e') )
-        f(g . e  (x) F^i) = phiN^i( g * f(e) )
-
-    `_dual_images` indexes this sum for unit functionals; this direct form
-    is the reference it is tested against."""
-    ring = cone.ring
-    acc = target.zero()
-    for (part, S, s, i), g in z.items():
-        if part == "C":
-            inner = target.zero()
-            for b, w in ring.frobenius_digits(g).items():
-                v = fvals.get(("C", S, s, b))
-                if v is not None and w:
-                    inner = target.add(inner, target.act(w, v))
-        else:
-            v = fvals.get(("D", S, s))
-            if v is None:
-                continue
-            inner = target.act(g, v)
-        acc = target.add(acc, target.phi_iter(inner, i))
-    return acc
-
-
 def _dual_images(cone, target, n, dom_space, part=None):
     """Images of the dual differential Hom(spot n) -> Hom(spot n+1) on the
     flat basis of dom_space; each image is a key -> value dict.  `part`
@@ -428,8 +401,9 @@ def _dual_images(cone, target, n, dom_space, part=None):
     reads only the terms of the bounded differentials that name k.  These
     are indexed once, k -> [(generator key, F-degree i, coefficient w)],
     with each twisted term's digits taken once; the functional's value at a
-    generator is then the sum of phiN^i(w * b) over its terms, which is
-    `_evaluate_hom` on that functional."""
+    generator is then the sum of phiN^i(w * b) over its terms, the value
+    that right R{F}-linearity gives that functional (tests/test_cartier.py
+    checks this against the direct evaluation)."""
     ring = cone.ring
     reads = {}
     for gkey, g in cone.generators(n + 1):

@@ -20,7 +20,6 @@ from frobext.cartier import (
     _cross_block_is_zero,
     _dual_images,
     _flatten_diff,
-    _evaluate_hom,
     _is_zero_value,
     _value_degree,
     coker_formula,
@@ -306,6 +305,33 @@ def test_ext_rf_top_spot_at_d3_runs_in_a_gib(tmp_path):
     assert run.returncode == 0, run.stderr
     rep = json.loads(run.stdout)
     assert (rep["dim"], rep["stable"]) == (1, True)
+
+
+def _evaluate_hom(cone, target, fvals, z):
+    """Evaluate a Hom element (finitely supported key -> value dict) on a
+    cone element, using right R{F}-linearity:
+
+        f(g . e' (x) F^i) = phiN^i( sum_b digit_b(g) * f(x^b . e') )
+        f(g . e  (x) F^i) = phiN^i( g * f(e) )
+
+    `_dual_images` indexes this sum for unit functionals; this direct form
+    is the reference it is checked against."""
+    ring = cone.ring
+    acc = target.zero()
+    for (part, S, s, i), g in z.items():
+        if part == "C":
+            inner = target.zero()
+            for b, w in ring.frobenius_digits(g).items():
+                v = fvals.get(("C", S, s, b))
+                if v is not None and w:
+                    inner = target.add(inner, target.act(w, v))
+        else:
+            v = fvals.get(("D", S, s))
+            if v is None:
+                continue
+            inner = target.act(g, v)
+        acc = target.add(acc, target.phi_iter(inner, i))
+    return acc
 
 
 def _dual_targets(p, d):

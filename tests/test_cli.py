@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,16 @@ def test_malformed_ring_spec_exits_nonzero(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", path)
     assert code == 1
     assert "bad field/ring" in err
+
+
+def test_field_above_the_size_cap_is_refused_at_the_p_line(tmp_path, capsys):
+    text = "task: coker-formula\np: 2\ne: 17\nd: 1\n"
+    path = write(tmp_path, "big.scenario", text)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "run", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert f"{path}:2:" in err and "2^16" in err
 
 
 def test_poly_parse_error_reports_line_and_column(tmp_path, capsys):

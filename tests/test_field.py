@@ -1,10 +1,14 @@
-"""Finite-field layer: exhaustive laws on small fields, hypothesis on F_q."""
+"""Finite-field layer: exhaustive laws on small fields, hypothesis on F_q,
+and the lookup tables against schoolbook coordinate arithmetic."""
+
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobext.field import GF
+from frobext.field import GF, MAX_Q, FqSpec, _poly_divmod, _poly_mul_mod_p, _prime_factors
 
 
 SMALL = [GF(2), GF(2, 2), GF(2, 3), GF(3), GF(3, 2), GF(5), GF(7, 2)]
@@ -98,3 +102,85 @@ def test_format_parse_agree_on_generator():
     assert field.format_elem(w) == "w"
     assert field.format_elem(field.one + w) == "1 + w"
     assert field.format_elem(field.zero) == "0"
+
+
+# -- the tables against schoolbook arithmetic on coordinate tuples ------------
+
+ORACLE = [GF(p, e) for p in range(2, 82) if _prime_factors(p) == [p] for e in range(1, 7) if p ** e <= 81]
+
+
+def _school_add(field, a, b):
+    return tuple((x + y) % field.p for x, y in zip(a, b))
+
+
+def _school_mul(field, a, b):
+    rem = _poly_divmod(_poly_mul_mod_p(list(a), list(b), field.p), field.modulus, field.p)[1]
+    return tuple(rem + [0] * (field.e - len(rem)))
+
+
+def _school_pow(field, a, n):
+    out = (1,) + (0,) * (field.e - 1)
+    for _ in range(n):
+        out = _school_mul(field, out, a)
+    return out
+
+
+def _check_pair(field, a, b):
+    assert (a + b).val == _school_add(field, a.val, b.val)
+    assert (a * b).val == _school_mul(field, a.val, b.val)
+
+
+def _check_unary(field, a):
+    p = field.p
+    one = (1,) + (0,) * (field.e - 1)
+    assert (-a).val == tuple((-x) % p for x in a.val)
+    assert a.frobenius().val == _school_pow(field, a.val, p)
+    assert _school_pow(field, a.pth_root().val, p) == a.val
+    if a:
+        assert _school_mul(field, a.val, a.inverse().val) == one
+
+
+@pytest.mark.parametrize("field", ORACLE, ids=lambda f: "q%d" % f.q)
+def test_tables_match_schoolbook_arithmetic_exhaustively(field):
+    elems = list(field.elements())
+    for a in elems:
+        _check_unary(field, a)
+        for b in elems:
+            _check_pair(field, a, b)
+
+
+@pytest.mark.parametrize("p,e", [(2, 8), (3, 5)])
+def test_tables_match_schoolbook_arithmetic_on_a_sample(p, e):
+    field = GF(p, e)
+    rng = random.Random(p * 100 + e)
+    elems = list(field.elements())
+    for _ in range(2000):
+        a, b = rng.choice(elems), rng.choice(elems)
+        _check_pair(field, a, b)
+        _check_unary(field, a)
+
+
+@pytest.mark.parametrize("field", ORACLE + [GF(2, 8), GF(3, 5)], ids=lambda f: "q%d" % f.q)
+def test_codes_are_the_coordinates_in_base_p(field):
+    for code, a in enumerate(field.elements()):
+        assert a.code == code
+        assert field.from_coords(a.val) is a
+        assert a.val == tuple((code // field.p ** i) % field.p for i in range(field.e))
+    if field.e > 1:
+        assert field.gen.code == field.p
+        assert field.gen.val == (0, 1) + (0,) * (field.e - 2)
+
+
+def test_fields_up_to_the_size_cap_build_quickly():
+    assert MAX_Q == 2 ** 16
+    for p, e in [(2, 16), (3, 10)]:
+        start = time.perf_counter()
+        field = FqSpec(p, e)
+        assert time.perf_counter() - start < 2.0
+        assert field.q == p ** e and field.gen ** (field.q - 1) == field.one
+
+
+def test_fields_above_the_size_cap_are_refused():
+    for p, e in [(2, 17), (3, 11), (65537, 1), (2, 10 ** 9)]:
+        with pytest.raises(ValueError, match="2\\^16"):
+            GF(p, e)
