@@ -8,7 +8,7 @@ level n to level m multiplies the numerator by (x1...xd)^(m-n).
 
 from __future__ import annotations
 
-from .linalg import FpLinearMap, matrix_of_map
+from .linalg import matrix_of_map
 from .poly import MultiPoly, PolySpace, monomials_box
 
 

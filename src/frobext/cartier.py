@@ -19,7 +19,6 @@ import random
 
 from .koszul import KoszulComplex, wedge_boundary
 from .linalg import (
-    FpLinearMap,
     SparseMatrix,
     StructureError,
     artin_schreier_map,
@@ -29,6 +28,8 @@ from .linalg import (
     kernel_basis,
     keyed,
     matrix_of_map,
+    product,
+    rank,
     reembed,
     solve,
     tuple_space,
@@ -587,16 +588,11 @@ def coker_formula(field):
     """dim over F_p of F_q modulo the image of x -> x^p - x.
 
     The kernel of that map is exactly F_p (solutions of x^p = x), so the
-    image has codimension one; the formula e - rank is computed anyway and
-    the surjective branch is unreachable for a finite field.
+    image has codimension one; the formula e - rank is computed anyway.
     """
     space = FieldSpace(field)
     fmap = artin_schreier_map(space, space, lambda x: x**field.p)
-    r = fmap.rank()
-    if r >= field.e:
-        # cannot happen: x^p - x kills all of F_p
-        return 0
-    return field.e - r
+    return field.e - rank(fmap.mat, field.p)
 
 
 # -- transpose and the unitalization tower ------------------------------------
@@ -618,15 +614,10 @@ def unit_transpose_map(module):
 
 
 def unit_transpose_report(module):
-    fmap, tau, digits = unit_transpose_map(module)
-    ker = kernel_basis(fmap.mat, fmap.p)
-    return {
-        "domain_dim": fmap.domain_dim,
-        "codomain_dim": fmap.mat.shape[0],
-        "rank": fmap.rank(),
-        "injective": ker.shape[0] == 0,
-        "surjective": fmap.rank() == fmap.mat.shape[0],
-    }
+    A = unit_transpose_map(module)[0].mat
+    m, n = A.shape
+    r = rank(A, module.ring.field.p)
+    return {"domain_dim": n, "codomain_dim": m, "rank": r, "injective": r == n, "surjective": r == m}
 
 
 def free_transpose_roundtrip(ring, cap):
@@ -673,7 +664,7 @@ def unitalize_report(module, levels):
     along a fresh index.  Reports per-level dimensions and transition ranks
     (and their composite), all over F_p."""
     fmap, _, digits = unit_transpose_map(module)
-    p, nd, mdim = fmap.p, len(digits), fmap.domain_dim
+    p, nd, mdim = module.ring.field.p, len(digits), fmap.mat.ncols
 
     def level_dim(l):
         return (nd**l) * mdim
@@ -684,15 +675,15 @@ def unitalize_report(module, levels):
         each index tuple's block and appends the fresh index last: the
         block-diagonal matrix with one copy of the transpose's per tuple."""
         rows = [{b * mdim + j: v for j, v in row.items()} for b in range(nd**l) for row in fmap.mat.rows]
-        return FpLinearMap(SparseMatrix(rows, level_dim(l)), p)
+        return SparseMatrix(rows, level_dim(l))
 
     report = {"level_dims": [level_dim(l) for l in range(levels + 1)], "transition_ranks": []}
     comp = None
     for l in range(levels):
         tm = transition_matrix(l)
-        report["transition_ranks"].append(tm.rank())
-        comp = tm if comp is None else tm.compose(comp)
-    report["composite_rank"] = comp.rank() if comp is not None else level_dim(0)
+        report["transition_ranks"].append(rank(tm, p))
+        comp = tm if comp is None else product(tm, comp, p)
+    report["composite_rank"] = rank(comp, p) if comp is not None else level_dim(0)
     report["all_transitions_injective"] = all(
         r == report["level_dims"][l] for l, r in enumerate(report["transition_ranks"])
     )

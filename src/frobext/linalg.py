@@ -11,9 +11,11 @@ and certificates are int lists.  An unsolvable system comes back with a
 cokernel functional: the first row y of `kernel_basis(A.T)` with y @ b != 0,
 checked to satisfy y @ A == 0.
 
-Nothing here needs numpy.  The public functions also take dense matrices
-(numpy arrays or lists of rows), and a `SparseMatrix` densifies through
-`__array__`, which imports numpy when it is called.
+Nothing here needs numpy, and every function takes and returns
+`SparseMatrix`es only; vectors (right-hand sides, solutions, certificates,
+flat coordinates) are int lists.  `SparseMatrix.__array__`, which imports
+numpy when it is called, is kept for readers outside the runtime path: the
+benchmark's tracer and the tests' dense oracles.
 
 `BlockSpace` is the one home of the flat layout: every direct sum of copies
 of a leaf coordinate space (cone windows, Hom values, sequence windows,
@@ -30,8 +32,7 @@ from itertools import compress
 
 class SparseMatrix:
     """An m x n matrix over F_p: rows[i] is a {column: value} dict of row i's
-    nonzero entries, each in 1..p-1.  Iterating yields the rows as dense int
-    lists."""
+    nonzero entries, each in 1..p-1."""
 
     __slots__ = ("rows", "ncols")
 
@@ -55,10 +56,6 @@ class SparseMatrix:
         """The m x k matrix of the first k columns."""
         return SparseMatrix([{j: v for j, v in row.items() if j < k} for row in self.rows], k)
 
-    def __iter__(self):
-        for row in self.rows:
-            yield _dense(row, self.ncols)
-
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
@@ -78,16 +75,6 @@ class SparseMatrix:
             if row:
                 out[i, list(row)] = list(row.values())
         return out
-
-
-def as_sparse(A, p):
-    """A as a SparseMatrix over F_p.  A SparseMatrix is returned as it is; a
-    dense matrix (a numpy array or a list of rows) is reduced mod p."""
-    if isinstance(A, SparseMatrix):
-        return A
-    rows = A.tolist() if hasattr(A, "tolist") else A
-    ncols = A.shape[1] if hasattr(A, "shape") else len(rows[0]) if rows else 0
-    return SparseMatrix([_sparse_row(r, p) for r in rows], ncols)
 
 
 def _sparse_row(vec, p):
@@ -117,7 +104,6 @@ def rref_transform(A, p):
     unique, so R is the one any Gauss-Jordan pivot order gives, whatever
     order A's rows are taken in.
     """
-    A = as_sparse(A, p)
     piv = _echelon(A.rows, p, {})
     pivots = sorted(piv)
     for c in reversed(pivots):
@@ -167,7 +153,7 @@ def _combine(y, rows, p):
     return {j: x for j, v in out.items() if (x := v % p)}
 
 
-def _product(A, B, p):
+def product(A, B, p):
     """A @ B (mod p)."""
     if A.ncols != len(B.rows):
         raise ValueError("cannot multiply %d x %d by %d x %d" % (A.shape + B.shape))
@@ -182,7 +168,6 @@ def kernel_basis(A, p):
     """Rows of the result form a basis of {x : A x = 0 (mod p)}: one row per
     non-pivot column f, in increasing f, with a 1 at f and minus column f of
     the pivot rows at the pivot columns."""
-    A = as_sparse(A, p)
     n = A.ncols
     R, pivots = rref_transform(A, p)
     pivset = set(pivots)
@@ -197,10 +182,10 @@ def kernel_basis(A, p):
 
 def _targets(A, b, p):
     """The right-hand side b of A x = b as an m x k SparseMatrix, and whether
-    b stacks k column targets (a SparseMatrix or a 2-d array) rather than
-    being one vector (a sequence of ints)."""
-    stacked = isinstance(b, SparseMatrix) or getattr(b, "ndim", 1) == 2
-    B = as_sparse(b, p) if stacked else SparseMatrix([_sparse_row([v], p) for v in b], 1)
+    b stacks k column targets (a SparseMatrix) rather than being one vector
+    (a sequence of ints)."""
+    stacked = isinstance(b, SparseMatrix)
+    B = b if stacked else SparseMatrix([_sparse_row([v], p) for v in b], 1)
     if len(B.rows) != len(A.rows):
         raise ValueError("%d right-hand side rows for %d equations" % (len(B.rows), len(A.rows)))
     return B, stacked
@@ -210,7 +195,6 @@ def solve(A, b, p):
     """One solution x of A x = b (mod p), or None.  For a vector b, x is an
     int list.  For stacked column targets b, x is the SparseMatrix of the
     solutions' columns, and None means some column has no solution."""
-    A = as_sparse(A, p)
     B, stacked = _targets(A, b, p)
     n = A.ncols
     aug = [dict(row) for row in A.rows]
@@ -240,7 +224,6 @@ def solve_with_certificate(A, b, p):
     x = solve(A, b, p)
     if x is not None:
         return x, None
-    A = as_sparse(A, p)
     B, _ = _targets(A, b, p)
     y = next((y for y in kernel_basis(A.T, p).rows if _combine(y, B.rows, p)), None)
     if y is None:
@@ -260,11 +243,10 @@ def complex_dims(mats, p):
     has the matrix mats[j]: dim ker mats[0], then dim(ker mats[j] / im
     mats[j-1]) for each later j.  Raises ValueError when some mats[j] @
     mats[j-1] is not zero, i.e. the maps do not form a complex."""
-    mats = [as_sparse(A, p) for A in mats]
     dims = []
     prev_rank = 0
     for j, A in enumerate(mats):
-        if j and any(_product(A, mats[j - 1], p).rows):
+        if j and any(product(A, mats[j - 1], p).rows):
             raise ValueError("image of map %d is not contained in the kernel of map %d" % (j - 1, j))
         r = rank(A, p)
         dims.append(A.ncols - r - prev_rank)
@@ -276,7 +258,6 @@ def intersection_dim(U, V, p):
     """dim(span U intersect span V), for the row spans.  V is eliminated
     once and U's rows are then reduced against V's pivot rows: each that
     does not vanish adds one to dim(span U + span V)."""
-    U = as_sparse(U, p)
     du = rank(U, p)
     R, pivots = rref_transform(V, p)
     if du == 0 or not pivots:
@@ -286,27 +267,14 @@ def intersection_dim(U, V, p):
 
 
 class FpLinearMap:
-    """A concrete F_p-linear map, stored as (codomain_dim x domain_dim)."""
+    """A flattened map: `mat` is its (codomain_dim x domain_dim) SparseMatrix.
+    `matrix_of_map` returns this holder rather than the bare matrix only
+    because the benchmark's tracer reads `.mat` off its result."""
 
-    def __init__(self, mat, p):
-        self.mat = as_sparse(mat, p)
-        self.p = p
+    __slots__ = ("mat",)
 
-    @property
-    def domain_dim(self):
-        return self.mat.ncols
-
-    def compose(self, other):
-        """self after other."""
-        if self.p != other.p:
-            raise ValueError("cannot compose maps over F_%d and F_%d" % (self.p, other.p))
-        return FpLinearMap(_product(self.mat, other.mat, self.p), self.p)
-
-    def rank(self):
-        return rank(self.mat, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, FpLinearMap) and self.p == other.p and self.mat == other.mat
+    def __init__(self, mat):
+        self.mat = mat
 
 
 def flatten(images, cod, p):
@@ -366,7 +334,7 @@ def matrix_of_map(domain_basis, apply_fn, cod, p):
     apply_fn: the map, applied to one basis element.
     cod: the flat codomain space (exposes coords and dim).
     """
-    return FpLinearMap(flatten((apply_fn(b) for b in domain_basis), cod, p), p)
+    return FpLinearMap(flatten((apply_fn(b) for b in domain_basis), cod, p))
 
 
 class BlockSpace:
@@ -412,15 +380,20 @@ class BlockSpace:
         return _dense(out, n)
 
     def from_coords(self, vec):
-        """The element with coordinates vec; a part whose coordinates are all
-        zero is left out, and `join` reads it as zero."""
+        """The element with coordinates vec."""
+        return self.from_row(dict(zip(compress(range(len(vec)), vec), compress(vec, vec))))
+
+    def from_row(self, row):
+        """The element whose nonzero coordinates are the {index: value} dict
+        `row` (a row of a SparseMatrix); a part with no entry in row is left
+        out, and `join` reads it as zero."""
         n = self.inner.dim()
-        parts = {}
-        for k, at in self.offset.items():
-            c = vec[at : at + n]
-            if any(c):
-                parts[k] = self.inner.from_coords(c)
-        return self.join(parts)
+        cuts = {}
+        for i, v in row.items():
+            cuts.setdefault(i // n, {})[i % n] = v
+        return self.join(
+            {self.keys[b]: self.inner.from_coords(_dense(part, n)) for b, part in sorted(cuts.items())}
+        )
 
 
 def keyed(keys, inner):

@@ -8,6 +8,8 @@ nonzero FieldElem values.  Display order is graded lexicographic, x1 > x2 > ...
 
 from __future__ import annotations
 
+import operator
+
 from .field import FieldElem, GF
 
 
@@ -57,7 +59,7 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 s = out.get(e)
                 s = c if s is None else s + c

@@ -18,6 +18,7 @@ from .linalg import (
     kernel_basis,
     keyed,
     matrix_of_map,
+    product,
     solve,
     solve_with_certificate,
     tuple_space,
@@ -305,11 +306,11 @@ def check_two_step_exact(module, dmax, alpha_override=None):
     Checks: beta.alpha = 0; alpha injective; every beta-kernel element with
     top degree <= dmax - 1 is hit by alpha, producing the explicit witness
     x_j = -sum_{k>j} phi^(k-j-1)(y_k) and verifying it exactly.
-    alpha_override replaces the flattened alpha (used by mutation tests).
+    alpha_override, a SparseMatrix, replaces the flattened alpha (used by
+    mutation tests).
     """
     amap, bmap, dom, cod = flatten_two_step(module, dmax)
-    if alpha_override is not None:
-        amap = alpha_override
+    A = amap.mat if alpha_override is None else alpha_override
     p = dom.p
     report = {
         "dmax": dmax,
@@ -320,29 +321,27 @@ def check_two_step_exact(module, dmax, alpha_override=None):
         "counterexample": None,
         "passed": False,
     }
-    comp = bmap.compose(amap)
-    if any(comp.mat.rows):
+    comp = product(bmap.mat, A, p)
+    if any(comp.rows):
         report["beta_alpha_zero"] = False
-        col = min(min(row) for row in comp.mat.rows if row)
-        vec = [0] * amap.domain_dim
-        vec[col] = 1
-        report["counterexample"] = repr(dom.from_coords(vec))
-    ker_a = kernel_basis(amap.mat, p)
-    if ker_a.shape[0]:
+        col = min(min(row) for row in comp.rows if row)
+        report["counterexample"] = repr(dom.from_row({col: 1}))
+    ker_a = kernel_basis(A, p)
+    if ker_a.rows:
         report["alpha_injective"] = False
-        report["counterexample"] = repr(dom.from_coords(next(iter(ker_a))))
+        report["counterexample"] = repr(dom.from_row(ker_a.rows[0]))
     # beta-kernel elements with top degree <= dmax - 1; sub's layout is the
     # first sub.dim() coordinates of cod's, so a kernel row is also y's
     # coordinates in cod, and alpha's image of each witness is compared to it
     sub = graded_skew_space(module, dmax - 1, twist=0)
     kernel = kernel_basis(bmap.mat.first_columns(sub.dim()), p)
-    ys = [sub.from_coords(vec) for vec in kernel]
+    ys = [sub.from_row(row) for row in kernel.rows]
     witnesses = matrix_of_map(ys, lambda y: two_step_witness(module, y), dom, p)
-    images = amap.compose(witnesses).mat.T.rows
+    images = product(A, witnesses.mat, p).T.rows
     for y, row, image in zip(ys, kernel.rows, images):
         if image != row:
             report["witness_formula_ok"] = False
-            sol = solve(amap.mat, cod.coords(y), p)
+            sol = solve(A, cod.coords(y), p)
             if sol is None:
                 report["kernel_covered"] = False
                 report["counterexample"] = repr(y)

@@ -36,7 +36,6 @@ from frobext.fmodules import (
     rational_class_distinct,
     shift_ses_check,
 )
-from frobext.linalg import FpLinearMap
 from frobext.poly import PolySpace, ring_over
 from frobext.rational import RationalBase
 from frobext.skew import (
@@ -45,6 +44,8 @@ from frobext.skew import (
     h_dual_apply,
     in_image_hdual,
 )
+
+from dense import sparse
 
 SIZE_CAP = 2**8
 
@@ -92,13 +93,13 @@ def test_ac1_two_step_exactness_with_mutation_detection(criterion):
                 bad[:, col] = 0
             else:
                 bad[:, col] = (-bad[:, col]) % p
-            mutated = check_two_step_exact(module, 3, alpha_override=FpLinearMap(bad, p))
+            mutated = check_two_step_exact(module, 3, alpha_override=sparse(bad, p))
             assert not mutated["passed"]
 
             # the inclusion of a *different* structure must be rejected too
             alg = ArtinianAlgebra(ring, (2,))
             foreign, _, _, _ = flatten_two_step(scaled_module(alg, ring.gens()[0]), 3)
-            crossed = check_two_step_exact(standard_module(alg), 3, alpha_override=foreign)
+            crossed = check_two_step_exact(standard_module(alg), 3, alpha_override=foreign.mat)
             assert not crossed["passed"]
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, elapsed

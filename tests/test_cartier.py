@@ -39,7 +39,6 @@ from frobext.cartier import (
 )
 from frobext.field import GF
 from frobext.linalg import (
-    FpLinearMap,
     SparseMatrix,
     flatten,
     kernel_basis,
@@ -56,6 +55,8 @@ from frobext.skew import (
     two_step_maps,
     two_step_witness,
 )
+
+from dense import sparse
 
 
 def module_zoo(p):
@@ -138,7 +139,7 @@ def test_two_step_witness_recurrence_matches_the_closed_form(p, e):
     module = random_module(ArtinianAlgebra(ring, (2,)), rank=2, seed=17)
     alpha, _ = two_step_maps(module)
     _, bmap, _, cod = flatten_two_step(module, 4)
-    rows = list(kernel_basis(bmap.mat, p))
+    rows = np.asarray(kernel_basis(bmap.mat, p)).tolist()
     assert len(rows) > 8
     for vec in rows + [[(a + b) % p for a, b in zip(u, v)] for u, v in zip(rows, rows[3:])]:
         y = cod.from_coords(vec)
@@ -158,7 +159,7 @@ def test_mutated_alpha_is_detected(p):
         bad[:, col] = 0  # a sign flip is invisible in characteristic 2
     else:
         bad[:, col] = (-bad[:, col]) % p
-    report = check_two_step_exact(module, 3, alpha_override=FpLinearMap(bad, p))
+    report = check_two_step_exact(module, 3, alpha_override=sparse(bad, p))
     assert not report["passed"]
 
 
@@ -171,7 +172,7 @@ def test_mutated_structure_map_is_detected(p):
     honest = standard_module(alg)
     tampered = scaled_module(alg, x)
     amap, _, _, _ = flatten_two_step(tampered, 3)
-    report = check_two_step_exact(honest, 3, alpha_override=amap)
+    report = check_two_step_exact(honest, 3, alpha_override=amap.mat)
     assert not report["passed"]
 
 
@@ -283,7 +284,7 @@ def test_reembedded_cycles_match_the_coordinate_round_trip(p, e, d):
         n = dom.dim()
         drawn = [{c: rng.randrange(1, p) for c in rng.sample(range(n), min(n, 4))} for _ in range(3)]
         for rows in (cycles, SparseMatrix(drawn, n)):
-            reference = flatten((dom.from_coords(v) for v in rows), amb, p).T
+            reference = flatten((dom.from_row(row) for row in rows.rows), amb, p).T
             assert reembed(rows, dom, amb) == reference
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from frobext import cli
 from frobext.cli import main
+from frobext.linalg import SparseMatrix
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -173,6 +174,22 @@ def test_the_runtime_needs_no_numpy():
         [sys.executable, "-c", child, str(CORPUS)], env=env, capture_output=True, text=True, timeout=300
     )
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_the_corpus_densifies_no_matrix(monkeypatch):
+    # SparseMatrix.__array__ serves only the tests' oracles and the
+    # benchmark's tracer: with it raising, every corpus entry still gives
+    # its expected report
+    def refuse(self, dtype=None, copy=None):
+        raise RuntimeError("a SparseMatrix was densified")
+
+    monkeypatch.setattr(SparseMatrix, "__array__", refuse)
+    names = sorted(path.stem for path in CORPUS.glob("*.scenario"))
+    assert names
+    for name in names:
+        report, _ = cli.run_scenario_file(str(CORPUS / (name + ".scenario")))
+        expected = json.loads((CORPUS / (name + ".expected.json")).read_text())
+        assert cli.strip_volatile(report) == cli.strip_volatile(expected), name
 
 
 def test_regress_detects_drift(tmp_path, capsys):
