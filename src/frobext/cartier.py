@@ -74,9 +74,6 @@ class ArtinianCartierModule(FreeCartierCarrier):
     def space(self):
         return self._space
 
-    def degree(self, v):
-        return 0
-
     def basis_gen(self, s=0):
         m = list(self.zero())
         m[s] = self.ring.one
@@ -388,23 +385,14 @@ class FreeTarget:
         # cap is the largest exponent allowed, inclusive
         return PolySpace.box(self.ring, cap + 1)
 
-    def degree(self, v):
-        return max((max(e) if e else 0 for e in v.terms), default=0)
 
-
-def _dual_images(cone, target, n, dom_space, part=None):
-    """Images of the dual differential Hom(spot n) -> Hom(spot n+1) on the
-    flat basis of dom_space; each image is a key -> value dict.  `part`
-    ("C" or "D") reads only that part's generators of spot n+1, which gives
-    one block of the dual differential.
-
-    A basis functional is one key k with one inner basis value b, so it
-    reads only the terms of the bounded differentials that name k.  These
-    are indexed once, k -> [(generator key, F-degree i, coefficient w)],
-    with each twisted term's digits taken once; the functional's value at a
-    generator is then the sum of phiN^i(w * b) over its terms, the value
-    that right R{F}-linearity gives that functional (tests/test_cartier.py
-    checks this against the direct evaluation)."""
+def _reads(cone, n, part=None):
+    """The dual differential Hom(spot n) -> Hom(spot n+1), indexed by what
+    each basis functional reads: a functional is one key k with one inner
+    value b, so it reads only the terms of the bounded differentials that
+    name k.  Returns k -> [(generator key, F-degree i, coefficient w)], with
+    each twisted term's digits taken once.  `part` ("C" or "D") keeps only
+    that part's generators of spot n+1, which gives one block."""
     ring = cone.ring
     reads = {}
     for gkey, g in cone.generators(n + 1):
@@ -417,17 +405,27 @@ def _dual_images(cone, target, n, dom_space, part=None):
             for b, w in ring.frobenius_digits(h).items():
                 if w:
                     reads.setdefault(("C", S, s, b), []).append((gkey, i, w))
+    return reads
+
+
+def _image(target, terms, b):
+    """Generator -> the nonzero value sum phiN^i(w * b) over a functional's
+    terms, for inner value b: what right R{F}-linearity gives it
+    (tests/test_cartier.py checks this against the direct evaluation)."""
+    img = {}
+    for gkey, i, w in terms:
+        v = target.phi_iter(target.act(w, b), i)
+        img[gkey] = target.add(img[gkey], v) if gkey in img else v
+    return {gkey: v for gkey, v in img.items() if not _is_zero_value(target, v)}
+
+
+def _dual_images(cone, target, n, dom_space, part=None):
+    """Images of the dual differential Hom(spot n) -> Hom(spot n+1) on the
+    flat basis of dom_space, each a key -> value dict; `part` as in
+    `_reads`."""
+    reads = _reads(cone, n, part)
     basis = list(dom_space.inner.basis_elems())
-    images = []
-    for key in dom_space.keys:
-        terms = reads.get(key, ())
-        for b in basis:
-            img = {}
-            for gkey, i, w in terms:
-                v = target.phi_iter(target.act(w, b), i)
-                img[gkey] = target.add(img[gkey], v) if gkey in img else v
-            images.append({gkey: v for gkey, v in img.items() if not _is_zero_value(target, v)})
-    return images
+    return [_image(target, reads.get(key, ()), b) for key in dom_space.keys for b in basis]
 
 
 def _dual_dims(cone, target, spots, part=None):
@@ -447,10 +445,6 @@ def _is_zero_value(target, v):
     if target.exact:
         return target.eq(v, target.zero())
     return not v
-
-
-def _value_degree(target, img):
-    return max((target.degree(v) for v in img.values()), default=0)
 
 
 def ext_dims_artinian(cone, target, jmax=None):
@@ -477,30 +471,72 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
     once L exhausts a representative set.  Two consecutive cap levels
     agreeing is reported as stable; otherwise callers must treat the answer
     as inconclusive.
+
+    The boundary span is built from the cycles outward.  Its rows are
+    (spot-j generator key g, value monomial m) pairs and its columns fall
+    into small connected blocks; a block that meets no cycle row adds the
+    same rank to the boundaries and to cycles plus boundaries, so it cancels
+    in q(L).  A breadth-first walk from the cycles' rows collects the rest:
+    row (g, m), read through a term (k, i, c) of `_reads` (x^c a monomial of
+    the coefficient), names the one functional k -> x^b with phi^i(x^(c+b))
+    = x^m, b = p^i*m + p^i - 1 - c componentwise, kept when 0 <= b <= p*L +
+    gap.  Rows are numbered as reached, so no value cap is needed, and the
+    images are kept across rounds.
     """
     if j > cone.length:
         return {"dim": 0, "stable": True, "structural_zero": True, "caps": []}
-    ring = cone.ring
-    p = ring.field.p
+    ring, field = cone.ring, cone.ring.field
+    p, e = field.p, field.e
     if gap is None:
         gap = p + sum(cone.module.algebra.exponents)
+    units = [field.from_coords(tuple(int(k == t) for k in range(e))) for t in range(e)]
+    reads = (_reads(cone, j), _reads(cone, j - 1) if j else {})
+    usedby = {}  # spot-j generator key -> [(functional key k, F-degree i, exponent c)]
+    for k, terms in reads[1].items():
+        for gkey, i, w in terms:
+            usedby.setdefault(gkey, []).extend((k, i, c) for c in w.terms)
+    # per side (values at spot j+1, at spot j): (generator key, monomial)
+    # -> row number, and (k, b) -> (flat images, rows they meet)
+    rows, cache = ({}, {}), ({}, {})
+
+    def images(side, k, b):
+        """The flat images of the functionals k -> x^b * unit, one per unit."""
+        if (k, b) not in cache[side]:
+            flat, met = [], []
+            for u in units:
+                row = {}
+                for gkey, v in _image(target, reads[side].get(k, ()), ring.monomial(b, u)).items():
+                    for m, c in v.terms.items():
+                        r = rows[side].setdefault((gkey, m), len(rows[side]))
+                        row.update((r * e + t, x) for t, x in enumerate(c.val) if x)
+                        met.append((gkey, m))
+                flat.append(row)
+            cache[side][(k, b)] = flat, met
+        return cache[side][(k, b)]
 
     def q(L):
-        dom = cone.hom_space(j, target.space(L))
-        images = _dual_images(cone, target, j, dom)
-        codcap = max([L] + [_value_degree(target, img) for img in images])
-        cod = cone.hom_space(j + 1, target.space(codcap))
-        ker = kernel_basis(flatten(images, cod, p), p)  # exact cycles with values capped at L
-        if j == 0 or ker.shape[0] == 0:
-            return int(ker.shape[0])
-        big = p * L + gap
-        dom_prev = cone.hom_space(j - 1, target.space(big))
-        prev_images = _dual_images(cone, target, j - 1, dom_prev)
-        ambcap = max([L] + [_value_degree(target, img) for img in prev_images])
-        amb = cone.hom_space(j, target.space(ambcap))
-        lift = reembed(ker, dom, amb)
-        B = flatten(prev_images, amb, p).T
-        return int(lift.shape[0]) - intersection_dim(lift, B, p)
+        dom = [(k, m) for k in cone.generator_keys(j) for m in target.space(L).mons]
+        cols = [row for k, m in dom for row in images(0, k, m)[0]]
+        ker = kernel_basis(SparseMatrix(cols, len(rows[0]) * e).T, p)  # exact cycles
+        if j == 0 or not ker.rows:
+            return len(ker.rows)
+        at = rows[1]
+        lift = [{at.setdefault(dom[c // e], len(at)) * e + c % e: v for c, v in y.items()} for y in ker.rows]
+        queue = list(dict.fromkeys(dom[c // e] for y in ker.rows for c in y))
+        seen, done, B, big = set(queue), set(), [], p * L + gap
+        for gkey, m in queue:  # grows while it is walked
+            for k, i, c in usedby.get(gkey, ()):
+                b = tuple(p**i * (x + 1) - 1 - y for x, y in zip(m, c))
+                if (k, b) in done or not all(0 <= x <= big for x in b):
+                    continue
+                done.add((k, b))
+                flat, met = images(1, k, b)
+                B += flat
+                new = [key for key in dict.fromkeys(met) if key not in seen]
+                seen.update(new)
+                queue += new
+        n = len(at) * e
+        return len(lift) - intersection_dim(SparseMatrix(lift, n), SparseMatrix(B, n), p)
 
     caps = []
     prev = None

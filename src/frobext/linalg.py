@@ -233,11 +233,6 @@ def solve_with_certificate(A, b, p):
     return None, _dense(y, len(A.rows))
 
 
-def row_space_contains(rows, v, p):
-    R, pivots = rref_transform(rows, p)
-    return len(_echelon([_sparse_row(v, p)], p, dict(zip(pivots, R.rows)))) == len(pivots)
-
-
 def complex_dims(mats, p):
     """Cohomology dimensions of the cochain complex whose j-th differential
     has the matrix mats[j]: dim ker mats[0], then dim(ker mats[j] / im

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import (
@@ -21,10 +23,10 @@ from frobext.cartier import (
     _dual_images,
     _flatten_diff,
     _is_zero_value,
-    _value_degree,
     coker_formula,
     cone_acyclicity_report,
     cone_window,
+    ext_dim_free_target,
     ext_r_dims,
     ext_r_twisted_dims,
     ext_rf,
@@ -41,6 +43,7 @@ from frobext.field import GF
 from frobext.linalg import (
     SparseMatrix,
     flatten,
+    intersection_dim,
     kernel_basis,
     keyed,
     matrix_of_map,
@@ -252,6 +255,70 @@ def test_top_ext_against_free_target(p):
     assert above["dim"] == 0 and above["structural_zero"]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_top_ext_against_free_target_at_d3(p):
+    # the theorem's witness one dimension up: Ext^(d+1) is one-dimensional
+    # and stable, and the cone's length d+1 makes Ext^(d+2) a structural zero
+    ring = ring_over(p, 1, 3)
+    module = standard_module(ArtinianAlgebra(ring, (1, 1, 1)))
+    target = FreeTarget(ring)
+    top = ext_rf(module, target, 4)
+    assert (top["dim"], top["stable"]) == (1, True), top
+    above = ext_rf(module, target, 5)
+    assert above["dim"] == 0 and above["structural_zero"], above
+
+
+def _whole_matrix_q(cone, target, j, L, gap):
+    """q(L) of `ext_dim_free_target` on the whole boundary matrix: every
+    spot-(j-1) functional up to cap p*L + gap, flattened into value boxes
+    wide enough for every image.  The reference for the closure walk."""
+    p = cone.p
+
+    def value_cap(images):
+        return max([L] + [max(exp) for img in images for v in img.values() for exp in v.terms])
+
+    dom = cone.hom_space(j, target.space(L))
+    images = _dual_images(cone, target, j, dom)
+    cod = cone.hom_space(j + 1, target.space(value_cap(images)))
+    ker = kernel_basis(flatten(images, cod, p), p)  # exact cycles with values capped at L
+    if j == 0 or ker.shape[0] == 0:
+        return ker.shape[0]
+    prev_images = _dual_images(cone, target, j - 1, cone.hom_space(j - 1, target.space(p * L + gap)))
+    amb = cone.hom_space(j, target.space(value_cap(prev_images)))
+    lift = reembed(ker, dom, amb)
+    return lift.shape[0] - intersection_dim(lift, flatten(prev_images, amb, p).T, p)
+
+
+def _check_closure_against_whole_matrix(module, j):
+    cone = ConeComplex(module)
+    target = FreeTarget(module.ring)
+    gap = cone.p + sum(module.algebra.exponents)
+    rep = ext_dim_free_target(cone, target, j)
+    for entry in rep["caps"]:
+        assert entry["dim"] == _whole_matrix_q(cone, target, j, entry["cap"], gap), (j, rep)
+
+
+@given(st.data())
+@settings(max_examples=12, deadline=None)
+def test_free_target_closure_matches_the_whole_matrix(data):
+    p = data.draw(st.sampled_from([2, 3]), "p")
+    d = data.draw(st.integers(1, 2), "d")
+    rank = data.draw(st.integers(1, 2), "rank")
+    exps = tuple(data.draw(st.lists(st.integers(1, 2), min_size=d, max_size=d), "exponents"))
+    algebra = ArtinianAlgebra(ring_over(p, 1, d), exps)
+    structure = data.draw(st.sampled_from(["standard", "zero", "random"]), "structure")
+    if structure == "random":
+        module = random_module(algebra, rank, data.draw(st.integers(0, 50), "seed"))
+    else:
+        module = (standard_module if structure == "standard" else zero_structure_module)(algebra, rank)
+    _check_closure_against_whole_matrix(module, data.draw(st.integers(0, d + 1), "j"))
+
+
+def test_free_target_closure_matches_the_whole_matrix_at_d3():
+    module = standard_module(ArtinianAlgebra(ring_over(2, 1, 3), (1, 1, 1)))
+    _check_closure_against_whole_matrix(module, 4)
+
+
 @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (2, 2, 1), (3, 1, 2), (2, 1, 3)])
 def test_reembedded_cycles_match_the_coordinate_round_trip(p, e, d):
     # ext_dim_free_target, the cone sweep and the Koszul window report move
@@ -288,23 +355,37 @@ def test_reembedded_cycles_match_the_coordinate_round_trip(p, e, d):
             assert reembed(rows, dom, amb) == reference
 
 
-def test_ext_rf_top_spot_at_d3_runs_in_a_gib(tmp_path):
-    # p = 2, d = 3: the top spot's widest matrix is 25000 x 10648 with
-    # 25,998 nonzeros, 2 GiB as a dense int64 array
+def _run_top_spot(tmp_path, p, d, limit):
+    """The free-target top spot at (p, d) as a `frobext run` child whose
+    address space is capped at `limit` bytes; returns its report."""
     path = tmp_path / "top.scenario"
-    path.write_text("task: ext-rf\np: 2\nd: 3\nexponents: 1,1,1\nj: 4\ntarget: free\n")
+    exps = ",".join("1" * d)
+    path.write_text("task: ext-rf\np: %d\nd: %d\nexponents: %s\nj: %d\ntarget: free\n" % (p, d, exps, d + 1))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def cap_address_space():  # runs in the child only
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     run = subprocess.run(
         [sys.executable, "-m", "frobext.cli", "run", str(path)],
         env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    rep = json.loads(run.stdout)
+    return json.loads(run.stdout)
+
+
+def test_ext_rf_top_spot_at_d3_runs_in_a_gib(tmp_path):
+    # p = 2, d = 3: the whole boundary matrix at cap 2 is 25000 x 10648, 2 GiB
+    # as a dense int64 array; the closure the cycles reach has 1,586 columns
+    rep = _run_top_spot(tmp_path, 2, 3, 1 << 30)
+    assert (rep["dim"], rep["stable"]) == (1, True)
+
+
+def test_ext_rf_top_spot_at_d4_runs_in_512_mib(tmp_path):
+    # p = 2, d = 4: the whole boundary side has 1.86M functionals at cap 3
+    # (40 s and 1.9 GB when it was assembled); the closure runs in ~70 MB
+    rep = _run_top_spot(tmp_path, 2, 4, 512 << 20)
     assert (rep["dim"], rep["stable"]) == (1, True)
 
 
@@ -364,7 +445,8 @@ def test_indexed_dual_images_match_evaluate_hom(p, d):
             if target.exact:  # a finite carrier holds every value
                 cod = cone.hom_space(n + 1, nspace)
             else:
-                cap = max([0] + [_value_degree(target, img) for img in fast + slow])
+                exps = (exp for img in fast + slow for v in img.values() for exp in v.terms)
+                cap = max((max(exp) for exp in exps), default=0)
                 cod = cone.hom_space(n + 1, target.space(cap))
             assert flatten(fast, cod, p) == flatten(slow, cod, p)
 

@@ -28,7 +28,6 @@ from frobext.linalg import (
     matrix_of_map,
     product,
     rank,
-    row_space_contains,
     rref_transform,
     solve,
     solve_with_certificate,
@@ -315,10 +314,11 @@ def test_rref_transform_certifies_itself():
 
 
 def test_row_space_contains():
+    # v lies in the row span iff the span meets the line through v
     p = 2
     rows = sparse(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64), p)
-    assert row_space_contains(rows, np.array([1, 1, 0]), p)
-    assert not row_space_contains(rows, np.array([0, 0, 1]), p)
+    assert intersection_dim(rows, sparse(np.array([[1, 1, 0]]), p), p) == 1
+    assert intersection_dim(rows, sparse(np.array([[0, 0, 1]]), p), p) == 0
 
 
 def test_intersection_dim_by_enumeration():
