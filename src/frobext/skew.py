@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .linalg import (
     BlockSpace,
+    SparseMatrix,
     kernel_basis,
     keyed,
     matrix_of_map,
@@ -228,53 +229,6 @@ class FreeSkewElem:
 # -- the two-step sequence ---------------------------------------------------
 
 
-def two_step_maps(module):
-    """The pair (alpha, beta) for a module with structure map phi:
-
-        alpha(x (x) F^i) = phi(x) (x) F^i - x (x) F^(i+1)
-        beta(y (x) F^i)  = phi^i(y)
-
-    `module` is any carrier exposing phi/phi_iter/add/neg; alpha consumes a
-    twist-1 element and produces a twist-0 one, beta consumes twist-0 and
-    lands in the carrier itself.
-    """
-
-    def alpha(elt):
-        if elt.twist != 1:
-            raise ValueError("alpha takes twist-1 elements, got twist %d" % elt.twist)
-        out = FreeSkewElem(module, {}, 0)
-        for i, m in elt.terms.items():
-            out = out + FreeSkewElem(module, {i: module.phi(m)}, 0)
-            out = out + FreeSkewElem(module, {i + 1: module.neg(m)}, 0)
-        return out
-
-    def beta(elt):
-        if elt.twist != 0:
-            raise ValueError("beta takes twist-0 elements, got twist %d" % elt.twist)
-        acc = module.zero()
-        for i, m in elt.terms.items():
-            acc = module.add(acc, module.phi_iter(m, i))
-        return acc
-
-    return alpha, beta
-
-
-def two_step_witness(module, kernel_elt):
-    """The preimage formula x_j = -sum_{k > j} phi^(k-j-1)(y_k) for a
-    beta-kernel element y = sum y_k (x) F^k; returns a twist-1 element.
-
-    Computed top down by the recurrence x_(n-1) = -y_n, x_j = phi(x_(j+1)) -
-    y_(j+1), with n the top degree of y: one phi per degree."""
-    terms = kernel_elt.terms
-    out = {}
-    x = None
-    for j in range(max(terms, default=0) - 1, -1, -1):
-        y = module.neg(terms.get(j + 1, module.zero()))
-        x = y if x is None else module.add(module.phi(x), y)
-        out[j] = x
-    return FreeSkewElem(module, out, 1)
-
-
 def graded_skew_space(module, dmax, twist=0):
     """Flat F_p coordinates for M (x) R{F} truncated at F-degree <= dmax,
     where M has a finite flat space."""
@@ -286,17 +240,64 @@ def graded_skew_space(module, dmax, twist=0):
     )
 
 
-def flatten_two_step(module, dmax):
-    """Flattened (alpha, beta) with alpha restricted to F-degree <= dmax-1
-    (so its image fits in degree <= dmax).  Returns (alpha_map, beta_map,
-    dom_space, cod_space)."""
-    alpha, beta = two_step_maps(module)
-    dom = graded_skew_space(module, dmax - 1, twist=1)
-    cod = graded_skew_space(module, dmax, twist=0)
+def two_step_matrices(module, dmax):
+    """The flat maps of the two-step presentation
+
+        alpha(x (x) F^i) = phi(x) (x) F^i - x (x) F^(i+1)
+        beta(y (x) F^i)  = phi^i(y)
+
+    with alpha on F-degree <= dmax-1 (so its image fits in degree <= dmax)
+    and beta on F-degree <= dmax, in the layouts of `graded_skew_space`.
+    phi is additive, so on M's flat space (dimension n) it is the n x n
+    matrix Phi, built by one flatten of phi over M's basis.  Block (i, i) of
+    alpha is Phi and block (i+1, i) is -I; block i of beta is Phi^i.
+    Returns (Phi, A, B)."""
     mspace = module.space()
-    amap = matrix_of_map(dom.basis_elems(), alpha, cod, dom.p)
-    bmap = matrix_of_map(cod.basis_elems(), beta, mspace, dom.p)
-    return amap, bmap, dom, cod
+    p, n = mspace.p, mspace.dim()
+    Phi = matrix_of_map(mspace.basis_elems(), module.phi, mspace, p).mat
+    A = []
+    for i in range(dmax + 1):
+        for r in range(n):
+            row = {i * n + k: v for k, v in Phi.rows[r].items()} if i < dmax else {}
+            if i:
+                row[(i - 1) * n + r] = p - 1
+            A.append(row)
+    B = [{r: 1} for r in range(n)]
+    power = SparseMatrix([{r: 1} for r in range(n)], n)
+    for i in range(1, dmax + 1):
+        power = product(Phi, power, p)
+        for row, prow in zip(B, power.rows):
+            row.update({i * n + k: v for k, v in prow.items()})
+    return Phi, SparseMatrix(A, dmax * n), SparseMatrix(B, (dmax + 1) * n)
+
+
+def two_step_witnesses(Phi, kernel, p):
+    """The preimages x_j = -sum_{k > j} phi^(k-j-1)(y_k) of beta-kernel rows
+    y = sum y_k (x) F^k, one row of alpha's domain coordinates per row of
+    `kernel` (which has alpha's domain width).
+
+    Computed top down by x_j = Phi x_(j+1) - y_(j+1) from x = 0 above every
+    row's top degree t, which gives x_(t-1) = -y_t: one product by Phi per
+    degree, on all rows' {index: value} dicts at once."""
+    n = Phi.ncols
+    top = max((max(y) // n for y in kernel.rows), default=0)
+    minus_y = [[{} for _ in kernel.rows] for _ in range(top + 1)]
+    for r, y in enumerate(kernel.rows):
+        for c, v in y.items():
+            minus_y[c // n][r][c % n] = p - v
+    X = SparseMatrix([{} for _ in kernel.rows], n)
+    W = [{} for _ in kernel.rows]
+    PhiT = Phi.T
+    for j in range(top - 1, -1, -1):
+        X = product(X, PhiT, p)
+        for x, y, w in zip(X.rows, minus_y[j + 1], W):
+            for k, v in y.items():
+                if s := (x.get(k, 0) + v) % p:
+                    x[k] = s
+                else:
+                    del x[k]
+            w.update({j * n + k: v for k, v in x.items()})
+    return SparseMatrix(W, kernel.ncols)
 
 
 def check_two_step_exact(module, dmax, alpha_override=None):
@@ -306,11 +307,13 @@ def check_two_step_exact(module, dmax, alpha_override=None):
     Checks: beta.alpha = 0; alpha injective; every beta-kernel element with
     top degree <= dmax - 1 is hit by alpha, producing the explicit witness
     x_j = -sum_{k>j} phi^(k-j-1)(y_k) and verifying it exactly.
-    alpha_override, a SparseMatrix, replaces the flattened alpha (used by
-    mutation tests).
+    alpha_override, a SparseMatrix, replaces the assembled alpha (used by
+    mutation tests).  A symbolic element is built only for a counterexample.
     """
-    amap, bmap, dom, cod = flatten_two_step(module, dmax)
-    A = amap.mat if alpha_override is None else alpha_override
+    Phi, A, B = two_step_matrices(module, dmax)
+    A = A if alpha_override is None else alpha_override
+    dom = graded_skew_space(module, dmax - 1, twist=1)
+    cod = graded_skew_space(module, dmax, twist=0)
     p = dom.p
     report = {
         "dmax": dmax,
@@ -321,30 +324,28 @@ def check_two_step_exact(module, dmax, alpha_override=None):
         "counterexample": None,
         "passed": False,
     }
-    comp = product(bmap.mat, A, p)
+    comp = product(B, A, p)
     if any(comp.rows):
         report["beta_alpha_zero"] = False
         col = min(min(row) for row in comp.rows if row)
         report["counterexample"] = repr(dom.from_row({col: 1}))
-    ker_a = kernel_basis(A, p)
+    # the kernel does not depend on the row order; taken bottom up, alpha's
+    # rows below its first block start in echelon form (the -I blocks)
+    ker_a = kernel_basis(SparseMatrix(A.rows[::-1], A.ncols), p)
     if ker_a.rows:
         report["alpha_injective"] = False
         report["counterexample"] = repr(dom.from_row(ker_a.rows[0]))
-    # beta-kernel elements with top degree <= dmax - 1; sub's layout is the
-    # first sub.dim() coordinates of cod's, so a kernel row is also y's
+    # beta-kernel elements with top degree <= dmax - 1: dom's window, laid out
+    # as the first dom.dim() coordinates of cod's, so a kernel row is also y's
     # coordinates in cod, and alpha's image of each witness is compared to it
-    sub = graded_skew_space(module, dmax - 1, twist=0)
-    kernel = kernel_basis(bmap.mat.first_columns(sub.dim()), p)
-    ys = [sub.from_row(row) for row in kernel.rows]
-    witnesses = matrix_of_map(ys, lambda y: two_step_witness(module, y), dom, p)
-    images = product(A, witnesses.mat, p).T.rows
-    for y, row, image in zip(ys, kernel.rows, images):
+    kernel = kernel_basis(B.first_columns(dom.dim()), p)
+    images = product(two_step_witnesses(Phi, kernel, p), A.T, p).rows
+    for row, image in zip(kernel.rows, images):
         if image != row:
             report["witness_formula_ok"] = False
-            sol = solve(A, cod.coords(y), p)
-            if sol is None:
+            if solve(A, [row.get(i, 0) for i in range(cod.dim())], p) is None:
                 report["kernel_covered"] = False
-                report["counterexample"] = repr(y)
+                report["counterexample"] = repr(cod.from_row(row))
                 break
     report["passed"] = (
         report["beta_alpha_zero"]
@@ -437,7 +438,8 @@ def in_image_hdual(ring, target, window, degree_bound):
     trace_str = {str(j): ring.field.format_elem(v) for j, v in sorted(trace.items())}
     if x is not None:
         s, *ts = dom.from_coords(x)
-        assert h_dual_apply(ring, s, ts) == target  # exact re-verification
+        if h_dual_apply(ring, s, ts) != target:
+            raise RuntimeError("witness check failed: the dual tail map misses the target")
         return {
             "verdict": "SAT",
             "window": [lo, hi],

@@ -40,12 +40,12 @@ from frobext.poly import PolySpace, ring_over
 from frobext.rational import RationalBase
 from frobext.skew import (
     check_two_step_exact,
-    flatten_two_step,
     h_dual_apply,
     in_image_hdual,
 )
 
 from dense import sparse
+from two_step_reference import flatten_two_step
 
 SIZE_CAP = 2**8
 

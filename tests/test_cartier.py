@@ -51,15 +51,16 @@ from frobext.linalg import (
 )
 from frobext.poly import PolySpace, monomials_box, random_poly, ring_over
 from frobext.skew import (
+    FreeCartierCarrier,
     FreeSkewElem,
     check_two_step_exact,
-    flatten_two_step,
     graded_skew_space,
-    two_step_maps,
-    two_step_witness,
+    two_step_matrices,
+    two_step_witnesses,
 )
 
 from dense import sparse
+from two_step_reference import flatten_two_step, two_step_maps, two_step_witness
 
 
 def module_zoo(p):
@@ -185,6 +186,54 @@ def test_zero_rank_module_passes_vacuously():
     assert check_two_step_exact(module, 3)["passed"]
 
 
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_direct_two_step_assembly_matches_the_symbolic_reference(data):
+    # alpha, beta and the witnesses assembled from the one matrix of phi
+    # against matrix_of_map over the symbolic maps of two_step_reference
+    p = data.draw(st.sampled_from([2, 3]), "p")
+    e = data.draw(st.integers(1, 2), "e")
+    d = data.draw(st.integers(1, 2), "d")
+    rank = data.draw(st.integers(0, 2), "rank")
+    exps = tuple(data.draw(st.lists(st.integers(1, 2), min_size=d, max_size=d), "exponents"))
+    dmax = data.draw(st.integers(1, 5), "dmax")
+    structure = data.draw(st.sampled_from(["standard", "zero", "scaled", "random"]), "structure")
+    seed = data.draw(st.integers(0, 50), "seed")
+    algebra = ArtinianAlgebra(ring_over(p, e, d), exps)
+    if structure == "random":
+        module = random_module(algebra, rank, seed)
+    elif structure == "scaled":
+        lam = random_poly(algebra.ring, algebra.space.mons, random.Random(seed), 0.5)
+        module = scaled_module(algebra, lam, rank)
+    else:
+        module = (standard_module if structure == "standard" else zero_structure_module)(algebra, rank)
+    amap, bmap, dom, cod = flatten_two_step(module, dmax)
+    Phi, A, B = two_step_matrices(module, dmax)
+    assert A == amap.mat
+    assert B == bmap.mat
+    kernel = kernel_basis(B.first_columns(dom.dim()), p)
+    ys = [cod.from_row(row) for row in kernel.rows]
+    ref = matrix_of_map(ys, lambda y: two_step_witness(module, y), dom, p)
+    assert two_step_witnesses(Phi, kernel, p) == ref.mat.T
+
+
+@pytest.mark.parametrize("p,e,dmax", [(2, 2, 4), (3, 1, 6)])
+def test_two_step_check_calls_phi_once_per_basis_vector(p, e, dmax, monkeypatch):
+    # the cost gate, counted rather than timed: phi is flattened once over
+    # M's basis and everything else is assembled from that matrix
+    module = random_module(ArtinianAlgebra(ring_over(p, e, 2), (2, 2)), rank=2, seed=3)
+    calls = []
+    phi = FreeCartierCarrier.phi
+
+    def counted(self, a):
+        calls.append(a)
+        return phi(self, a)
+
+    monkeypatch.setattr(FreeCartierCarrier, "phi", counted)
+    assert check_two_step_exact(module, dmax)["passed"]
+    assert len(calls) == module.space().dim()
+
+
 @pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_cone_shape_and_differential(p, d):
     ring = ring_over(p, 1, d)
@@ -266,6 +315,18 @@ def test_top_ext_against_free_target_at_d3(p):
     assert (top["dim"], top["stable"]) == (1, True), top
     above = ext_rf(module, target, 5)
     assert above["dim"] == 0 and above["structural_zero"], above
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 3), (2, 4)])
+def test_cone_resolution_at_d3_and_d4(p, d):
+    # global dimension d+1 beyond AC2's d in {1, 2}: the cone has length
+    # d+1, squares to zero and is acyclic on the window cap 1, dfmax 2
+    module = standard_module(ArtinianAlgebra(ring_over(p, 1, d), (1,) * d))
+    cone = ConeComplex(module)
+    assert cone.length == d + 1
+    assert cone.d_squared_on_generators()
+    report = cone_acyclicity_report(cone, cap=1, dfmax=2)
+    assert report["passed"], report
 
 
 def _whole_matrix_q(cone, target, j, L, gap):

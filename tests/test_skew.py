@@ -17,8 +17,9 @@ from frobext.skew import (
     in_image_hdual,
     residue_trace,
     skew_mul,
-    two_step_maps,
 )
+
+from two_step_reference import two_step_maps
 
 
 def rand_poly(ring, rng, deg=4):
@@ -112,6 +113,26 @@ def test_hdual_formula_on_a_point_mass():
     # the t-part enters through multiplication by the variables
     out2 = h_dual_apply(ring, {}, [{0: ring.one}])
     assert out2[0] == x
+
+
+def test_hdual_sat_witness_is_re_verified(monkeypatch):
+    # the re-verification is an explicit raise, so it holds under python -O:
+    # a solver answer that the dual tail map does not send to the target
+    # is refused
+    from frobext import skew
+
+    ring = ring_over(2, 1, 1)
+    target = {0: ring.gens()[0]}
+    assert in_image_hdual(ring, target, (-2, 0), 2)["verdict"] == "SAT"
+    solve = skew.solve_with_certificate
+
+    def broken(A, b, p):
+        x, cert = solve(A, b, p)
+        return [(x[0] + 1) % p] + x[1:], cert
+
+    monkeypatch.setattr(skew, "solve_with_certificate", broken)
+    with pytest.raises(RuntimeError, match="witness check failed"):
+        in_image_hdual(ring, target, (-2, 0), 2)
 
 
 def _random_seq(ring, rng, lo, hi):
