@@ -114,8 +114,10 @@ class EElem:
             raise ValueError("cannot lower the level here; use normalize()")
         if m == self.level:
             return self
-        shift = self.ering.xprod ** (m - self.level)
-        numer = self.ering.reduce(self.numer * shift, m)
+        # times (x1...xd)^k is k more on every exponent, then the level-m box
+        k = m - self.level
+        shifted = {tuple(a + k for a in e): c for e, c in self.numer.terms.items()}
+        numer = self.ering.reduce(MultiPoly(self.ering.ring, shifted), m)
         return EElem(self.ering, m, numer)
 
     def normalize(self):
@@ -200,13 +202,13 @@ class ELevelSpace:
         self.ering = ering
         self.n = n
         self.p = ering.ring.field.p
-        self._aspace = ering.algebra(n).space
+        self.box = ering.algebra(n).space  # the numerators at level n
 
     def dim(self):
-        return self._aspace.dim()
+        return self.box.dim()
 
     def basis_elems(self):
-        for f in self._aspace.basis_elems():
+        for f in self.box.basis_elems():
             yield EElem(self.ering, self.n, f)
 
     def coords(self, z):
@@ -215,7 +217,7 @@ class ELevelSpace:
             raise ValueError(
                 "element needs level %d but the space is capped at %d" % (z.level, self.n)
             )
-        return self._aspace.coords(z.raise_to(self.n).numer)
+        return self.box.coords(z.raise_to(self.n).numer)
 
     def from_coords(self, vec):
-        return EElem(self.ering, self.n, self._aspace.from_coords(vec))
+        return EElem(self.ering, self.n, self.box.from_coords(vec))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .artinian import ELevelSpace
-from .linalg import kernel_basis, keyed, matrix_of_map, rank, solve_with_certificate
+from .linalg import SparseMatrix, kernel_basis, keyed, matrix_of_map, rank, solve_with_certificate
 from .poly import PolySpace, add_at, random_poly
 from .rational import BoundedRationalSpace, is_squarefree, u_divmod
 
@@ -265,8 +265,7 @@ def _as_solve_poly(module, u):
         return rep, None
     space = PolySpace.total_degree(ring, deg // p)
     big = PolySpace.total_degree(ring, deg)
-    fmap = matrix_of_map(space.basis_elems(), lambda z: z.frobenius() - z, big, p)
-    x, cert = solve_with_certificate(fmap.mat, big.coords(u), p)
+    x, cert = solve_with_certificate(artin_schreier_matrix(space, big, 0, 0), big.coords(u), p)
     if x is None:
         rep = _unsat(
             proven=True,
@@ -277,7 +276,8 @@ def _as_solve_poly(module, u):
         )
         return rep, None
     z = space.from_coords(x)
-    assert z.frobenius() - z == u
+    if z.frobenius() - z != u:
+        raise RuntimeError("witness check failed: F(z) - z misses the polynomial target")
     return _sat(ring.format(z), "forced-degree linear solve"), z
 
 
@@ -288,11 +288,13 @@ def _as_solve_limit(module, u, level_bound):
     n = max(level_bound, u.level if u else 1)
     dom = ELevelSpace(ering, n)
     cod = ELevelSpace(ering, n * p)
-    fmap = matrix_of_map(dom.basis_elems(), lambda z: z.pth_power() - z, cod, p)
-    x, cert = solve_with_certificate(fmap.mat, cod.coords(u), p)
+    # at level n*p, z = (r; n) is (r * (x1...xd)^((p-1)n); n*p) and F(z) is (r^p; n*p)
+    fmat = artin_schreier_matrix(dom.box, cod.box, 0, (p - 1) * n)
+    x, cert = solve_with_certificate(fmat, cod.coords(u), p)
     if x is not None:
         z = dom.from_coords(x)
-        assert z.pth_power() - z == u
+        if z.pth_power() - z != u:
+            raise RuntimeError("witness check failed: F(z) - z misses the limit-carrier target")
         return _sat(repr(z), "flattened solve at level %d" % n), z
     bottom = bool(u) and u.level == 1
     if bottom:
@@ -328,7 +330,8 @@ def _as_solve_shift(module, u):
         nxt = yj
     forced_bottom = nxt  # the value forced at slot lo
     if not forced_bottom:
-        assert module.artin_schreier(ys) == u
+        if module.artin_schreier(ys) != u:
+            raise RuntimeError("witness check failed: the forced recurrence misses the target")
         return _sat(module.format(ys), "forced recurrence from the top slot"), ys
     rep = _unsat(
         proven=False,
@@ -351,7 +354,8 @@ def _as_solve_sum(module, u, level_bound, degree_bound):
         elems.append(elem)
     if all(r["verdict"] == "SAT" for r in reports):
         witness = tuple(elems)
-        assert module.artin_schreier(witness) == tuple(module.coerce(u))
+        if module.artin_schreier(witness) != tuple(module.coerce(u)):
+            raise RuntimeError("witness check failed: a component witness misses its target")
         rep = _sat("(" + ", ".join(r["witness"] for r in reports) + ")", "componentwise")
         rep["components"] = reports
         return rep, witness
@@ -376,6 +380,42 @@ def _unsat(proven, reason, bound=None, certificate=None):
     if certificate is not None:
         out["certificate"] = certificate
     return out
+
+
+def artin_schreier_matrix(dom, cod, h, s):
+    """The matrix of c * x^a -> F(c) * x^(p*a + h) - c * x^(a + s), with h and
+    s added to every exponent, from the PolySpace `dom` to the PolySpace
+    `cod`: F(z) - z by index arithmetic, in the columns and rows that
+    `matrix_of_map` gives.  A term that `cod` does not hold is dropped (on a
+    box, the limit carrier's reduction); two terms on one monomial are summed
+    in F_q before their digits are written."""
+    field = dom.ring.field
+    p, e = dom.p, dom.e
+    index = cod.index
+    units = [field.from_coords([int(j == k) for j in range(e)]) for k in range(e)]
+
+    def digits(values):
+        return [[(k, x) for k, x in enumerate(v.val) if x] for v in values]
+
+    # per unit c: the nonzero digits of F(c), of -c, and of F(c) - c
+    up_digits = digits(c.frobenius() for c in units)
+    down_digits = digits(-c for c in units)
+    both_digits = digits(c.frobenius() - c for c in units)
+    rows = [{} for _ in range(cod.dim())]
+    col = 0
+    for a in dom.mons:
+        up = index.get(tuple(p * x + h for x in a))
+        down = index.get(tuple(x + s for x in a))
+        if up is not None and up == down:
+            terms = [(up, both_digits)]
+        else:
+            terms = [(i, ds) for i, ds in ((up, up_digits), (down, down_digits)) if i is not None]
+        for k in range(e):
+            for i, ds in terms:
+                for t, x in ds[k]:
+                    rows[i * e + t][col] = x
+            col += 1
+    return SparseMatrix(rows, dom.dim())
 
 
 # -- rank-two extensions -------------------------------------------------------
@@ -600,7 +640,7 @@ def hom_fr(m1, m2, level=4, degree_bound=4):
         for bound in (degree_bound, degree_bound + 1):
             space = PolySpace.total_degree(ring, bound)
             big = PolySpace.total_degree(ring, p * bound)
-            fmat = matrix_of_map(space.basis_elems(), lambda s: s.frobenius() - s, big, p).mat
+            fmat = artin_schreier_matrix(space, big, 0, 0)
             dims.append(fmat.ncols - rank(fmat, p))
         assert dims == [1, 1]  # F(s) = s forces s constant with s^p = s
         return {
@@ -630,16 +670,11 @@ def hom_fr(m1, m2, level=4, degree_bound=4):
 
 
 def _hom_limit_dim(ering, L):
-    ring = ering.ring
-    p = ring.field.p
-    dom = ELevelSpace(ering, L)
-    cod = ELevelSpace(ering, L * p)
-    shift = ering.xprod ** (L * (p - 1))
-
-    def cond(w):
-        return w.pth_power().act(shift) - w
-
-    mat = matrix_of_map(dom.basis_elems(), cond, cod, p).mat
+    """dim ker(w -> (x1..xd)^(L(p-1)) * F(w) - w) on level-L images w, both
+    sides at level L*p, where w = (r; L) is (r * (x1..xd)^(L(p-1)); L*p)."""
+    p = ering.ring.field.p
+    shift = L * (p - 1)
+    mat = artin_schreier_matrix(ELevelSpace(ering, L).box, ELevelSpace(ering, L * p).box, shift, shift)
     return mat.ncols - rank(mat, p)
 
 

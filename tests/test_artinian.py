@@ -36,6 +36,23 @@ def test_ering_reduce_matches_the_algebra(data):
     assert ERing(ring).reduce(f, n) == ArtinianAlgebra(ring, (n,) * d).reduce(f)
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_raise_to_is_the_product_by_a_power_of_the_variables(data):
+    # raise_to shifts exponents; the reference multiplies by (x1...xd)^k
+    p, e, d = (data.draw(st.sampled_from(vals)) for vals in ([2, 3], [1, 2], [1, 2]))
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, 4))
+    ring = ring_over(p, e, d)
+    ering = ERing(ring)
+    space = ELevelSpace(ering, n)
+    z = space.from_coords(data.draw(st.lists(st.integers(0, p - 1), min_size=space.dim(), max_size=space.dim())))
+    raised = z.raise_to(n + k)
+    assert raised.level == n + k
+    assert raised.numer == ering.reduce(z.numer * ering.xprod**k, n + k)
+    assert raised == z
+
+
 def test_algebra_dimension_is_product_of_exponents():
     ring = ring_over(3, 1, 2)
     alg = ArtinianAlgebra(ring, (2, 2))

@@ -9,7 +9,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frobext import fmodules
 from frobext.artinian import ELevelSpace, ERing
 from frobext.fmodules import (
     DirectSum,
@@ -17,6 +20,7 @@ from frobext.fmodules import (
     ShiftRInf,
     StdE,
     StdR,
+    artin_schreier_matrix,
     as_solve,
     as_solve_elem,
     build_extension,
@@ -27,6 +31,8 @@ from frobext.fmodules import (
 )
 from frobext.poly import PolySpace, ring_over
 from frobext.rational import RationalBase
+
+from artin_schreier_reference import hom_limit_matrix, limit_matrix, limit_solve, poly_matrix
 
 
 def all_polys(ring, deg):
@@ -228,6 +234,125 @@ def test_sum_solver_is_componentwise():
     assert [c["verdict"] for c in rep["components"]] == ["SAT", "SAT"]
     bad = as_solve(m, (x**2 + x, x))
     assert bad["verdict"] == "UNSAT" and bad["proven"]
+
+
+# -- the direct Artin-Schreier matrices against the symbolic reference -----------
+
+SHAPES = [(p, e, d) for p in (2, 3) for e in (1, 2) for d in (1, 2)]
+
+
+@pytest.mark.parametrize("p,e,d", SHAPES)
+def test_direct_matrices_match_the_symbolic_reference(p, e, d):
+    # all three shapes, degrees and levels 1-4: the polynomial box (as-solve
+    # and hom_fr on the ring), level n -> n*p of the limit carrier (as-solve),
+    # and the hom condition at level L
+    ring = ring_over(p, e, d)
+    ering = ERing(ring)
+    for n in range(1, 5):
+        space = PolySpace.total_degree(ring, n)
+        big = PolySpace.total_degree(ring, p * n)
+        assert artin_schreier_matrix(space, big, 0, 0) == poly_matrix(ring, n)
+        dom, cod = ELevelSpace(ering, n).box, ELevelSpace(ering, n * p).box
+        assert artin_schreier_matrix(dom, cod, 0, (p - 1) * n) == limit_matrix(ering, n)
+        shift = n * (p - 1)
+        assert artin_schreier_matrix(dom, cod, shift, shift) == hom_limit_matrix(ering, n)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 2)])
+def test_the_constant_column_sums_both_terms(p, e):
+    # at a = 0 both terms land on the constant monomial: the column of the
+    # unit c holds the digits of c^p - c, zero exactly for c in F_p
+    ring = ring_over(p, e, 1)
+    field = ring.field
+    A = artin_schreier_matrix(PolySpace.total_degree(ring, 1), PolySpace.total_degree(ring, p), 0, 0)
+    cols = A.T.rows
+    for k in range(e):
+        c = field.from_coords([int(j == k) for j in range(e)])
+        expect = {t: x for t, x in enumerate((c**p - c).val) if x}
+        assert cols[k] == expect
+    assert not cols[0]  # 1^p - 1 = 0
+
+
+def test_the_hom_condition_drops_terms_past_the_box():
+    # p = 2, L = 2, d = 1: x^a maps to x^(2a + 2) - x^(a + 2) at level 4, and
+    # x^1's first term x^4 leaves the box, so its column is -x^3 alone
+    ring = ring_over(2, 1, 1)
+    ering = ERing(ring)
+    dom, cod = ELevelSpace(ering, 2).box, ELevelSpace(ering, 4).box
+    cols = artin_schreier_matrix(dom, cod, 2, 2).T.rows
+    assert cols == [{}, {cod.index[(3,)]: 1}]
+    assert artin_schreier_matrix(dom, cod, 2, 2) == hom_limit_matrix(ering, 2)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_limit_solver_matches_the_symbolic_path(data):
+    # random targets, some SAT by construction (u = F(z) - z): the same
+    # verdict, witness string and certificate from the direct matrix
+    p, e, d = data.draw(st.sampled_from(SHAPES))
+    ring = ring_over(p, e, d)
+    ering = ERing(ring)
+    level = data.draw(st.integers(1, 3))
+    space = ELevelSpace(ering, level)
+    digits = st.lists(st.integers(0, p - 1), min_size=space.dim(), max_size=space.dim())
+    u = space.from_coords(data.draw(digits))
+    if data.draw(st.booleans()):
+        u = u.pth_power() - u
+    level_bound = data.draw(st.integers(1, 3))
+    rep = as_solve(StdE(ering), u, level_bound=level_bound)
+    assert (rep["verdict"], rep["witness"], rep.get("certificate")) == limit_solve(ering, u, level_bound)
+
+
+# -- witness re-verification ------------------------------------------------------
+
+
+def _corrupt_solution(monkeypatch):
+    solve = fmodules.solve_with_certificate
+
+    def broken(A, b, p):
+        x, cert = solve(A, b, p)
+        # the last coordinate: the first ones may add an F_p constant, which
+        # F(z) - z cannot see
+        return x[:-1] + [(x[-1] + 1) % p], cert
+
+    monkeypatch.setattr(fmodules, "solve_with_certificate", broken)
+
+
+def test_ring_witness_check_refuses_a_corrupted_solution(monkeypatch):
+    # explicit raises, so the checks hold under python -O
+    ring = ring_over(2, 1, 1)
+    x = ring.gens()[0]
+    assert as_solve(StdR(ring), x**2 + x)["verdict"] == "SAT"
+    _corrupt_solution(monkeypatch)
+    with pytest.raises(RuntimeError, match="witness check failed"):
+        as_solve(StdR(ring), x**2 + x)
+
+
+def test_limit_witness_check_refuses_a_corrupted_solution(monkeypatch):
+    ering = ERing(ring_over(2, 2, 2))
+    z = ELevelSpace(ering, 2).from_coords([1, 0, 0, 1, 1, 1, 0, 1])
+    u = z.pth_power() - z
+    assert as_solve(StdE(ering), u)["verdict"] == "SAT"
+    _corrupt_solution(monkeypatch)
+    with pytest.raises(RuntimeError, match="witness check failed"):
+        as_solve(StdE(ering), u)
+
+
+def test_shift_and_sum_witness_checks_refuse_a_wrong_map(monkeypatch):
+    # a corrupted F(z) - z in the check: the recurrence's and the
+    # componentwise witnesses are refused
+    ring = ring_over(2, 1, 1)
+    x = ring.gens()[0]
+    shift_u = {-1: x**2, 0: x}
+    assert as_solve(ShiftRInf(ring), shift_u)["verdict"] == "SAT"
+    total = DirectSum([StdR(ring), StdR(ring)])
+    assert as_solve(total, (x**2 + x, ring.zero))["verdict"] == "SAT"
+    monkeypatch.setattr(ShiftRInf, "artin_schreier", lambda self, z: {0: ring.one})
+    with pytest.raises(RuntimeError, match="witness check failed"):
+        as_solve(ShiftRInf(ring), shift_u)
+    monkeypatch.setattr(DirectSum, "artin_schreier", lambda self, z: (ring.one, ring.one))
+    with pytest.raises(RuntimeError, match="witness check failed"):
+        as_solve(total, (x**2 + x, ring.zero))
 
 
 # -- UNSAT monotonicity ---------------------------------------------------------

@@ -9,7 +9,6 @@ from frobext.fmodules import ShiftRInf
 from frobext.poly import ring_over
 from frobext.skew import (
     FreeCartierCarrier,
-    FreeSkewElem,
     SkewElem,
     format_seq,
     frob_power,
@@ -19,7 +18,7 @@ from frobext.skew import (
     skew_mul,
 )
 
-from two_step_reference import two_step_maps
+from two_step_reference import SkewModuleElem, two_step_maps
 
 
 def rand_poly(ring, rng, deg=4):
@@ -71,7 +70,7 @@ def test_right_action_twist_law(p, d):
     carrier = FreeCartierCarrier(ring, 1)
     rng = random.Random(5)
     for _ in range(100):
-        m = FreeSkewElem(carrier, {rng.randrange(3): (rand_poly(ring, rng),)})
+        m = SkewModuleElem(carrier, {rng.randrange(3): (rand_poly(ring, rng),)})
         r = rand_poly(ring, rng, deg=2)
         assert m.act_F().act_ring(r) == m.act_ring(r.frobenius()).act_F()
 
@@ -80,8 +79,8 @@ def test_mixing_twists_raises_value_error():
     # the guards are checks, not asserts: they hold under python -O
     ring = ring_over(2, 1, 1)
     carrier = FreeCartierCarrier(ring, 1)
-    plain = FreeSkewElem(carrier, {0: (ring.one,)}, 0)
-    twisted = FreeSkewElem(carrier, {0: (ring.one,)}, 1)
+    plain = SkewModuleElem(carrier, {0: (ring.one,)}, 0)
+    twisted = SkewModuleElem(carrier, {0: (ring.one,)}, 1)
     alpha, beta = two_step_maps(carrier)
     with pytest.raises(ValueError, match="twist 0 and 1"):
         plain + twisted
@@ -96,7 +95,7 @@ def test_right_action_is_associative_over_skew_elements():
     carrier = FreeCartierCarrier(ring, 2)
     rng = random.Random(12)
     for _ in range(100):
-        m = FreeSkewElem(
+        m = SkewModuleElem(
             carrier, {rng.randrange(2): (rand_poly(ring, rng), rand_poly(ring, rng))}
         )
         a, b = rand_skew(ring, rng), rand_skew(ring, rng)

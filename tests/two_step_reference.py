@@ -1,15 +1,63 @@
 """The symbolic two-step presentation: the reference the direct assembly in
 `frobext.skew` must match.
 
-`two_step_maps` gives alpha and beta on `FreeSkewElem`s, `two_step_witness`
-the preimage of a beta-kernel element, and `flatten_two_step` pushes every
-basis vector of the graded windows through them with `matrix_of_map`.  The
-check itself never runs this code: `check_two_step_exact` builds the matrix
-of phi once and assembles alpha, beta and the witnesses from it.
+`SkewModuleElem` is a `FreeSkewElem` with the right R{F}-module arithmetic
+of M (x) R{F}.  `two_step_maps` gives alpha and beta on such elements,
+`two_step_witness` the preimage of a beta-kernel element, and
+`flatten_two_step` pushes every basis vector of the graded windows through
+them with `matrix_of_map`.  The check itself never runs this code:
+`check_two_step_exact` builds the matrix of phi once and assembles alpha,
+beta and the witnesses from it.
 """
 
 from frobext.linalg import matrix_of_map
-from frobext.skew import FreeSkewElem, graded_skew_space
+from frobext.skew import FreeSkewElem, frob_power, graded_skew_space
+
+
+class SkewModuleElem(FreeSkewElem):
+    """An element of M (x) R{F} with its sums and its right R{F}-action:
+
+        (m (x) F^i) . r = (r^(p^(i+twist)) m) (x) F^i
+        (m (x) F^i) . F = m (x) F^(i+1)
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if self.twist != other.twist:
+            raise ValueError("cannot add elements of twist %d and %d" % (self.twist, other.twist))
+        out = dict(self.terms)
+        for i, m in other.terms.items():
+            cur = out.get(i)
+            cur = m if cur is None else self.carrier.add(cur, m)
+            if self.carrier.eq(cur, self.carrier.zero()):
+                out.pop(i, None)
+            else:
+                out[i] = cur
+        return SkewModuleElem(self.carrier, out, self.twist)
+
+    def __neg__(self):
+        return SkewModuleElem(self.carrier, {i: self.carrier.neg(m) for i, m in self.terms.items()}, self.twist)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def act_ring(self, r):
+        """Right action of a ring element."""
+        out = {}
+        for i, m in self.terms.items():
+            out[i] = self.carrier.act(frob_power(r, i + self.twist), m)
+        return SkewModuleElem(self.carrier, out, self.twist)
+
+    def act_F(self, k=1):
+        """Right action of F^k."""
+        return SkewModuleElem(self.carrier, {i + k: m for i, m in self.terms.items()}, self.twist)
+
+    def act_skew(self, xi):
+        out = SkewModuleElem(self.carrier, {}, self.twist)
+        for j, r in xi.terms.items():
+            out = out + self.act_ring(r).act_F(j)
+        return out
 
 
 def two_step_maps(module):
@@ -26,10 +74,10 @@ def two_step_maps(module):
     def alpha(elt):
         if elt.twist != 1:
             raise ValueError("alpha takes twist-1 elements, got twist %d" % elt.twist)
-        out = FreeSkewElem(module, {}, 0)
+        out = SkewModuleElem(module, {}, 0)
         for i, m in elt.terms.items():
-            out = out + FreeSkewElem(module, {i: module.phi(m)}, 0)
-            out = out + FreeSkewElem(module, {i + 1: module.neg(m)}, 0)
+            out = out + SkewModuleElem(module, {i: module.phi(m)}, 0)
+            out = out + SkewModuleElem(module, {i + 1: module.neg(m)}, 0)
         return out
 
     def beta(elt):
