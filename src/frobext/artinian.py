@@ -8,7 +8,6 @@ level n to level m multiplies the numerator by (x1...xd)^(m-n).
 
 from __future__ import annotations
 
-from .linalg import matrix_of_map
 from .poly import MultiPoly, PolySpace, monomials_box
 
 
@@ -40,21 +39,6 @@ class ArtinianAlgebra:
             e: c for e, c in f.terms.items() if all(b < a for b, a in zip(e, ex))
         }
         return MultiPoly(self.ring, keep)
-
-    def multiply(self, f, g):
-        return self.reduce(self.ring.coerce(f) * g)
-
-    def action_matrix(self, f):
-        """Multiplication by f on the monomial basis, flattened over F_p."""
-        return matrix_of_map(
-            self.space.basis_elems(), lambda b: self.multiply(f, b), self.space, self.ring.field.p
-        )
-
-    def basis_elems(self):
-        return self.space.basis_elems()
-
-    def dim_fp(self):
-        return self.space.dim()
 
     def __repr__(self):
         gens = ", ".join(

@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import random
 
+from .fmodules import artin_schreier_matrix
 from .koszul import KoszulComplex, wedge_boundary
 from .linalg import (
     SparseMatrix,
     StructureError,
-    artin_schreier_map,
     complex_dims,
     flatten,
     intersection_dim,
@@ -34,7 +34,7 @@ from .linalg import (
     solve,
     tuple_space,
 )
-from .poly import FieldSpace, PolySpace, add_at, monomials_box, random_poly
+from .poly import PolyRing, PolySpace, add_at, monomials_box, random_poly
 from .skew import FreeCartierCarrier, frob_power
 
 
@@ -177,10 +177,6 @@ class ConeComplex:
                     if i not in S:
                         outside = outside * self.fs[i] ** (self.p - 1)
                 self.kernel[S] = [[k * outside for k in row] for row in coupling]
-
-    def generator_count(self, n):
-        """Wedge-level generators at spot n (twisted + plain)."""
-        return self.module.rank * (self.koszul.rank(n - 1) + self.koszul.rank(n))
 
     def differential(self, n, z):
         """d_n: spot n -> spot n-1."""
@@ -626,9 +622,8 @@ def coker_formula(field):
     The kernel of that map is exactly F_p (solutions of x^p = x), so the
     image has codimension one; the formula e - rank is computed anyway.
     """
-    space = FieldSpace(field)
-    fmap = artin_schreier_map(space, space, lambda x: x**field.p)
-    return field.e - rank(fmap.mat, field.p)
+    space = PolySpace(PolyRing(field, 0), [()])
+    return field.e - rank(artin_schreier_matrix(space, space, 0, 0), field.p)
 
 
 # -- transpose and the unitalization tower ------------------------------------
@@ -647,51 +642,6 @@ def unit_transpose_map(module):
     cod = tuple_space(mspace, len(digits), module.zero())
     fmap = matrix_of_map(mspace.basis_elems(), tau, cod, p)
     return fmap, tau, digits
-
-
-def unit_transpose_report(module):
-    A = unit_transpose_map(module)[0].mat
-    m, n = A.shape
-    r = rank(A, module.ring.field.p)
-    return {"domain_dim": n, "codomain_dim": m, "rank": r, "injective": r == n, "surjective": r == m}
-
-
-def free_transpose_roundtrip(ring, cap):
-    """For the rank-one free module with the plain digit projection, the
-    transpose is digit reversal: tau(f)_a = digit_(p-1-a)(f), with inverse
-    (m_a) -> sum_a m_a^p x^(p-1-a).  Checked exactly on the capped box."""
-    p = ring.field.p
-    digits = _digit_tuples(p, ring.d)
-    rev = [tuple(p - 1 - ai for ai in a) for a in digits]
-
-    def tau(f):
-        return tuple(ring.cartier(ring.monomial(a, ring.field.one) * f) for a in digits)
-
-    def inv(tup):
-        acc = ring.zero
-        for a, m in zip(digits, tup):
-            acc = acc + m.frobenius() * ring.monomial(tuple(p - 1 - ai for ai in a), ring.field.one)
-        return acc
-
-    space = PolySpace.box(ring, cap)
-    for f in space.basis_elems():
-        t = tau(f)
-        # digit reversal
-        dig = ring.frobenius_digits(f)
-        for a, v in zip(digits, t):
-            want = dig.get(tuple(p - 1 - ai for ai in a), ring.zero)
-            if v != want:
-                return False
-        if inv(t) != f:
-            return False
-    # the other composition, on tuples of capped polynomials
-    small = PolySpace.box(ring, max(cap // p, 1))
-    for k in range(len(digits)):
-        for b in small.basis_elems():
-            tup = tuple(b if i == k else ring.zero for i in range(len(digits)))
-            if tau(inv(tup)) != tup:
-                return False
-    return True
 
 
 def unitalize_report(module, levels):

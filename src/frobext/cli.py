@@ -214,7 +214,7 @@ def parse_entries(sc, ring, key, text=None):
     return entries
 
 
-def parse_exponents(sc, ring):
+def parse_exponents(sc, ring, minimum=0):
     raw = sc.get("exponents")
     try:
         exps = tuple(int(t) for t in raw.split(","))
@@ -222,6 +222,9 @@ def parse_exponents(sc, ring):
         sc.fail("exponents", "exponents must be a comma-separated integer list")
     if len(exps) != ring.d or any(a < 0 for a in exps):
         sc.fail("exponents", "need %d exponents, each >= 0" % ring.d)
+    if any(a < minimum for a in exps):
+        # x^0 = 1 is a unit: the Koszul sequence of the cone is not regular
+        sc.fail("exponents", "the cone needs every exponent >= %d, got %s" % (minimum, raw.strip()))
     return exps
 
 
@@ -320,8 +323,8 @@ def build_structure(sc, algebra):
     )
 
 
-def build_quotient_module(sc, ring):
-    exps = parse_exponents(sc, ring)
+def build_quotient_module(sc, ring, minimum=0):
+    exps = parse_exponents(sc, ring, minimum)
     algebra = ArtinianAlgebra(ring, exps)
     module, structure = build_structure(sc, algebra)
     echo = {
@@ -381,7 +384,7 @@ def run_two_step(sc):
 
 def run_cone_resolution(sc):
     ring = build_ring(sc)
-    module, echo = build_quotient_module(sc, ring)
+    module, echo = build_quotient_module(sc, ring, minimum=1)
     cone = ConeComplex(module)
     cap = sc.int("cap", max(max(module.algebra.exponents, default=1), 1), minimum=0)
     dfmax = sc.int("dfmax", 2, minimum=0)
@@ -401,7 +404,7 @@ def run_cone_resolution(sc):
 
 def run_ext_rf(sc):
     ring = build_ring(sc)
-    module, echo = build_quotient_module(sc, ring)
+    module, echo = build_quotient_module(sc, ring, minimum=1)
     j = sc.int("j", minimum=0)
     target_name = sc.get("target", "artinian")
     caps = {}

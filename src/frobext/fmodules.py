@@ -468,7 +468,8 @@ def ext1_class(module, u1, u2, level_bound=4, degree_bound=6, samples=20, seed=0
     checked three ways: the shifted section carries one datum onto the other,
     the two composite formulas (y + r*u1 + r*F(x), r) and (y + r*u2 + r*x, r)
     agree on random samples, and the section map intertwines both F's on
-    random pairs.  All three are exact identities, asserted, not reported."""
+    random pairs.  All three are exact identities: a failure raises a
+    RuntimeError, and none is reported."""
     m = module
     u1 = m.coerce(u1)
     u2 = m.coerce(u2)
@@ -487,7 +488,8 @@ def ext1_class(module, u1, u2, level_bound=4, degree_bound=6, samples=20, seed=0
     e1 = ExtensionDatum(m, u1)
     e2 = ExtensionDatum(m, u2)
     psi, carried = e1.section_shift(m.neg(x))
-    assert carried.z == e2.z
+    if carried.z != e2.z:
+        raise RuntimeError("section check failed: the shifted section does not carry u1 onto u2")
     fx = m.pth_power(x)
     quadratic = PolySpace.total_degree(ring, 2).mons
     for _ in range(samples):
@@ -495,9 +497,11 @@ def ext1_class(module, u1, u2, level_bound=4, degree_bound=6, samples=20, seed=0
         r = random_poly(ring, quadratic, rng, 0.5)
         left = m.add(y, m.add(m.scal(r, u1), m.scal(r, fx)))
         right = m.add(y, m.add(m.scal(r, u2), m.scal(r, x)))
-        assert left == right
+        if left != right:
+            raise RuntimeError("section check failed: the two composite formulas differ on a sample")
         a, b = m.sample(rng), random_poly(ring, quadratic, rng, 0.5)
-        assert psi(e1.pth_power((a, b))) == e2.pth_power(psi((a, b)))
+        if psi(e1.pth_power((a, b))) != e2.pth_power(psi((a, b))):
+            raise RuntimeError("section check failed: the section does not intertwine the two F's")
     out["section_shift"] = res["witness"]
     out["checked_samples"] = samples
     return out
@@ -642,7 +646,8 @@ def hom_fr(m1, m2, level=4, degree_bound=4):
             big = PolySpace.total_degree(ring, p * bound)
             fmat = artin_schreier_matrix(space, big, 0, 0)
             dims.append(fmat.ncols - rank(fmat, p))
-        assert dims == [1, 1]  # F(s) = s forces s constant with s^p = s
+        if dims != [1, 1]:  # F(s) = s forces s constant with s^p = s
+            raise RuntimeError("kernel check failed: F(s) = s has a solution space of dims %r" % dims)
         return {
             "dim": dims[1],
             "dims": dims,
@@ -716,7 +721,8 @@ def rational_class_distinct(base, a, b, level_bound=3, degree_bound=3):
 
     p = field.p
     quadratic = (t - ring.coerce(a)) * (t - ring.coerce(b))
-    assert is_squarefree(quadratic)
+    if not is_squarefree(quadratic):
+        raise RuntimeError("squarefree check failed: (t-a)(t-b) with a != b has a square factor")
     if p >= 3:
         branch = "degree: p*deg(g) >= %d > 2 for nonconstant g" % p
     else:
@@ -726,7 +732,8 @@ def rational_class_distinct(base, a, b, level_bound=3, degree_bound=3):
     cod = BoundedRationalSpace(base, level_bound * p, max(degree_bound * p, degree_bound + 1))
     fmap = matrix_of_map(dom.basis_elems(), lambda z: z.pth_power() - z, cod, p)
     x, cert = solve_with_certificate(fmap.mat, cod.coords(target), p)
-    assert x is None  # the symbolic layer says this solve can never succeed
+    if x is not None:  # the symbolic layer says this solve can never succeed
+        raise RuntimeError("certificate check failed: the bounded solve found a solution")
     return {
         "distinct": True,
         "proven": True,

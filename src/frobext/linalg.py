@@ -77,10 +77,6 @@ class SparseMatrix:
         return out
 
 
-def _sparse_row(vec, p):
-    return {j: x for j, v in enumerate(vec) if (x := int(v) % p)}
-
-
 def _dense(row, n):
     vec = [0] * n
     for j, v in row.items():
@@ -185,7 +181,7 @@ def _targets(A, b, p):
     b stacks k column targets (a SparseMatrix) rather than being one vector
     (a sequence of ints)."""
     stacked = isinstance(b, SparseMatrix)
-    B = b if stacked else SparseMatrix([_sparse_row([v], p) for v in b], 1)
+    B = b if stacked else SparseMatrix([{0: x} if (x := int(v) % p) else {} for v in b], 1)
     if len(B.rows) != len(A.rows):
         raise ValueError("%d right-hand side rows for %d equations" % (len(B.rows), len(A.rows)))
     return B, stacked
@@ -195,7 +191,11 @@ def solve(A, b, p):
     """One solution x of A x = b (mod p), or None.  For a vector b, x is an
     int list.  For stacked column targets b, x is the SparseMatrix of the
     solutions' columns, and None means some column has no solution."""
-    B, stacked = _targets(A, b, p)
+    return _solve(A, *_targets(A, b, p), p)
+
+
+def _solve(A, B, stacked, p):
+    """`solve` on the right-hand side that `_targets` made of b."""
     n = A.ncols
     aug = [dict(row) for row in A.rows]
     for row, brow in zip(aug, B.rows):
@@ -221,10 +221,10 @@ def solve_with_certificate(A, b, p):
     row of kernel_basis(A.T) with y @ b != 0, and y @ A == 0 is checked by
     combining A's rows before y is returned.
     """
-    x = solve(A, b, p)
+    B, stacked = _targets(A, b, p)
+    x = _solve(A, B, stacked, p)
     if x is not None:
         return x, None
-    B, _ = _targets(A, b, p)
     y = next((y for y in kernel_basis(A.T, p).rows if _combine(y, B.rows, p)), None)
     if y is None:
         raise RuntimeError("certificate check failed: no y with y @ A == 0 has y @ b != 0")
@@ -405,27 +405,3 @@ def tuple_space(inner, n, zero):
 
 class StructureError(ValueError):
     """Raised when a map handed in as additive/semilinear fails the check."""
-
-
-def artin_schreier_map(domain, codomain, pth_power):
-    """Flatten x -> x^p - x to an FpLinearMap between two flat spaces.
-
-    `domain` and `codomain` expose basis_elems() / coords() / dim() / p, and
-    their elements support +, unary -, and integer scalar multiplication.
-    pth_power is the p-power map of the ambient structure; additivity and
-    F_p-homogeneity are spot-checked on basis pairs before trusting it.
-    """
-    p = domain.p
-    basis = list(domain.basis_elems())
-    if len(basis) >= 2:
-        a, b = basis[0], basis[1]
-        if codomain.coords(pth_power(a + b)) != codomain.coords(pth_power(a) + pth_power(b)):
-            raise StructureError("p-power map is not additive on basis pair")
-        for c in range(2, p):
-            if codomain.coords(pth_power(c * a)) != codomain.coords(c * pth_power(a)):
-                raise StructureError("p-power map does not fix F_p-scalars")
-
-    def ap(x):
-        return pth_power(x) + (-x)
-
-    return matrix_of_map(basis, ap, codomain, p)

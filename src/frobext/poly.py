@@ -413,13 +413,6 @@ class PolySpace:
         return MultiPoly(self.ring, terms)
 
 
-class FieldSpace(PolySpace):
-    """F_q itself, as the d-variable polynomial space of constants."""
-
-    def __init__(self, field):
-        super().__init__(PolyRing(field, 0), [()])
-
-
 def add_at(out, key, v):
     """out[key] += v, dropping the key when the sum vanishes: the one merge
     step of every key -> polynomial dict (sequences, cone elements, skew

@@ -24,77 +24,13 @@ from .linalg import (
     solve_with_certificate,
     tuple_space,
 )
-from .poly import MultiPoly, PolySpace, add_at
+from .poly import PolySpace, add_at
 
 
 def frob_power(f, k):
     for _ in range(k):
         f = f.frobenius()
     return f
-
-
-class SkewElem:
-    """An element of R{F}: dict F-degree -> polynomial coefficient."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = {i: c for i, c in terms.items() if c}
-
-    @classmethod
-    def of(cls, ring, coeff, power=0):
-        return cls(ring, {power: ring.coerce(coeff)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            add_at(out, i, c)
-        return SkewElem(self.ring, out)
-
-    def __neg__(self):
-        return SkewElem(self.ring, {i: -c for i, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """(r F^i)(s F^j) = r s^(p^i) F^(i+j)."""
-        if isinstance(other, (int, MultiPoly)):
-            other = SkewElem.of(self.ring, self.ring.coerce(other))
-        out = {}
-        for i, r in self.terms.items():
-            for j, s in other.terms.items():
-                add_at(out, i + j, r * frob_power(s, i))
-        return SkewElem(self.ring, out)
-
-    def __rmul__(self, other):
-        return SkewElem.of(self.ring, self.ring.coerce(other)) * self
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, SkewElem) and self.ring is other.ring and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for i in sorted(self.terms):
-            c = self.ring.format(self.terms[i])
-            c = "(%s)" % c if (" " in c and i > 0) else c
-            if i == 0:
-                parts.append(c)
-            elif c == "1":
-                parts.append("F" if i == 1 else "F^%d" % i)
-            else:
-                parts.append("%s*F%s" % (c, "" if i == 1 else "^%d" % i))
-        return " + ".join(parts)
-
-
-def skew_mul(a, b):
-    return a * b
 
 
 class FreeCartierCarrier:

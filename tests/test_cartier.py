@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import (
     ArtinianCartierModule,
-    ConeComplex,
     FreeTarget,
     _cross_block_is_zero,
     _dual_images,
@@ -31,11 +30,9 @@ from frobext.cartier import (
     ext_r_twisted_dims,
     ext_rf,
     ext_split_check,
-    free_transpose_roundtrip,
     random_module,
     scaled_module,
     standard_module,
-    unit_transpose_report,
     unitalize_report,
     zero_structure_module,
 )
@@ -59,6 +56,7 @@ from frobext.skew import (
     two_step_witnesses,
 )
 
+from cartier_reference import ConeComplex, free_transpose_roundtrip, unit_transpose_report
 from dense import sparse
 from two_step_reference import flatten_two_step, two_step_maps, two_step_witness
 

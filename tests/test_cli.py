@@ -126,6 +126,24 @@ def test_validation_error_names_the_invariant(tmp_path, capsys):
     assert "squarefree" in err
 
 
+@pytest.mark.parametrize("task,extra", [("cone-resolution", ""), ("ext-rf", "j: 1\n")], ids=["cone", "ext-rf"])
+def test_cone_tasks_refuse_a_zero_exponent_at_its_line(tmp_path, capsys, task, extra):
+    # x1^0 = 1 is a unit, so the cone's Koszul sequence is not regular
+    path = write(tmp_path, "z.scenario", "task: %s\np: 2\nd: 2\nexponents: 0,1\n%s" % (task, extra))
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 1 and not out
+    assert f"{path}:4:" in err and "exponent >= 1" in err
+
+
+@pytest.mark.parametrize("task", ["two-step-check", "unitalize"])
+def test_a_zero_exponent_is_the_zero_carrier_outside_the_cone(tmp_path, capsys, task):
+    path = write(tmp_path, "z.scenario", "task: %s\np: 2\nd: 2\nexponents: 0,1\n" % task)
+    code, out, _ = run_cli(capsys, "run", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["module"]["carrier_dim_fp"] == 0
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     path = write(
         tmp_path,

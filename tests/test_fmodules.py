@@ -355,6 +355,24 @@ def test_shift_and_sum_witness_checks_refuse_a_wrong_map(monkeypatch):
         as_solve(total, (x**2 + x, ring.zero))
 
 
+def test_ext1_section_check_refuses_a_wrong_witness(monkeypatch):
+    # a witness off by x: the shifted section no longer carries u1 onto u2,
+    # and the explicit raise holds under python -O
+    ring = ring_over(2, 1, 1)
+    x = ring.gens()[0]
+    m = StdR(ring)
+    assert ext1_class(m, ring.zero, x**2 + x)["equivalent"]
+    solve = fmodules.as_solve_elem
+
+    def wrong(module, u, *bounds):
+        rep, z = solve(module, u, *bounds)
+        return rep, z + x
+
+    monkeypatch.setattr(fmodules, "as_solve_elem", wrong)
+    with pytest.raises(RuntimeError, match="section check failed"):
+        ext1_class(m, ring.zero, x**2 + x)
+
+
 # -- UNSAT monotonicity ---------------------------------------------------------
 
 

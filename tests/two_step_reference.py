@@ -1,8 +1,10 @@
 """The symbolic two-step presentation: the reference the direct assembly in
 `frobext.skew` must match.
 
-`SkewModuleElem` is a `FreeSkewElem` with the right R{F}-module arithmetic
-of M (x) R{F}.  `two_step_maps` gives alpha and beta on such elements,
+`SkewElem` is an element of R{F} itself, with its sum and product, and
+`skew_mul` that product: the arithmetic `SkewModuleElem.act_skew` is tested
+against.  `SkewModuleElem` is a `FreeSkewElem` with the right R{F}-module
+arithmetic of M (x) R{F}.  `two_step_maps` gives alpha and beta on such elements,
 `two_step_witness` the preimage of a beta-kernel element, and
 `flatten_two_step` pushes every basis vector of the graded windows through
 them with `matrix_of_map`.  The check itself never runs this code:
@@ -11,7 +13,72 @@ beta and the witnesses from it.
 """
 
 from frobext.linalg import matrix_of_map
+from frobext.poly import MultiPoly, add_at
 from frobext.skew import FreeSkewElem, frob_power, graded_skew_space
+
+
+class SkewElem:
+    """An element of R{F}: dict F-degree -> polynomial coefficient."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms):
+        self.ring = ring
+        self.terms = {i: c for i, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, ring, coeff, power=0):
+        return cls(ring, {power: ring.coerce(coeff)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for i, c in other.terms.items():
+            add_at(out, i, c)
+        return SkewElem(self.ring, out)
+
+    def __neg__(self):
+        return SkewElem(self.ring, {i: -c for i, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """(r F^i)(s F^j) = r s^(p^i) F^(i+j)."""
+        if isinstance(other, (int, MultiPoly)):
+            other = SkewElem.of(self.ring, self.ring.coerce(other))
+        out = {}
+        for i, r in self.terms.items():
+            for j, s in other.terms.items():
+                add_at(out, i + j, r * frob_power(s, i))
+        return SkewElem(self.ring, out)
+
+    def __rmul__(self, other):
+        return SkewElem.of(self.ring, self.ring.coerce(other)) * self
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, SkewElem) and self.ring is other.ring and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for i in sorted(self.terms):
+            c = self.ring.format(self.terms[i])
+            c = "(%s)" % c if (" " in c and i > 0) else c
+            if i == 0:
+                parts.append(c)
+            elif c == "1":
+                parts.append("F" if i == 1 else "F^%d" % i)
+            else:
+                parts.append("%s*F%s" % (c, "" if i == 1 else "^%d" % i))
+        return " + ".join(parts)
+
+
+def skew_mul(a, b):
+    return a * b
 
 
 class SkewModuleElem(FreeSkewElem):
