@@ -8,7 +8,7 @@ level n to level m multiplies the numerator by (x1...xd)^(m-n).
 
 from __future__ import annotations
 
-from .poly import MultiPoly, PolySpace, monomials_box
+from .poly import MultiPoly, PolySpace
 
 
 class ArtinianAlgebra:
@@ -22,10 +22,7 @@ class ArtinianAlgebra:
             raise ValueError("exponents must be >= 0")
         self.ring = ring
         self.exponents = exponents
-        self.dim_fq = 1
-        for a in exponents:
-            self.dim_fq *= a
-        self.space = PolySpace(ring, monomials_box(ring.d, exponents))
+        self.space = PolySpace.box(ring, exponents)
 
     def reduce(self, f):
         """The normal form: drop every monomial with some exponent >= a_i.
@@ -59,12 +56,8 @@ class ERing:
         for g in ring.gens():
             self.xprod = self.xprod * g
 
-    def algebra(self, n):
-        return ArtinianAlgebra(self.ring, (n,) * self.ring.d)
-
     def reduce(self, f, n):
-        """f mod (x1^n, ..., xd^n): algebra(n).reduce(f) without building the
-        algebra and its monomial box."""
+        """f mod (x1^n, ..., xd^n)."""
         return MultiPoly(self.ring, {e: c for e, c in f.terms.items() if max(e) < n})
 
     def elem(self, numer, level):
@@ -186,7 +179,7 @@ class ELevelSpace:
         self.ering = ering
         self.n = n
         self.p = ering.ring.field.p
-        self.box = ering.algebra(n).space  # the numerators at level n
+        self.box = PolySpace.box(ering.ring, n)  # the numerators at level n
 
     def dim(self):
         return self.box.dim()

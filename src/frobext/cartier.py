@@ -485,7 +485,7 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
     p, e = field.p, field.e
     if gap is None:
         gap = p + sum(cone.module.algebra.exponents)
-    units = [field.from_coords(tuple(int(k == t) for k in range(e))) for t in range(e)]
+    units = field.power_basis
     reads = (_reads(cone, j), _reads(cone, j - 1) if j else {})
     usedby = {}  # spot-j generator key -> [(functional key k, F-degree i, exponent c)]
     for k, terms in reads[1].items():

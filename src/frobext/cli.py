@@ -533,19 +533,10 @@ TASKS = {
 # -- report plumbing ----------------------------------------------------------
 
 
-def _plain(obj):
-    """Make the report JSON-serializable with no framework types left."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (bool, str)) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    return str(obj)
+def _plain(report):
+    """The report as JSON values only: tuples become lists, keys strings and
+    any other object its str()."""
+    return json.loads(json.dumps(report, default=str))
 
 
 def strip_volatile(obj):
@@ -558,64 +549,47 @@ def strip_volatile(obj):
     return obj
 
 
-def inconclusive_paths(obj, prefix=""):
-    """Every spot in the report that admits it could not decide."""
-    found = []
+def _leaves(obj, path=""):
+    """The (path, leaf) pairs of a plain report: dict keys in sorted order,
+    list items by index; an empty container has none."""
     if isinstance(obj, dict):
-        for k, v in obj.items():
-            path = "%s.%s" % (prefix, k) if prefix else k
-            if k == "stable" and v is False:
-                found.append(path)
-            elif k == "inconclusive" and v is True:
-                found.append(path)
-            else:
-                found.extend(inconclusive_paths(v, path))
+        for k in sorted(obj):
+            yield from _leaves(obj[k], "%s.%s" % (path, k) if path else k)
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
-            found.extend(inconclusive_paths(v, "%s[%d]" % (prefix, i)))
-    return found
+            yield from _leaves(v, "%s[%d]" % (path, i))
+    else:
+        yield path, obj
 
 
-def flatten_lines(obj, prefix=""):
-    if isinstance(obj, dict):
-        out = []
-        for k in sorted(obj):
-            out.extend(flatten_lines(obj[k], "%s.%s" % (prefix, k) if prefix else k))
-        return out
-    if isinstance(obj, list):
-        out = []
-        for i, v in enumerate(obj):
-            out.extend(flatten_lines(v, "%s[%d]" % (prefix, i)))
-        return out
-    return ["%s: %s" % (prefix, json.dumps(obj))]
+def inconclusive_paths(report):
+    """Every spot in the report that admits it could not decide: a leaf
+    `stable: false` or `inconclusive: true`."""
+    return [
+        path
+        for path, v in _leaves(report)
+        if (v is True or v is False)
+        and path.rpartition(".")[2] == ("inconclusive" if v else "stable")
+    ]
+
+
+def flatten_lines(report):
+    return ["%s: %s" % (path, json.dumps(v)) for path, v in _leaves(report)]
 
 
 def diff_paths(got, expected):
-    """The first six places where two canonical reports disagree."""
+    """The first six leaves where two canonical reports disagree."""
+    a, b = dict(_leaves(got)), dict(_leaves(expected))
     diffs = []
-
-    def walk(a, b, path):
-        if len(diffs) >= 6:
-            return
-        if isinstance(a, dict) and isinstance(b, dict):
-            for k in sorted(set(a) | set(b)):
-                sub = "%s.%s" % (path, k) if path else k
-                if k not in a:
-                    diffs.append("%s: missing in new run" % sub)
-                elif k not in b:
-                    diffs.append("%s: not in expected report" % sub)
-                else:
-                    walk(a[k], b[k], sub)
-        elif isinstance(a, list) and isinstance(b, list):
-            if len(a) != len(b):
-                diffs.append("%s: length %d != %d" % (path, len(a), len(b)))
-                return
-            for i, (x, y) in enumerate(zip(a, b)):
-                walk(x, y, "%s[%d]" % (path, i))
-        elif a != b:
-            diffs.append("%s: %r != expected %r" % (path, a, b))
-
-    walk(got, expected, "")
+    for path in list(a) + [k for k in b if k not in a]:
+        if path not in b:
+            diffs.append("%s: not in expected report" % path)
+        elif path not in a:
+            diffs.append("%s: missing in new run" % path)
+        elif a[path] != b[path]:
+            diffs.append("%s: %r != expected %r" % (path, a[path], b[path]))
+        if len(diffs) == 6:
+            break
     return diffs
 
 

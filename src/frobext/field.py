@@ -238,6 +238,9 @@ class FqSpec:
         self.zero = self._elems[0]
         self.one = self._elems[1]
         self.gen = self._elems[p] if e > 1 else self.one
+        # 1, w, ..., w^(e-1) (code p^k is w^k): the F_p-basis of F_q that
+        # every flat space tensors with
+        self.power_basis = [self._elems[p**k] for k in range(e)]
         self._build_tables()
 
     def _build_tables(self):

@@ -389,10 +389,9 @@ def artin_schreier_matrix(dom, cod, h, s):
     `matrix_of_map` gives.  A term that `cod` does not hold is dropped (on a
     box, the limit carrier's reduction); two terms on one monomial are summed
     in F_q before their digits are written."""
-    field = dom.ring.field
     p, e = dom.p, dom.e
     index = cod.index
-    units = [field.from_coords([int(j == k) for j in range(e)]) for k in range(e)]
+    units = dom.ring.field.power_basis
 
     def digits(values):
         return [[(k, x) for k, x in enumerate(v.val) if x] for v in values]

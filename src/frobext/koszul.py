@@ -48,7 +48,6 @@ class KoszulComplex:
         self.fs = [ring.coerce(f) for f in fs]
         self.k = len(self.fs)
         seen = {}
-        self.pure_exponents = [0] * ring.d
         for f in self.fs:
             info = _monomial_like(ring, f)
             if info is None:
@@ -64,7 +63,6 @@ class KoszulComplex:
             if a == 0:
                 raise ValueError("sequence entry %r is a unit; not a regular sequence" % (f,))
             seen[var] = a
-            self.pure_exponents[var] = a
 
     def subsets(self, j):
         """The generators e_S of spot j, lexicographic; none outside 0..k."""

@@ -378,11 +378,10 @@ class PolySpace:
         return len(self.mons) * self.e
 
     def basis_elems(self):
-        field = self.ring.field
+        units = self.ring.field.power_basis
         for m in self.mons:
-            for k in range(self.e):
-                coeff = field.from_coords(tuple(1 if j == k else 0 for j in range(self.e)))
-                yield self.ring.monomial(m, coeff)
+            for c in units:
+                yield self.ring.monomial(m, c)
 
     def coords(self, f):
         vec = [0] * self.dim()

@@ -13,7 +13,7 @@ remainder followed by base-D digit expansion.
 
 from __future__ import annotations
 
-from .poly import MultiPoly
+from .poly import MultiPoly, PolySpace
 
 
 def u_degree(f):
@@ -146,7 +146,9 @@ class RationalBase:
 
 
 class BoundedRationalSpace:
-    """The F_p-flattened slice with pole bound N and degree bound B."""
+    """The F_p-flattened slice with pole bound N and degree bound B: the
+    PolySpace of t^0..t^B, then one PolySpace box of D-adic digits (degree <
+    deg D) over each pole D^j, j = 1..N."""
 
     def __init__(self, base, N, B):
         self.base = base
@@ -154,72 +156,54 @@ class BoundedRationalSpace:
         self.B = B
         self.ring = base.ring
         self.p = self.ring.field.p
-        self.e = self.ring.field.e
-        self.degD = u_degree(base.D)
-        # basis monomial slots: polynomial part then pole parts by level
-        self.slots = [("poly", i) for i in range(B + 1)]
-        for j in range(1, N + 1):
-            for i in range(self.degD):
-                self.slots.append(("pole", j, i))
+        self.poly = PolySpace.total_degree(self.ring, B)
+        self.digit = PolySpace.box(self.ring, u_degree(base.D))
+
+    def _at(self, j):
+        """The offset of the digit over D^j."""
+        return self.poly.dim() + (j - 1) * self.digit.dim()
 
     def dim(self):
-        return len(self.slots) * self.e
+        return self._at(self.N + 1)
 
     def basis_elems(self):
-        field = self.ring.field
-        for slot in self.slots:
-            for k in range(self.e):
-                c = field.from_coords(tuple(1 if j == k else 0 for j in range(self.e)))
-                if slot[0] == "poly":
-                    yield self.base.fn(self.ring.monomial((slot[1],), c), 0)
-                else:
-                    _, j, i = slot
-                    yield self.base.fn(self.ring.monomial((i,), c), j)
+        for f in self.poly.basis_elems():
+            yield self.base.fn(f, 0)
+        for j in range(1, self.N + 1):
+            for f in self.digit.basis_elems():
+                yield self.base.fn(f, j)
 
-    def coords(self, fn):
-        """Exact coordinates; raises if fn does not lie in the slice."""
+    coords = PolySpace.coords  # the dense vector of coord_items
+
+    def coord_items(self, fn):
+        """The nonzero coordinates of fn, as (index, value) pairs; raises if
+        fn does not lie in the slice."""
         if fn.base is not self.base:
             raise ValueError("element over a different denominator base")
-        quo, rem = u_divmod(fn.numer, self.base.D ** fn.level) if fn.level else (fn.numer, self.ring.zero)
+        D = self.base.D
+        quo, rem = u_divmod(fn.numer, D ** fn.level) if fn.level else (fn.numer, self.ring.zero)
         if u_degree(quo) > self.B:
             raise ValueError("polynomial part exceeds the degree bound")
-        vec = [0] * self.dim()
-        slot_index = {s: i for i, s in enumerate(self.slots)}
-        for (a,), c in quo.terms.items():
-            i = slot_index[("poly", a)]
-            for k, ck in enumerate(c.val):
-                vec[i * self.e + k] = ck
-        # base-D digits of rem: rem = sum_l digit_l * D^l, so the digit at
-        # position l sits over the pole D^(level - l)
-        digits = []
-        r = rem
-        for _ in range(fn.level):
-            r, digit = u_divmod(r, self.base.D)
-            digits.append(digit)
-        if r:
-            raise ValueError("remainder does not expand in the D-adic basis")
-        for l, digit in enumerate(digits):
-            j = fn.level - l
+        out = self.poly.coord_items(quo)
+        # base-D digits of rem, lowest first: rem = sum_l digit_l * D^l, and
+        # digit_l sits over the pole D^j, j = level - l
+        for j in range(fn.level, 0, -1):
+            rem, digit = u_divmod(rem, D)
             if not digit:
                 continue
             if j > self.N:
                 raise ValueError("pole order %d exceeds the bound %d" % (j, self.N))
-            for (a,), c in digit.terms.items():
-                i = slot_index[("pole", j, a)]
-                for k, ck in enumerate(c.val):
-                    vec[i * self.e + k] = ck
-        return vec
+            at = self._at(j)
+            out.extend((at + i, v) for i, v in self.digit.coord_items(digit))
+        if rem:
+            raise ValueError("remainder does not expand in the D-adic basis")
+        return out
 
     def from_coords(self, vec):
-        field = self.ring.field
-        out = self.base.fn(self.ring.zero, 0)
-        for i, slot in enumerate(self.slots):
-            c = field.from_coords(tuple(int(vec[i * self.e + k]) % self.p for k in range(self.e)))
-            if not c:
-                continue
-            if slot[0] == "poly":
-                out = out + self.base.fn(self.ring.monomial((slot[1],), c), 0)
-            else:
-                _, j, a = slot
-                out = out + self.base.fn(self.ring.monomial((a,), c), j)
+        out = self.base.fn(self.poly.from_coords(vec[: self.poly.dim()]), 0)
+        for j in range(1, self.N + 1):
+            at = self._at(j)
+            digit = self.digit.from_coords(vec[at : at + self.digit.dim()])
+            if digit:
+                out = out + self.base.fn(digit, j)
         return out

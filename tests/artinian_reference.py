@@ -1,9 +1,10 @@
 """Products in a monomial Artinian quotient A = R/(x1^a1, ..., xd^ad).
 
 `ArtinianAlgebra` is `frobext.artinian.ArtinianAlgebra` with its product,
-the flat matrix of multiplication by a fixed element, and the dimension over
-F_p: the tests build Hom complexes from them by hand.  No task needs them;
-the cone and the Ext complexes read the carrier through `reduce` and `space`.
+the flat matrix of multiplication by a fixed element, and the dimensions
+over F_q and F_p: the tests build Hom complexes from them by hand.  No task
+needs them; the cone and the Ext complexes read the carrier through `reduce`
+and `space`.
 """
 
 from frobext import artinian
@@ -19,6 +20,10 @@ class ArtinianAlgebra(artinian.ArtinianAlgebra):
         return matrix_of_map(
             self.space.basis_elems(), lambda b: self.multiply(f, b), self.space, self.ring.field.p
         )
+
+    @property
+    def dim_fq(self):
+        return len(self.space.mons)
 
     def dim_fp(self):
         return self.space.dim()

@@ -1,7 +1,8 @@
 """The Koszul complex as a complex: its differential on whole elements,
 d.d = 0, the quotient algebra and window-truncated exactness.
 
-`KoszulComplex` is `frobext.koszul.KoszulComplex` with these checks added.
+`KoszulComplex` is `frobext.koszul.KoszulComplex` with these checks added,
+and the exponent of each variable in the sequence (`pure_exponents`).
 The program itself reads only the regularity check, `subsets` and
 `wedge_boundary`: the mapping cone assembles its differential from those
 terms and checks d.d = 0 on its own generators.
@@ -16,6 +17,15 @@ from artinian_reference import ArtinianAlgebra
 
 
 class KoszulComplex(koszul.KoszulComplex):
+    def __init__(self, ring, fs):
+        super().__init__(ring, fs)
+        # each entry is unit * x_i^a for its own i: a is x_i's exponent
+        self.pure_exponents = [0] * ring.d
+        for f in self.fs:
+            (exp,) = f.terms
+            for i, a in enumerate(exp):
+                self.pure_exponents[i] += a
+
     def rank(self, j):
         return len(self.subsets(j))
 

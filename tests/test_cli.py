@@ -169,6 +169,28 @@ def test_text_emitter_flattens_scalars(tmp_path, capsys):
     assert lines["split"] == "false"
 
 
+def text_lines(obj, path=""):
+    """The text emitter's lines for a JSON report: one `path: json` line per
+    leaf, dict keys sorted, list items as [i]."""
+    if isinstance(obj, dict):
+        pairs = [("%s.%s" % (path, k) if path else k, obj[k]) for k in sorted(obj)]
+    elif isinstance(obj, list):
+        pairs = [("%s[%d]" % (path, i), v) for i, v in enumerate(obj)]
+    else:
+        return ["%s: %s" % (path, json.dumps(obj))]
+    return [line for sub, v in pairs for line in text_lines(v, sub)]
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CORPUS.glob("*.scenario")))
+def test_text_emitter_flattens_every_corpus_report(capsys, name):
+    code, out, err = run_cli(capsys, "run", str(CORPUS / (name + ".scenario")), "--emit", "text")
+    expected = json.loads((CORPUS / (name + ".expected.json")).read_text())
+    assert (code, err) == (0, "")
+    volatile = "elapsed_ms: "
+    got = [line for line in out.splitlines() if not line.startswith(volatile)]
+    assert got == [line for line in text_lines(expected) if not line.startswith(volatile)]
+
+
 def test_regress_passes_on_the_shipped_corpus(capsys):
     code, out, _ = run_cli(capsys, "regress", str(CORPUS))
     assert code == 0
@@ -221,6 +243,20 @@ def test_regress_detects_drift(tmp_path, capsys):
     assert "dimension" in out
 
 
+@pytest.mark.parametrize(
+    "vars,line",
+    [(["x1", "x2"], "ring.vars[1]: missing in new run"), ([], "ring.vars[0]: not in expected report")],
+)
+def test_regress_reports_a_list_of_another_length_per_leaf(tmp_path, capsys, vars, line):
+    shutil.copy(CORPUS / "coker-f2.scenario", tmp_path / "coker-f2.scenario")
+    expected = json.loads((CORPUS / "coker-f2.expected.json").read_text())
+    expected["ring"]["vars"] = vars
+    (tmp_path / "coker-f2.expected.json").write_text(json.dumps(expected))
+    code, out, _ = run_cli(capsys, "regress", str(tmp_path))
+    assert code == 1
+    assert out.splitlines()[:2] == ["DRIFT coker-f2", "    " + line]
+
+
 def test_regress_errors_on_missing_expected(tmp_path, capsys):
     shutil.copy(CORPUS / "coker-f2.scenario", tmp_path / "orphan.scenario")
     code, out, _ = run_cli(capsys, "regress", str(tmp_path))
@@ -261,6 +297,19 @@ def test_regress_rejects_an_absent_corpus(tmp_path, capsys):
     code, _, err = run_cli(capsys, "regress", str(tmp_path / "nowhere"))
     assert code == 1
     assert "no" in err.lower()
+
+
+def test_an_undecided_report_exits_two_and_names_its_paths(tmp_path, capsys, monkeypatch):
+    def undecided(sc):
+        return {"caps": [{"stable": False}], "inconclusive": True}
+
+    monkeypatch.setitem(cli.TASKS, "coker-formula", undecided)
+    path = write(tmp_path, "u.scenario", "task: coker-formula\n")
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["caps"] == [{"stable": False}] and rep["inconclusive"] is True
+    assert err == "inconclusive: caps[0].stable; inconclusive\n"
 
 
 def test_inconclusive_reports_exit_two(tmp_path, capsys):

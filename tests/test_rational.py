@@ -4,7 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frobext.linalg import flatten
 from frobext.poly import ring_over
 from frobext.rational import (
     BoundedRationalSpace,
@@ -13,6 +16,8 @@ from frobext.rational import (
     u_divmod,
     u_gcd,
 )
+
+import rational_reference
 
 
 def rand_upoly(ring, rng, deg):
@@ -133,3 +138,53 @@ def test_out_of_slice_elements_are_rejected():
         space.coords(base.fn(ring.one, 2))  # pole too deep
     with pytest.raises(ValueError):
         space.coords(base.fn(t**5, 0))  # degree too big
+
+
+def presentation(fn):
+    return fn.level, fn.numer
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_slice_matches_the_hand_laid_reference(data):
+    p = data.draw(st.sampled_from([2, 3]))
+    e = data.draw(st.integers(1, 3))
+    ring = ring_over(p, e, 1)
+    t = ring.gens()[0]
+    deg = data.draw(st.integers(1, 3))
+    N, B = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    D = t**deg + rand_upoly(ring, rng, deg - 1)
+    while not is_squarefree(D):
+        D = t**deg + rand_upoly(ring, rng, deg - 1)
+    base = RationalBase(ring, D)
+    new = BoundedRationalSpace(base, N, B)
+    old = rational_reference.BoundedRationalSpace(base, N, B)
+    assert new.dim() == old.dim() == (B + 1 + N * deg) * e
+    basis = list(new.basis_elems())
+    assert list(map(presentation, basis)) == list(map(presentation, old.basis_elems()))
+    samples = []
+    for _ in range(6):
+        vec = [rng.randrange(p) for _ in range(new.dim())]
+        assert presentation(new.from_coords(vec)) == presentation(old.from_coords(vec))
+        z = old.from_coords(vec)
+        for fn in (z, z.raise_to(z.level + rng.randint(1, 3))):
+            assert new.coords(fn) == old.coords(fn) == vec
+            samples.append(fn)
+    assert flatten(samples + basis, new, p) == flatten(samples + basis, old, p)
+    # a pole too deep, a degree too high, another base: both refuse
+    for fn in (base.fn(ring.one, N + 1), base.fn(t ** (B + 1), 0), RationalBase(ring, D).fn(ring.one, 1)):
+        for space in (new, old):
+            with pytest.raises(ValueError):
+                space.coords(fn)
+    # a random fraction, in or out of the slice: both agree or both refuse
+    for _ in range(8):
+        level = rng.randint(0, N + 1)
+        fn = base.fn(rand_upoly(ring, rng, rng.randint(0, B + 1 + level * deg)), level)
+        try:
+            want = old.coords(fn)
+        except ValueError:
+            with pytest.raises(ValueError):
+                new.coords(fn)
+        else:
+            assert new.coords(fn) == want
