@@ -171,30 +171,3 @@ class EElem:
         )
         return "(%s; %s)" % (ring.format(a.numer), dens)
 
-
-class ELevelSpace:
-    """The F_p-space of E-elements representable at level <= n."""
-
-    def __init__(self, ering, n):
-        self.ering = ering
-        self.n = n
-        self.p = ering.ring.field.p
-        self.box = PolySpace.box(ering.ring, n)  # the numerators at level n
-
-    def dim(self):
-        return self.box.dim()
-
-    def basis_elems(self):
-        for f in self.box.basis_elems():
-            yield EElem(self.ering, self.n, f)
-
-    def coords(self, z):
-        z = z.normalize()
-        if z.level > self.n:
-            raise ValueError(
-                "element needs level %d but the space is capped at %d" % (z.level, self.n)
-            )
-        return self.box.coords(z.raise_to(self.n).numer)
-
-    def from_coords(self, vec):
-        return EElem(self.ering, self.n, self.box.from_coords(vec))

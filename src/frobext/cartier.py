@@ -49,11 +49,8 @@ class ArtinianCartierModule(FreeCartierCarrier):
 
     where twist = prod_i xi^(ai*(p-1)).  c = 1 is the standard structure,
     c = 0 the zero one, any other scalar a rescaling; cmatrix couples the
-    components of a higher-rank module.  As a dual-complex target it is
-    exact: its flat space is finite.
+    components of a higher-rank module.
     """
-
-    exact = True
 
     def __init__(self, algebra, rank=1, c=None, cmatrix=None):
         super().__init__(algebra.ring, rank, cmatrix)
@@ -347,39 +344,7 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
     return report
 
 
-# -- value targets for the dual complex --------------------------------------
-
-
-class FreeTarget:
-    """Dual-complex values in the polynomial ring itself, structure map the
-    digit projection C.  Flat spaces are degree-capped boxes; callers must
-    run the stability protocol."""
-
-    exact = False
-
-    def __init__(self, ring):
-        self.ring = ring
-
-    def zero(self):
-        return self.ring.zero
-
-    def add(self, a, b):
-        return a + b
-
-    def act(self, r, v):
-        return r * v
-
-    def phi(self, v):
-        return self.ring.cartier(v)
-
-    def phi_iter(self, v, k):
-        for _ in range(k):
-            v = self.phi(v)
-        return v
-
-    def space(self, cap):
-        # cap is the largest exponent allowed, inclusive
-        return PolySpace.box(self.ring, cap + 1)
+# -- the dual complex --------------------------------------------------------
 
 
 def _reads(cone, n, part=None):
@@ -406,13 +371,14 @@ def _reads(cone, n, part=None):
 
 def _image(target, terms, b):
     """Generator -> the nonzero value sum phiN^i(w * b) over a functional's
-    terms, for inner value b: what right R{F}-linearity gives it
-    (tests/test_cartier.py checks this against the direct evaluation)."""
+    terms, for inner value b in the carrier `target`: what right
+    R{F}-linearity gives it (tests/test_cartier.py checks this against the
+    direct evaluation)."""
     img = {}
     for gkey, i, w in terms:
         v = target.phi_iter(target.act(w, b), i)
         img[gkey] = target.add(img[gkey], v) if gkey in img else v
-    return {gkey: v for gkey, v in img.items() if not _is_zero_value(target, v)}
+    return {gkey: v for gkey, v in img.items() if not target.eq(v, target.zero())}
 
 
 def _dual_images(cone, target, n, dom_space, part=None):
@@ -437,12 +403,6 @@ def _dual_dims(cone, target, spots, part=None):
     return complex_dims(mats, nspace.p)
 
 
-def _is_zero_value(target, v):
-    if target.exact:
-        return target.eq(v, target.zero())
-    return not v
-
-
 def ext_dims_artinian(cone, target, jmax=None):
     """Exact Ext dimensions over R{F} against an Artinian target, one per
     spot 0..d+1 (and 0 beyond)."""
@@ -451,9 +411,9 @@ def ext_dims_artinian(cone, target, jmax=None):
     return dims + [0] * (jmax + 1 - len(dims))
 
 
-def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
-    """Ext^j against the free target, computed on degree caps with a
-    stability protocol.
+def ext_dim_free_target(cone, j, cap=2, gap=None, max_rounds=3):
+    """Ext^j against the free target R itself, structure map the digit
+    projection C, computed on degree caps with a stability protocol.
 
     Cycles are drawn from functionals with values capped at L; boundaries
     from functionals capped at p*L + gap, since the dual differential routes
@@ -481,37 +441,57 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
     """
     if j > cone.length:
         return {"dim": 0, "stable": True, "structural_zero": True, "caps": []}
-    ring, field = cone.ring, cone.ring.field
+    field = cone.ring.field
     p, e = field.p, field.e
     if gap is None:
         gap = p + sum(cone.module.algebra.exponents)
     units = field.power_basis
-    reads = (_reads(cone, j), _reads(cone, j - 1) if j else {})
+    # per side (values at spot j+1, at spot j): functional key k ->
+    # [(generator key, F-degree i, exponent c, coefficient a)], one per term
+    # a*x^c of a coefficient in `_reads`
+    tables = tuple(
+        {k: [(gkey, i, c, a) for gkey, i, w in terms for c, a in w.terms.items()] for k, terms in reads.items()}
+        for reads in (_reads(cone, j), _reads(cone, j - 1) if j else {})
+    )
     usedby = {}  # spot-j generator key -> [(functional key k, F-degree i, exponent c)]
-    for k, terms in reads[1].items():
-        for gkey, i, w in terms:
-            usedby.setdefault(gkey, []).extend((k, i, c) for c in w.terms)
-    # per side (values at spot j+1, at spot j): (generator key, monomial)
-    # -> row number, and (k, b) -> (flat images, rows they meet)
+    for k, terms in tables[1].items():
+        for gkey, i, c, _ in terms:
+            usedby.setdefault(gkey, []).append((k, i, c))
+    # per side: (generator key, monomial) -> row number, and (k, b) -> (flat
+    # images, rows they meet)
     rows, cache = ({}, {}), ({}, {})
 
     def images(side, k, b):
-        """The flat images of the functionals k -> x^b * unit, one per unit."""
+        """The flat images of the functionals k -> x^b * unit, one per unit.
+        phi^i(a*x^c * x^b * u) is (a*u)^(1/p^i) * x^m, m = (c+b+1)/p^i - 1,
+        when p^i divides every c+b+1, and zero otherwise."""
         if (k, b) not in cache[side]:
+            hits = []  # (row key, F-degree, coefficient) of the terms that survive
+            for gkey, i, c, a in tables[side].get(k, ()):
+                top, step = [x + y + 1 for x, y in zip(c, b)], p**i
+                if all(x % step == 0 for x in top):
+                    hits.append(((gkey, tuple(x // step - 1 for x in top)), i, a))
             flat, met = [], []
             for u in units:
+                sums = {}
+                for key, i, a in hits:
+                    v = a * u
+                    for _ in range(i):
+                        v = v.pth_root()
+                    sums[key] = sums[key] + v if key in sums else v
                 row = {}
-                for gkey, v in _image(target, reads[side].get(k, ()), ring.monomial(b, u)).items():
-                    for m, c in v.terms.items():
-                        r = rows[side].setdefault((gkey, m), len(rows[side]))
-                        row.update((r * e + t, x) for t, x in enumerate(c.val) if x)
-                        met.append((gkey, m))
+                for key, v in sums.items():
+                    if v:
+                        r = rows[side].setdefault(key, len(rows[side]))
+                        row.update((r * e + t, x) for t, x in enumerate(v.val) if x)
+                        met.append(key)
                 flat.append(row)
             cache[side][(k, b)] = flat, met
         return cache[side][(k, b)]
 
     def q(L):
-        dom = [(k, m) for k in cone.generator_keys(j) for m in target.space(L).mons]
+        # cap L is the largest exponent allowed, inclusive
+        dom = [(k, m) for k in cone.generator_keys(j) for m in monomials_box(cone.d, (L + 1,) * cone.d)]
         cols = [row for k, m in dom for row in images(0, k, m)[0]]
         ker = kernel_basis(SparseMatrix(cols, len(rows[0]) * e).T, p)  # exact cycles
         if j == 0 or not ker.rows:
@@ -546,12 +526,14 @@ def ext_dim_free_target(cone, target, j, cap=2, gap=None, max_rounds=3):
 
 
 def ext_rf(module, target, j, **caps):
-    """Ext^j over R{F} of the module against the target, via the cone."""
+    """Ext^j over R{F} of the module against the target, via the cone: the
+    target is the module's ring (the free target, `caps` as in
+    `ext_dim_free_target`) or an Artinian carrier."""
     cone = ConeComplex(module)
-    if target.exact:
-        dims = ext_dims_artinian(cone, target, jmax=j)
-        return {"dim": dims[j], "stable": True, "structural_zero": j > cone.length, "caps": []}
-    return ext_dim_free_target(cone, target, j, **caps)
+    if isinstance(target, PolyRing):
+        return ext_dim_free_target(cone, j, **caps)
+    dims = ext_dims_artinian(cone, target, jmax=j)
+    return {"dim": dims[j], "stable": True, "structural_zero": j > cone.length, "caps": []}
 
 
 # -- plain-ring Ext and the splitting comparison ------------------------------

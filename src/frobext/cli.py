@@ -20,7 +20,6 @@ import traceback
 from .artinian import ArtinianAlgebra, ERing
 from .cartier import (
     ConeComplex,
-    FreeTarget,
     coker_formula,
     cone_acyclicity_report,
     ext_rf,
@@ -246,7 +245,10 @@ def parse_module(sc, ring, key, text=None):
     if raw == "StdR":
         return StdR(ring)
     if raw == "StdE":
-        return StdE(ERing(ring))
+        try:
+            return StdE(ERing(ring))
+        except ValueError as exc:
+            sc.fail(key, str(exc))
     if raw == "ShiftRInf":
         return ShiftRInf(ring)
     sc.fail(
@@ -349,7 +351,6 @@ def run_ext1_class(sc):
         u1,
         u2,
         level_bound=sc.int("level_bound", 4, minimum=1),
-        degree_bound=sc.int("degree_bound", 6, minimum=0),
         samples=sc.int("samples", 20, minimum=1),
         seed=sc.int("seed", 0),
     )
@@ -363,12 +364,7 @@ def run_as_solve(sc):
     ring = build_ring(sc)
     module = parse_module(sc, ring, "module")
     target = parse_module_elem(sc, module, "target")
-    rep = as_solve(
-        module,
-        target,
-        level_bound=sc.int("level_bound", 4, minimum=1),
-        degree_bound=sc.int("degree_bound", 6, minimum=0),
-    )
+    rep = as_solve(module, target, level_bound=sc.int("level_bound", 4, minimum=1))
     rep["module"] = module.describe()
     rep["target"] = fmt_elem(module, target)
     return rep
@@ -411,7 +407,7 @@ def run_ext_rf(sc):
     if target_name == "artinian":
         target = module
     elif target_name == "free":
-        target = FreeTarget(ring)
+        target = ring
         cap = sc.int("cap", None, minimum=0)
         gap = sc.int("gap", None, minimum=0)
         rounds = sc.int("max_rounds", None, minimum=1)
@@ -467,6 +463,8 @@ def run_hom_fr(sc):
     ring = build_ring(sc)
     source = parse_module(sc, ring, "source")
     target = parse_module(sc, ring, "target")
+    if (type(source), type(target)) not in ((StdR, StdR), (StdE, StdE)):
+        sc.fail("target", "hom-fr solves StdR -> StdR and StdE -> StdE only")
     rep = hom_fr(
         source,
         target,
@@ -492,6 +490,8 @@ def run_rational_distinct(sc):
         sc.fail("d", "rational-distinct needs a univariate ring (d: 1)")
     a = parse_scalar(sc, ring, "a")
     b = parse_scalar(sc, ring, "b")
+    if a == b:
+        sc.fail("b", "the two pole locations coincide")
     t = ring.gens()[0]
     raw_d = sc.get("denominator", None)
     if raw_d is None:

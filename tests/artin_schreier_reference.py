@@ -16,7 +16,7 @@ assembled by index arithmetic:
 verdict, witness string and certificate the solver reports.
 """
 
-from frobext.artinian import ELevelSpace
+from frobext.artinian import EElem
 from frobext.linalg import matrix_of_map, solve_with_certificate
 from frobext.poly import PolySpace
 
@@ -28,17 +28,22 @@ def poly_matrix(ring, deg):
     return matrix_of_map(space.basis_elems(), lambda z: z.frobenius() - z, big, p).mat
 
 
-def limit_matrix(ering, n):
+def _level_map(ering, n, fn):
+    """The matrix of fn from level n to level n*p: an element of level <= n
+    is flattened by the coordinates of its numerator raised to that level."""
     p = ering.ring.field.p
-    dom, cod = ELevelSpace(ering, n), ELevelSpace(ering, n * p)
-    return matrix_of_map(dom.basis_elems(), lambda z: z.pth_power() - z, cod, p).mat
+    dom, cod = PolySpace.box(ering.ring, n), PolySpace.box(ering.ring, n * p)
+    elems = (EElem(ering, n, f) for f in dom.basis_elems())
+    return matrix_of_map(elems, lambda z: fn(z).normalize().raise_to(n * p).numer, cod, p).mat
+
+
+def limit_matrix(ering, n):
+    return _level_map(ering, n, lambda z: z.pth_power() - z)
 
 
 def hom_limit_matrix(ering, L):
-    p = ering.ring.field.p
-    dom, cod = ELevelSpace(ering, L), ELevelSpace(ering, L * p)
-    shift = ering.xprod ** (L * (p - 1))
-    return matrix_of_map(dom.basis_elems(), lambda w: w.pth_power().act(shift) - w, cod, p).mat
+    shift = ering.xprod ** (L * (ering.ring.field.p - 1))
+    return _level_map(ering, L, lambda w: w.pth_power().act(shift) - w)
 
 
 def limit_solve(ering, u, level_bound):
@@ -48,8 +53,8 @@ def limit_solve(ering, u, level_bound):
     p = ering.ring.field.p
     u = u.normalize()
     n = max(level_bound, u.level if u else 1)
-    dom, cod = ELevelSpace(ering, n), ELevelSpace(ering, n * p)
-    x, cert = solve_with_certificate(limit_matrix(ering, n), cod.coords(u), p)
+    dom, cod = PolySpace.box(ering.ring, n), PolySpace.box(ering.ring, n * p)
+    x, cert = solve_with_certificate(limit_matrix(ering, n), cod.coords(u.raise_to(n * p).numer), p)
     if x is None:
         return "UNSAT", None, cert
-    return "SAT", repr(dom.from_coords(x)), None
+    return "SAT", repr(EElem(ering, n, dom.from_coords(x))), None

@@ -2,7 +2,11 @@
 
 `ConeComplex` is `frobext.cartier.ConeComplex` with a generator count per
 spot, and its `koszul` is the Koszul complex of `koszul_reference`, which
-carries the whole-element differential.  `unit_transpose_report` gives the
+carries the whole-element differential.  `FreeTarget` is the free target R
+as a carrier of the dual complex, so that `frobext.cartier._dual_images`
+evaluates functionals into it through polynomial products and the Cartier
+map: the whole-matrix reference for `ext_dim_free_target`, which computes
+the same images by index arithmetic.  `unit_transpose_report` gives the
 rank of the unit transpose and `free_transpose_roundtrip` checks that on the
 free rank-one module the transpose is digit reversal: `unitalize` reports
 only the tower built on that transpose.
@@ -24,6 +28,38 @@ class ConeComplex(cartier.ConeComplex):
     def generator_count(self, n):
         """Wedge-level generators at spot n (twisted + plain)."""
         return self.module.rank * (self.koszul.rank(n - 1) + self.koszul.rank(n))
+
+
+class FreeTarget:
+    """Dual-complex values in the polynomial ring itself, structure map the
+    digit projection C.  Flat spaces are degree-capped boxes."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def zero(self):
+        return self.ring.zero
+
+    def add(self, a, b):
+        return a + b
+
+    def eq(self, a, b):
+        return a == b
+
+    def act(self, r, v):
+        return r * v
+
+    def phi(self, v):
+        return self.ring.cartier(v)
+
+    def phi_iter(self, v, k):
+        for _ in range(k):
+            v = self.phi(v)
+        return v
+
+    def space(self, cap):
+        # cap is the largest exponent allowed, inclusive
+        return PolySpace.box(self.ring, cap + 1)
 
 
 def unit_transpose_report(module):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobext.artinian import ELevelSpace, ERing
-from frobext.poly import ring_over
+from frobext.artinian import EElem, ERing
+from frobext.poly import PolySpace, ring_over
 
 from artinian_reference import ArtinianAlgebra
 
@@ -47,8 +47,8 @@ def test_raise_to_is_the_product_by_a_power_of_the_variables(data):
     k = data.draw(st.integers(0, 4))
     ring = ring_over(p, e, d)
     ering = ERing(ring)
-    space = ELevelSpace(ering, n)
-    z = space.from_coords(data.draw(st.lists(st.integers(0, p - 1), min_size=space.dim(), max_size=space.dim())))
+    box = PolySpace.box(ring, n)  # the numerators at level n
+    z = EElem(ering, n, box.from_coords(data.draw(st.lists(st.integers(0, p - 1), min_size=box.dim(), max_size=box.dim()))))
     raised = z.raise_to(n + k)
     assert raised.level == n + k
     assert raised.numer == ering.reduce(z.numer * ering.xprod**k, n + k)
@@ -107,21 +107,21 @@ def test_eelem_pth_power_semilinearity():
 
 @pytest.mark.parametrize("p,d,n", [(2, 1, 3), (2, 2, 2), (3, 1, 2)])
 def test_level_space_roundtrip(p, d, n):
+    # a level-n numerator comes back from the lowest-terms form raised to n
     ring = ring_over(p, 1, d)
     ering = ERing(ring)
-    space = ELevelSpace(ering, n)
-    assert space.dim() == (n**d) * 1
-    for b in space.basis_elems():
-        assert space.from_coords(space.coords(b)) == b
+    box = PolySpace.box(ring, n)
+    assert box.dim() == (n**d) * 1
+    for f in box.basis_elems():
+        assert box.coords(EElem(ering, n, f).normalize().raise_to(n).numer) == box.coords(f)
 
 
 def test_level_space_rejects_deeper_elements():
     ring = ring_over(2, 1, 1)
     ering = ERing(ring)
-    space = ELevelSpace(ering, 2)
     deep = ering.elem(ring.one, 3)
     with pytest.raises(ValueError):
-        space.coords(deep)
+        deep.normalize().raise_to(2)
 
 
 def test_socle_and_top_generator():

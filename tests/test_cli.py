@@ -115,7 +115,7 @@ def test_duplicate_key_is_rejected(tmp_path, capsys):
 
 
 def test_validation_error_names_the_invariant(tmp_path, capsys):
-    # coincident points collapse the default denominator to a square
+    # coincident points are refused as such, before any denominator is built
     text = (
         "task: rational-distinct\np: 2\ne: 2\nd: 1\n"
         "a: w\nb: w\n"
@@ -123,7 +123,29 @@ def test_validation_error_names_the_invariant(tmp_path, capsys):
     path = write(tmp_path, "v.scenario", text)
     code, _, err = run_cli(capsys, "run", path)
     assert code == 1
-    assert "squarefree" in err
+    assert "the two pole locations coincide" in err
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("task: as-solve\np: 2\nd: 0\nmodule: StdE\ntarget: (1; 1)\n", 4),
+        ("task: ext1-class\np: 2\nd: 0\nmodule: StdE\nu1: (1; 1)\nu2: (0; 1)\n", 4),
+        ("task: hom-fr\np: 2\nd: 0\nsource: StdE\ntarget: StdE\n", 4),
+        ("task: hom-fr\np: 2\nd: 0\nsource: StdR\ntarget: StdE\n", 5),
+        ("task: hom-fr\np: 2\nd: 1\nsource: StdR\ntarget: StdE\n", 5),
+        ("task: hom-fr\np: 2\nd: 1\nsource: ShiftRInf\ntarget: ShiftRInf\n", 5),
+        ("task: rational-distinct\np: 3\nd: 1\na: 1\nb: 1\n", 5),
+    ],
+    ids=["as-solve-E-d0", "ext1-E-d0", "hom-source-E-d0", "hom-target-E-d0", "hom-R-to-E", "hom-shift", "poles-coincide"],
+)
+def test_refused_inputs_name_their_line_without_a_traceback(tmp_path, capsys, text, line):
+    path = write(tmp_path, "r.scenario", text)
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: %s:%d" % (path, line)), err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("task,extra", [("cone-resolution", ""), ("ext-rf", "j: 1\n")], ids=["cone", "ext-rf"])

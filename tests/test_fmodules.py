@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobext import fmodules
-from frobext.artinian import ELevelSpace, ERing
+from frobext.artinian import EElem, ERing
 from frobext.fmodules import (
     DirectSum,
     ExtensionDatum,
@@ -134,11 +134,16 @@ def test_ring_solver_pinned_cases():
     assert zero["verdict"] == "SAT" and zero["witness"] == "0"
 
 
+def level_elems(ering, n):
+    """Every element of the limit carrier of level <= n, one per numerator
+    at level n."""
+    box = PolySpace.box(ering.ring, n)
+    for vec in itertools.product(range(box.p), repeat=box.dim()):
+        yield EElem(ering, n, box.from_coords(list(vec)))
+
+
 def brute_limit_solve(ering, u, n):
-    space = ELevelSpace(ering, n)
-    p = space.p
-    for vec in itertools.product(range(p), repeat=space.dim()):
-        z = space.from_coords(list(vec))
+    for z in level_elems(ering, n):
         if z.pth_power() - z == u:
             return z
     return None
@@ -149,9 +154,7 @@ def test_limit_solver_agrees_with_enumeration(p):
     ring = ring_over(p, 1, 1)
     ering = ERing(ring)
     m = StdE(ering)
-    space = ELevelSpace(ering, 2)
-    for vec in itertools.product(range(p), repeat=space.dim()):
-        u = space.from_coords(list(vec))
+    for u in level_elems(ering, 2):
         rep, z = as_solve_elem(m, u, level_bound=2)
         witness = brute_limit_solve(ering, u, 2)
         assert (rep["verdict"] == "SAT") == (witness is not None), repr(u)
@@ -252,7 +255,7 @@ def test_direct_matrices_match_the_symbolic_reference(p, e, d):
         space = PolySpace.total_degree(ring, n)
         big = PolySpace.total_degree(ring, p * n)
         assert artin_schreier_matrix(space, big, 0, 0) == poly_matrix(ring, n)
-        dom, cod = ELevelSpace(ering, n).box, ELevelSpace(ering, n * p).box
+        dom, cod = PolySpace.box(ring, n), PolySpace.box(ring, n * p)
         assert artin_schreier_matrix(dom, cod, 0, (p - 1) * n) == limit_matrix(ering, n)
         shift = n * (p - 1)
         assert artin_schreier_matrix(dom, cod, shift, shift) == hom_limit_matrix(ering, n)
@@ -278,7 +281,7 @@ def test_the_hom_condition_drops_terms_past_the_box():
     # x^1's first term x^4 leaves the box, so its column is -x^3 alone
     ring = ring_over(2, 1, 1)
     ering = ERing(ring)
-    dom, cod = ELevelSpace(ering, 2).box, ELevelSpace(ering, 4).box
+    dom, cod = PolySpace.box(ring, 2), PolySpace.box(ring, 4)
     cols = artin_schreier_matrix(dom, cod, 2, 2).T.rows
     assert cols == [{}, {cod.index[(3,)]: 1}]
     assert artin_schreier_matrix(dom, cod, 2, 2) == hom_limit_matrix(ering, 2)
@@ -293,9 +296,9 @@ def test_limit_solver_matches_the_symbolic_path(data):
     ring = ring_over(p, e, d)
     ering = ERing(ring)
     level = data.draw(st.integers(1, 3))
-    space = ELevelSpace(ering, level)
-    digits = st.lists(st.integers(0, p - 1), min_size=space.dim(), max_size=space.dim())
-    u = space.from_coords(data.draw(digits))
+    box = PolySpace.box(ring, level)
+    digits = st.lists(st.integers(0, p - 1), min_size=box.dim(), max_size=box.dim())
+    u = EElem(ering, level, box.from_coords(data.draw(digits)))
     if data.draw(st.booleans()):
         u = u.pth_power() - u
     level_bound = data.draw(st.integers(1, 3))
@@ -330,7 +333,7 @@ def test_ring_witness_check_refuses_a_corrupted_solution(monkeypatch):
 
 def test_limit_witness_check_refuses_a_corrupted_solution(monkeypatch):
     ering = ERing(ring_over(2, 2, 2))
-    z = ELevelSpace(ering, 2).from_coords([1, 0, 0, 1, 1, 1, 0, 1])
+    z = EElem(ering, 2, PolySpace.box(ering.ring, 2).from_coords([1, 0, 0, 1, 1, 1, 0, 1]))
     u = z.pth_power() - z
     assert as_solve(StdE(ering), u)["verdict"] == "SAT"
     _corrupt_solution(monkeypatch)
@@ -508,12 +511,9 @@ def test_shift_sequence_over_f3():
 
 def brute_hom_tower_count(ering, L):
     """Enumerate level-L images w with w = (x1..xd)^(L(p-1)) F(w)."""
-    space = ELevelSpace(ering, L)
-    p = space.p
-    shift = ering.xprod ** (L * (p - 1))
+    shift = ering.xprod ** (L * (ering.ring.field.p - 1))
     count = 0
-    for vec in itertools.product(range(p), repeat=space.dim()):
-        w = space.from_coords(list(vec))
+    for w in level_elems(ering, L):
         if w.pth_power().act(shift) == w:
             count += 1
     return count

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from frobext import linalg
 from frobext.cartier import (
     ConeComplex,
-    FreeTarget,
     cone_window,
     standard_module,
 )
@@ -387,7 +386,7 @@ def _hom_free():
     ring = ring_over(2, 1, 1)
     cone = ConeComplex(standard_module(ArtinianAlgebra(ring, (2,))))
     # a plain-part key of spot 0
-    return cone.hom_space(1, FreeTarget(ring).space(2)), {("D", (), 0): ring.one}
+    return cone.hom_space(1, PolySpace.box(ring, 3)), {("D", (), 0): ring.one}
 
 
 def _seq_window():
