@@ -52,9 +52,6 @@ class ERing:
         if ring.d < 1:
             raise ValueError("E needs at least one variable")
         self.ring = ring
-        self.xprod = ring.one
-        for g in ring.gens():
-            self.xprod = self.xprod * g
 
     def reduce(self, f, n):
         """f mod (x1^n, ..., xd^n)."""

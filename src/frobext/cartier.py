@@ -71,14 +71,6 @@ class ArtinianCartierModule(FreeCartierCarrier):
     def space(self):
         return self._space
 
-    def basis_gen(self, s=0):
-        m = list(self.zero())
-        m[s] = self.ring.one
-        return tuple(m)
-
-    def is_trivial(self):
-        return not self.c
-
     def structure_check(self):
         """Spot-check additivity and the twist law phi(r^p y) = r phi(y)."""
         ring = self.ring
@@ -226,12 +218,11 @@ class ConeComplex:
             ("D", S, s) for S in subsets(n) for s in rank
         ]
 
-    def hom_space(self, n, nspace, part=None):
+    def hom_space(self, n, nspace):
         """Flat coordinates of Hom(spot n, N), values in `nspace`: a right
         R{F}-linear map is fixed by its values at the generators of spot n,
-        so the keys are `generator_keys(n)`; `part` ("C" or "D") keeps that
-        part's only."""
-        return keyed([k for k in self.generator_keys(n) if part in (None, k[0])], nspace)
+        so the keys are `generator_keys(n)`."""
+        return keyed(self.generator_keys(n), nspace)
 
     def generators(self, n):
         """(key, element) for each right-module generator of spot n."""
@@ -347,20 +338,17 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
 # -- the dual complex --------------------------------------------------------
 
 
-def _reads(cone, n, part=None):
+def _reads(cone, n):
     """The dual differential Hom(spot n) -> Hom(spot n+1), indexed by what
     each basis functional reads: a functional is one key k with one inner
     value b, so it reads only the terms of the bounded differentials that
     name k.  Returns k -> [(generator key, F-degree i, coefficient w)], with
-    each twisted term's digits taken once.  `part` ("C" or "D") keeps only
-    that part's generators of spot n+1, which gives one block."""
+    each twisted term's digits taken once."""
     ring = cone.ring
     reads = {}
     for gkey, g in cone.generators(n + 1):
-        if part not in (None, gkey[0]):
-            continue
-        for (hpart, S, s, i), h in cone.differential(n + 1, g).items():
-            if hpart == "D":
+        for (part, S, s, i), h in cone.differential(n + 1, g).items():
+            if part == "D":
                 reads.setdefault(("D", S, s), []).append((gkey, i, h))
                 continue
             for b, w in ring.frobenius_digits(h).items():
@@ -381,32 +369,29 @@ def _image(target, terms, b):
     return {gkey: v for gkey, v in img.items() if not target.eq(v, target.zero())}
 
 
-def _dual_images(cone, target, n, dom_space, part=None):
+def _dual_images(cone, target, n, dom_space):
     """Images of the dual differential Hom(spot n) -> Hom(spot n+1) on the
-    flat basis of dom_space, each a key -> value dict; `part` as in
-    `_reads`."""
-    reads = _reads(cone, n, part)
+    flat basis of dom_space, each a key -> value dict."""
+    reads = _reads(cone, n)
     basis = list(dom_space.inner.basis_elems())
     return [_image(target, reads.get(key, ()), b) for key in dom_space.keys for b in basis]
 
 
-def _dual_dims(cone, target, spots, part=None):
+def _dual_dims(cone, target, spots):
     """Cohomology dimensions of the dual complex against an Artinian target
-    on the given consecutive spots: the whole complex, or with `part` the
-    diagonal block of that part."""
+    on the given consecutive spots."""
     nspace = target.space()
     mats = []
     for n in spots:
-        dom = cone.hom_space(n, nspace, part)
-        cod = cone.hom_space(n + 1, nspace, part)
-        mats.append(flatten(_dual_images(cone, target, n, dom, part), cod, nspace.p))
+        dom = cone.hom_space(n, nspace)
+        cod = cone.hom_space(n + 1, nspace)
+        mats.append(flatten(_dual_images(cone, target, n, dom), cod, nspace.p))
     return complex_dims(mats, nspace.p)
 
 
-def ext_dims_artinian(cone, target, jmax=None):
+def ext_dims_artinian(cone, target, jmax):
     """Exact Ext dimensions over R{F} against an Artinian target, one per
-    spot 0..d+1 (and 0 beyond)."""
-    jmax = cone.length if jmax is None else jmax
+    spot 0..jmax (0 beyond d+1)."""
     dims = _dual_dims(cone, target, range(min(jmax, cone.length) + 1))
     return dims + [0] * (jmax + 1 - len(dims))
 
@@ -532,67 +517,8 @@ def ext_rf(module, target, j, **caps):
     cone = ConeComplex(module)
     if isinstance(target, PolyRing):
         return ext_dim_free_target(cone, j, **caps)
-    dims = ext_dims_artinian(cone, target, jmax=j)
+    dims = ext_dims_artinian(cone, target, j)
     return {"dim": dims[j], "stable": True, "structural_zero": j > cone.length, "caps": []}
-
-
-# -- plain-ring Ext and the splitting comparison ------------------------------
-
-
-def ext_r_dims(module, ntarget):
-    """Ext over the plain ring via the wedge resolution, Artinian target:
-    the "D" block of the cone's dual complex, on spots 0..d."""
-    cone = ConeComplex(module)
-    return _dual_dims(cone, ntarget, range(cone.d + 1), "D")
-
-
-def ext_r_twisted_dims(module, ntarget):
-    """Ext over the plain ring of the p-th power relabeling of the module:
-    the "C" block of the cone's dual complex, on spots 1..d+1, free on
-    (wedge, digit) pairs.  Its differential is minus the wedge boundary,
-    which changes no kernel or image dimension."""
-    cone = ConeComplex(module)
-    return _dual_dims(cone, ntarget, range(1, cone.d + 2), "C")
-
-
-def ext_split_check(module, nmodule):
-    """Compare the twisted-ring Ext dims with the direct sum of the two
-    plain-ring contributions, spot by spot.  When both structure maps vanish
-    the connecting leg of the dual differential is identically zero and the
-    comparison must be an equality."""
-    cone = ConeComplex(module)
-    jmax = cone.length
-    lhs = ext_dims_artinian(cone, nmodule)
-    plain = ext_r_dims(module, nmodule)
-    twisted = ext_r_twisted_dims(module, nmodule)
-
-    def at(arr, j):
-        return arr[j] if 0 <= j < len(arr) else 0
-
-    rhs = [at(plain, j) + at(twisted, j - 1) for j in range(jmax + 1)]
-    cross_zero = None
-    if module.is_trivial() and nmodule.is_trivial():
-        cross_zero = _cross_block_is_zero(cone, nmodule)
-    return {
-        "dims": lhs,
-        "plain": plain,
-        "twisted_shifted": [at(twisted, j - 1) for j in range(jmax + 1)],
-        "sum": rhs,
-        "split": lhs == rhs,
-        "cross_block_zero": cross_zero,
-    }
-
-
-def _cross_block_is_zero(cone, target):
-    """The connecting leg of the dual differential, plain-part functionals
-    read at twisted-part generators, must vanish when both structure maps
-    are zero."""
-    nspace = target.space()
-    for n in range(cone.length):
-        dom = cone.hom_space(n, nspace, "D")
-        if any(_dual_images(cone, target, n, dom, "C")):
-            return False
-    return True
 
 
 # -- the one-dimensional cokernel --------------------------------------------

@@ -455,7 +455,6 @@ def run_shift_ses(sc):
         ring,
         nmax=sc.int("n", 3, minimum=1),
         degree_bound=sc.int("degree_bound", 2, minimum=0),
-        seed=sc.int("seed", 0),
     )
 
 

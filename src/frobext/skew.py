@@ -14,7 +14,6 @@ one Frobenius twist (its R-action goes through r -> r^p).
 from __future__ import annotations
 
 from .linalg import (
-    BlockSpace,
     SparseMatrix,
     kernel_basis,
     keyed,
@@ -93,54 +92,17 @@ class FreeCartierCarrier:
         return "(" + ", ".join(self.ring.format(x) for x in a) + ")"
 
 
-class FreeSkewElem:
-    """An element of M (x) R{F}: dict F-degree -> carrier element.  The
-    check reads these only as the layout of `graded_skew_space` and in a
-    counterexample's repr; their right R{F}-module arithmetic lives with the
-    symbolic reference in the tests."""
-
-    __slots__ = ("carrier", "terms", "twist")
-
-    def __init__(self, carrier, terms, twist=0):
-        self.carrier = carrier
-        self.twist = twist
-        self.terms = {}
-        for i, m in terms.items():
-            if not carrier.eq(m, carrier.zero()):
-                self.terms[i] = m
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeSkewElem):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.carrier.eq(self.terms[i], other.terms[i]) for i in self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for i in sorted(self.terms):
-            m = self.carrier.format(self.terms[i])
-            parts.append(m if i == 0 else "%s(x)F^%d" % (m, i))
-        return " + ".join(parts)
-
-
 # -- the two-step sequence ---------------------------------------------------
 
 
-def graded_skew_space(module, dmax, twist=0):
-    """Flat F_p coordinates for M (x) R{F} truncated at F-degree <= dmax,
-    where M has a finite flat space."""
-    return BlockSpace(
-        range(dmax + 1),
-        module.space(),
-        lambda elt: elt.terms.items(),
-        lambda parts: FreeSkewElem(module, parts, twist),
-    )
+def format_graded(module, z):
+    """`m + m(x)F^1 + ...` for a dict F-degree -> carrier element, in
+    F-degree order, or `0`."""
+    parts = []
+    for i in sorted(z):
+        m = module.format(z[i])
+        parts.append(m if i == 0 else "%s(x)F^%d" % (m, i))
+    return " + ".join(parts) or "0"
 
 
 def two_step_matrices(module, dmax):
@@ -150,7 +112,8 @@ def two_step_matrices(module, dmax):
         beta(y (x) F^i)  = phi^i(y)
 
     with alpha on F-degree <= dmax-1 (so its image fits in degree <= dmax)
-    and beta on F-degree <= dmax, in the layouts of `graded_skew_space`.
+    and beta on F-degree <= dmax, in the layouts `keyed(range(dmax + 1),
+    module.space())`: F-degree blocks of M's flat space.
     phi is additive, so on M's flat space (dimension n) it is the n x n
     matrix Phi, built by one flatten of phi over M's basis.  Block (i, i) of
     alpha is Phi and block (i+1, i) is -I; block i of beta is Phi^i.
@@ -203,20 +166,18 @@ def two_step_witnesses(Phi, kernel, p):
     return SparseMatrix(W, kernel.ncols)
 
 
-def check_two_step_exact(module, dmax, alpha_override=None):
+def check_two_step_exact(module, dmax):
     """Exactness report for 0 -> M' (x) R{F} -> M (x) R{F} -> M -> 0 on the
     F-degree window <= dmax.
 
     Checks: beta.alpha = 0; alpha injective; every beta-kernel element with
     top degree <= dmax - 1 is hit by alpha, producing the explicit witness
-    x_j = -sum_{k>j} phi^(k-j-1)(y_k) and verifying it exactly.
-    alpha_override, a SparseMatrix, replaces the assembled alpha (used by
-    mutation tests).  A symbolic element is built only for a counterexample.
+    x_j = -sum_{k>j} phi^(k-j-1)(y_k) and verifying it exactly.  An element
+    is built, as F-degree -> carrier element, only for a counterexample.
     """
     Phi, A, B = two_step_matrices(module, dmax)
-    A = A if alpha_override is None else alpha_override
-    dom = graded_skew_space(module, dmax - 1, twist=1)
-    cod = graded_skew_space(module, dmax, twist=0)
+    dom = keyed(range(dmax), module.space())
+    cod = keyed(range(dmax + 1), module.space())
     p = dom.p
     report = {
         "dmax": dmax,
@@ -231,13 +192,13 @@ def check_two_step_exact(module, dmax, alpha_override=None):
     if any(comp.rows):
         report["beta_alpha_zero"] = False
         col = min(min(row) for row in comp.rows if row)
-        report["counterexample"] = repr(dom.from_row({col: 1}))
+        report["counterexample"] = format_graded(module, dom.from_row({col: 1}))
     # the kernel does not depend on the row order; taken bottom up, alpha's
     # rows below its first block start in echelon form (the -I blocks)
     ker_a = kernel_basis(SparseMatrix(A.rows[::-1], A.ncols), p)
     if ker_a.rows:
         report["alpha_injective"] = False
-        report["counterexample"] = repr(dom.from_row(ker_a.rows[0]))
+        report["counterexample"] = format_graded(module, dom.from_row(ker_a.rows[0]))
     # beta-kernel elements with top degree <= dmax - 1: dom's window, laid out
     # as the first dom.dim() coordinates of cod's, so a kernel row is also y's
     # coordinates in cod, and alpha's image of each witness is compared to it
@@ -248,7 +209,7 @@ def check_two_step_exact(module, dmax, alpha_override=None):
             report["witness_formula_ok"] = False
             if solve(A, [row.get(i, 0) for i in range(cod.dim())], p) is None:
                 report["kernel_covered"] = False
-                report["counterexample"] = repr(cod.from_row(row))
+                report["counterexample"] = format_graded(module, cod.from_row(row))
                 break
     report["passed"] = (
         report["beta_alpha_zero"]

@@ -42,7 +42,8 @@ def limit_matrix(ering, n):
 
 
 def hom_limit_matrix(ering, L):
-    shift = ering.xprod ** (L * (ering.ring.field.p - 1))
+    ring = ering.ring
+    shift = ring.monomial((L * (ring.field.p - 1),) * ring.d, ring.field.one)  # (x1..xd)^(L(p-1))
     return _level_map(ering, L, lambda w: w.pth_power().act(shift) - w)
 
 

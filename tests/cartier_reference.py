@@ -6,15 +6,18 @@ carries the whole-element differential.  `FreeTarget` is the free target R
 as a carrier of the dual complex, so that `frobext.cartier._dual_images`
 evaluates functionals into it through polynomial products and the Cartier
 map: the whole-matrix reference for `ext_dim_free_target`, which computes
-the same images by index arithmetic.  `unit_transpose_report` gives the
+the same images by index arithmetic.  `ext_split_check` is AC4's second way
+to the Ext table: the plain and twisted plain-ring blocks of the dual
+complex, each picked out of the cone's keys and `_reads` terms by part, and
+the cross block between them.  `unit_transpose_report` gives the
 rank of the unit transpose and `free_transpose_roundtrip` checks that on the
 free rank-one module the transpose is digit reversal: `unitalize` reports
 only the tower built on that transpose.
 """
 
 from frobext import cartier
-from frobext.cartier import _digit_tuples, unit_transpose_map
-from frobext.linalg import rank
+from frobext.cartier import _digit_tuples, _image, _reads, ext_dims_artinian, unit_transpose_map
+from frobext.linalg import complex_dims, flatten, keyed, rank
 from frobext.poly import PolySpace
 
 from koszul_reference import KoszulComplex
@@ -60,6 +63,87 @@ class FreeTarget:
     def space(self, cap):
         # cap is the largest exponent allowed, inclusive
         return PolySpace.box(self.ring, cap + 1)
+
+
+def _block_space(cone, n, nspace, part):
+    """Hom(spot n, N) on the generators of one part ("C" or "D") only."""
+    return keyed([k for k in cone.generator_keys(n) if k[0] == part], nspace)
+
+
+def _block_images(cone, target, n, dom_space, part):
+    """The dual differential's images of dom_space's flat basis, read only
+    at the spot-(n+1) generators of `part`."""
+    reads = {k: [t for t in terms if t[0][0] == part] for k, terms in _reads(cone, n).items()}
+    basis = list(dom_space.inner.basis_elems())
+    return [_image(target, reads.get(key, ()), b) for key in dom_space.keys for b in basis]
+
+
+def _block_dims(cone, target, spots, part):
+    """Cohomology dimensions of the diagonal block of `part` of the dual
+    complex, on the given consecutive spots."""
+    nspace = target.space()
+    mats = []
+    for n in spots:
+        dom = _block_space(cone, n, nspace, part)
+        cod = _block_space(cone, n + 1, nspace, part)
+        mats.append(flatten(_block_images(cone, target, n, dom, part), cod, nspace.p))
+    return complex_dims(mats, nspace.p)
+
+
+def ext_r_dims(module, ntarget):
+    """Ext over the plain ring via the wedge resolution, Artinian target:
+    the "D" block of the cone's dual complex, on spots 0..d."""
+    cone = cartier.ConeComplex(module)
+    return _block_dims(cone, ntarget, range(cone.d + 1), "D")
+
+
+def ext_r_twisted_dims(module, ntarget):
+    """Ext over the plain ring of the p-th power relabeling of the module:
+    the "C" block of the cone's dual complex, on spots 1..d+1, free on
+    (wedge, digit) pairs.  Its differential is minus the wedge boundary,
+    which changes no kernel or image dimension."""
+    cone = cartier.ConeComplex(module)
+    return _block_dims(cone, ntarget, range(1, cone.d + 2), "C")
+
+
+def _cross_block_is_zero(cone, target):
+    """The connecting leg of the dual differential, plain-part functionals
+    read at twisted-part generators, must vanish when both structure maps
+    are zero."""
+    nspace = target.space()
+    for n in range(cone.length):
+        dom = _block_space(cone, n, nspace, "D")
+        if any(_block_images(cone, target, n, dom, "C")):
+            return False
+    return True
+
+
+def ext_split_check(module, nmodule):
+    """Compare the twisted-ring Ext dims with the direct sum of the two
+    plain-ring contributions, spot by spot.  When both structure maps vanish
+    the connecting leg of the dual differential is identically zero and the
+    comparison must be an equality."""
+    cone = cartier.ConeComplex(module)
+    jmax = cone.length
+    lhs = ext_dims_artinian(cone, nmodule, jmax)
+    plain = ext_r_dims(module, nmodule)
+    twisted = ext_r_twisted_dims(module, nmodule)
+
+    def at(arr, j):
+        return arr[j] if 0 <= j < len(arr) else 0
+
+    rhs = [at(plain, j) + at(twisted, j - 1) for j in range(jmax + 1)]
+    cross_zero = None
+    if not module.c and not nmodule.c:  # both structure maps vanish
+        cross_zero = _cross_block_is_zero(cone, nmodule)
+    return {
+        "dims": lhs,
+        "plain": plain,
+        "twisted_shifted": [at(twisted, j - 1) for j in range(jmax + 1)],
+        "sum": rhs,
+        "split": lhs == rhs,
+        "cross_block_zero": cross_zero,
+    }
 
 
 def unit_transpose_report(module):

@@ -18,7 +18,6 @@ from frobext.cartier import (
     coker_formula,
     cone_acyclicity_report,
     ext_rf,
-    ext_split_check,
     random_module,
     scaled_module,
     standard_module,
@@ -43,8 +42,9 @@ from frobext.skew import (
     in_image_hdual,
 )
 
+from cartier_reference import ext_split_check
 from dense import sparse
-from two_step_reference import flatten_two_step
+from two_step_reference import check_with_alpha, flatten_two_step
 
 SIZE_CAP = 2**8
 
@@ -71,7 +71,7 @@ def all_space_elems(space):
         yield space.from_coords(list(vec))
 
 
-def test_ac1_two_step_exactness_with_mutation_detection(criterion):
+def test_ac1_two_step_exactness_with_mutation_detection(criterion, monkeypatch):
     with criterion(1, "two-step exactness on 12 small modules, mutants caught"):
         t0 = time.perf_counter()
         for p in (2, 3):
@@ -92,13 +92,13 @@ def test_ac1_two_step_exactness_with_mutation_detection(criterion):
                 bad[:, col] = 0
             else:
                 bad[:, col] = (-bad[:, col]) % p
-            mutated = check_two_step_exact(module, 3, alpha_override=sparse(bad, p))
+            mutated = check_with_alpha(monkeypatch, module, 3, sparse(bad, p))
             assert not mutated["passed"]
 
             # the inclusion of a *different* structure must be rejected too
             alg = ArtinianAlgebra(ring, (2,))
             foreign, _, _, _ = flatten_two_step(scaled_module(alg, ring.gens()[0]), 3)
-            crossed = check_two_step_exact(standard_module(alg), 3, alpha_override=foreign.mat)
+            crossed = check_with_alpha(monkeypatch, standard_module(alg), 3, foreign.mat)
             assert not crossed["passed"]
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, elapsed

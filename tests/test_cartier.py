@@ -17,17 +17,13 @@ from hypothesis import strategies as st
 from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import (
     ArtinianCartierModule,
-    _cross_block_is_zero,
     _dual_images,
     _flatten_diff,
     coker_formula,
     cone_acyclicity_report,
     cone_window,
     ext_dim_free_target,
-    ext_r_dims,
-    ext_r_twisted_dims,
     ext_rf,
-    ext_split_check,
     random_module,
     scaled_module,
     standard_module,
@@ -47,16 +43,30 @@ from frobext.linalg import (
 from frobext.poly import PolySpace, monomials_box, random_poly, ring_over
 from frobext.skew import (
     FreeCartierCarrier,
-    FreeSkewElem,
     check_two_step_exact,
-    graded_skew_space,
     two_step_matrices,
     two_step_witnesses,
 )
 
-from cartier_reference import ConeComplex, FreeTarget, free_transpose_roundtrip, unit_transpose_report
+from cartier_reference import (
+    ConeComplex,
+    FreeTarget,
+    _cross_block_is_zero,
+    ext_r_dims,
+    ext_r_twisted_dims,
+    ext_split_check,
+    free_transpose_roundtrip,
+    unit_transpose_report,
+)
 from dense import sparse
-from two_step_reference import flatten_two_step, two_step_maps, two_step_witness
+from two_step_reference import (
+    SkewModuleElem,
+    check_with_alpha,
+    flatten_two_step,
+    graded_skew_space,
+    two_step_maps,
+    two_step_witness,
+)
 
 
 def module_zoo(p):
@@ -105,14 +115,12 @@ def test_beta_prefix_columns_are_beta_on_the_shorter_window(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_beta_alpha_composes_to_zero_symbolically(p):
-    from frobext.skew import FreeSkewElem
-
     for module in module_zoo(p):
         alpha, beta = two_step_maps(module)
         ring = module.ring
         for i in range(3):
             for m in module.space().basis_elems():
-                z = FreeSkewElem(module, {i: m}, twist=1)
+                z = SkewModuleElem(module, {i: m}, twist=1)
                 img = beta(alpha(z))
                 assert module.eq(img, module.zero())
 
@@ -128,7 +136,7 @@ def closed_form_witness(module, y):
             if k in y.terms:
                 acc = module.add(acc, module.phi_iter(y.terms[k], k - j - 1))
         out[j] = module.neg(acc)
-    return FreeSkewElem(module, out, 1)
+    return SkewModuleElem(module, out, 1)
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (3, 2)])
@@ -149,7 +157,7 @@ def test_two_step_witness_recurrence_matches_the_closed_form(p, e):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_mutated_alpha_is_detected(p):
+def test_mutated_alpha_is_detected(p, monkeypatch):
     ring = ring_over(p, 1, 1)
     module = standard_module(ArtinianAlgebra(ring, (2,)))
     amap, _, dom, cod = flatten_two_step(module, 3)
@@ -159,12 +167,12 @@ def test_mutated_alpha_is_detected(p):
         bad[:, col] = 0  # a sign flip is invisible in characteristic 2
     else:
         bad[:, col] = (-bad[:, col]) % p
-    report = check_two_step_exact(module, 3, alpha_override=sparse(bad, p))
+    report = check_with_alpha(monkeypatch, module, 3, sparse(bad, p))
     assert not report["passed"]
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_mutated_structure_map_is_detected(p):
+def test_mutated_structure_map_is_detected(p, monkeypatch):
     # feed the two-step check the alpha of a *different* structure
     ring = ring_over(p, 1, 1)
     x = ring.gens()[0]
@@ -172,7 +180,7 @@ def test_mutated_structure_map_is_detected(p):
     honest = standard_module(alg)
     tampered = scaled_module(alg, x)
     amap, _, _, _ = flatten_two_step(tampered, 3)
-    report = check_two_step_exact(honest, 3, alpha_override=amap.mat)
+    report = check_with_alpha(monkeypatch, honest, 3, amap.mat)
     assert not report["passed"]
 
 

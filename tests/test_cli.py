@@ -136,8 +136,18 @@ def test_validation_error_names_the_invariant(tmp_path, capsys):
         ("task: hom-fr\np: 2\nd: 1\nsource: StdR\ntarget: StdE\n", 5),
         ("task: hom-fr\np: 2\nd: 1\nsource: ShiftRInf\ntarget: ShiftRInf\n", 5),
         ("task: rational-distinct\np: 3\nd: 1\na: 1\nb: 1\n", 5),
+        ("task: shift-ses\np: 2\nd: 1\nn: 2\nseed: 5\n", 5),
     ],
-    ids=["as-solve-E-d0", "ext1-E-d0", "hom-source-E-d0", "hom-target-E-d0", "hom-R-to-E", "hom-shift", "poles-coincide"],
+    ids=[
+        "as-solve-E-d0",
+        "ext1-E-d0",
+        "hom-source-E-d0",
+        "hom-target-E-d0",
+        "hom-R-to-E",
+        "hom-shift",
+        "poles-coincide",
+        "shift-ses-seed",
+    ],
 )
 def test_refused_inputs_name_their_line_without_a_traceback(tmp_path, capsys, text, line):
     path = write(tmp_path, "r.scenario", text)

@@ -23,7 +23,6 @@ from frobext.fmodules import (
     artin_schreier_matrix,
     as_solve,
     as_solve_elem,
-    build_extension,
     ext1_class,
     hom_fr,
     rational_class_distinct,
@@ -239,6 +238,20 @@ def test_sum_solver_is_componentwise():
     assert bad["verdict"] == "UNSAT" and bad["proven"]
 
 
+def test_sum_unsat_reports_the_bound_of_the_component_it_names():
+    # the bound is the one the failing component searched, not level_bound
+    ring = ring_over(2, 1, 1)
+    ering = ERing(ring)
+    x = ring.gens()[0]
+    m = DirectSum([StdE(ering), StdE(ering)])
+    rep = as_solve(m, (ering.elem(ring.one, 6), ering.elem(ring.one, 1)), level_bound=2)
+    assert rep["verdict"] == "UNSAT" and rep["reason"].startswith("component 0 ")
+    assert rep["bound"] == rep["components"][0]["bound"] == {"level": 6}
+    rep = as_solve(DirectSum([StdR(ring), StdR(ring)]), (x**2 + x, x))
+    assert rep["reason"].startswith("component 1 ")
+    assert rep["bound"] == {"degree": 1}
+
+
 # -- the direct Artin-Schreier matrices against the symbolic reference -----------
 
 SHAPES = [(p, e, d) for p in (2, 3) for e in (1, 2) for d in (1, 2)]
@@ -402,7 +415,7 @@ def test_extension_composite_formula():
     ring = ring_over(2, 1, 1)
     m = StdR(ring)
     x = ring.gens()[0]
-    datum = build_extension(m, x)
+    datum = ExtensionDatum(m, x)
     rng = random.Random(3)
     for _ in range(40):
         y, r = m.sample(rng), m.sample(rng)
@@ -417,7 +430,7 @@ def test_section_shift_moves_the_class_by_a_coboundary():
     ring = ring_over(3, 1, 1)
     m = StdR(ring)
     x = ring.gens()[0]
-    datum = build_extension(m, x)
+    datum = ExtensionDatum(m, x)
     psi, carried = datum.section_shift(x**2)
     assert carried.z == x - (x**2).frobenius() + x**2
     rng = random.Random(9)
@@ -511,7 +524,8 @@ def test_shift_sequence_over_f3():
 
 def brute_hom_tower_count(ering, L):
     """Enumerate level-L images w with w = (x1..xd)^(L(p-1)) F(w)."""
-    shift = ering.xprod ** (L * (ering.ring.field.p - 1))
+    ring = ering.ring
+    shift = ring.monomial((L * (ring.field.p - 1),) * ring.d, ring.field.one)
     count = 0
     for w in level_elems(ering, L):
         if w.pth_power().act(shift) == w:

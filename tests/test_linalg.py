@@ -29,11 +29,11 @@ from frobext.linalg import (
     tuple_space,
 )
 from frobext.poly import PolySpace, ring_over
-from frobext.skew import FreeSkewElem, graded_skew_space
 
 from artinian_reference import ArtinianAlgebra
 from dense import sparse
 from koszul_reference import KoszulComplex
+from two_step_reference import SkewModuleElem, graded_skew_space
 
 
 def brute_kernel_count(A, p):
@@ -379,7 +379,7 @@ def _hom_artinian():
     module = standard_module(ArtinianAlgebra(ring_over(3, 1, 1), (2,)))
     space = ConeComplex(module).hom_space(1, module.space())
     # a twisted-part key of spot 2
-    return space, {("C", (0,), 0, (0,)): module.basis_gen()}
+    return space, {("C", (0,), 0, (0,)): (module.ring.one,)}
 
 
 def _hom_free():
@@ -398,7 +398,7 @@ def _seq_window():
 def _graded_skew(twist):
     def build():
         module = standard_module(ArtinianAlgebra(ring_over(2, 1, 1), (2,)))
-        outside = FreeSkewElem(module, {3: module.basis_gen()}, twist)
+        outside = SkewModuleElem(module, {3: (module.ring.one,)}, twist)
         return graded_skew_space(module, 2, twist), outside
 
     return build

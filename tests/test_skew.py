@@ -4,11 +4,15 @@ import random
 
 import pytest
 
+from frobext.artinian import ArtinianAlgebra
+from frobext.cartier import random_module, standard_module
 from frobext.cli import run_scenario_file
 from frobext.fmodules import ShiftRInf
+from frobext.linalg import keyed
 from frobext.poly import ring_over
 from frobext.skew import (
     FreeCartierCarrier,
+    format_graded,
     format_seq,
     frob_power,
     h_dual_apply,
@@ -16,7 +20,7 @@ from frobext.skew import (
     residue_trace,
 )
 
-from two_step_reference import SkewElem, SkewModuleElem, skew_mul, two_step_maps
+from two_step_reference import SkewElem, SkewModuleElem, graded_skew_space, skew_mul, two_step_maps
 
 
 def rand_poly(ring, rng, deg=4):
@@ -98,6 +102,25 @@ def test_right_action_is_associative_over_skew_elements():
         )
         a, b = rand_skew(ring, rng), rand_skew(ring, rng)
         assert m.act_skew(skew_mul(a, b)) == m.act_skew(a).act_skew(b)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (2, 2, 1), (3, 1, 2), (3, 2, 1)])
+def test_counterexample_format_matches_the_symbolic_repr(p, e, d, rank):
+    # check_two_step_exact prints a window row as an F-degree -> carrier
+    # element dict through format_graded; the symbolic reference's repr of
+    # the same row, in either twist, must read the same
+    rng = random.Random(1000 * p + 100 * e + 10 * d + rank)
+    alg = ArtinianAlgebra(ring_over(p, e, d), (2,) * d)
+    for module in (standard_module(alg, rank), random_module(alg, rank, seed=rank)):
+        for dmax in (1, 3):
+            flat = keyed(range(dmax + 1), module.space())
+            for twist in (0, 1):
+                ref = graded_skew_space(module, dmax, twist)
+                for _ in range(20):
+                    cols = rng.sample(range(flat.dim()), rng.randrange(min(flat.dim(), 6) + 1))
+                    row = {c: rng.randrange(1, p) for c in cols}
+                    assert format_graded(module, flat.from_row(row)) == repr(ref.from_row(row))
 
 
 def test_hdual_formula_on_a_point_mass():

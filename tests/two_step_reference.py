@@ -3,18 +3,22 @@
 
 `SkewElem` is an element of R{F} itself, with its sum and product, and
 `skew_mul` that product: the arithmetic `SkewModuleElem.act_skew` is tested
-against.  `SkewModuleElem` is a `FreeSkewElem` with the right R{F}-module
-arithmetic of M (x) R{F}.  `two_step_maps` gives alpha and beta on such elements,
-`two_step_witness` the preimage of a beta-kernel element, and
+against.  `SkewModuleElem` is an element of M (x) R{F} with its right
+R{F}-module arithmetic, and `graded_skew_space` the flat layout of such
+elements up to an F-degree.  `two_step_maps` gives alpha and beta on such
+elements, `two_step_witness` the preimage of a beta-kernel element, and
 `flatten_two_step` pushes every basis vector of the graded windows through
 them with `matrix_of_map`.  The check itself never runs this code:
 `check_two_step_exact` builds the matrix of phi once and assembles alpha,
-beta and the witnesses from it.
+beta and the witnesses from it, on F-degree -> carrier element dicts.
+`check_with_alpha` runs that check with a replaced alpha, for mutation
+tests.
 """
 
-from frobext.linalg import matrix_of_map
+from frobext import skew
+from frobext.linalg import BlockSpace, matrix_of_map
 from frobext.poly import MultiPoly, add_at
-from frobext.skew import FreeSkewElem, frob_power, graded_skew_space
+from frobext.skew import frob_power
 
 
 class SkewElem:
@@ -81,14 +85,42 @@ def skew_mul(a, b):
     return a * b
 
 
-class SkewModuleElem(FreeSkewElem):
-    """An element of M (x) R{F} with its sums and its right R{F}-action:
+class SkewModuleElem:
+    """An element of M (x) R{F}, a dict F-degree -> carrier element, with
+    its sums and its right R{F}-action:
 
         (m (x) F^i) . r = (r^(p^(i+twist)) m) (x) F^i
         (m (x) F^i) . F = m (x) F^(i+1)
     """
 
-    __slots__ = ()
+    __slots__ = ("carrier", "terms", "twist")
+
+    def __init__(self, carrier, terms, twist=0):
+        self.carrier = carrier
+        self.twist = twist
+        self.terms = {}
+        for i, m in terms.items():
+            if not carrier.eq(m, carrier.zero()):
+                self.terms[i] = m
+
+    def __eq__(self, other):
+        if not isinstance(other, SkewModuleElem):
+            return NotImplemented
+        if set(self.terms) != set(other.terms):
+            return False
+        return all(self.carrier.eq(self.terms[i], other.terms[i]) for i in self.terms)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for i in sorted(self.terms):
+            m = self.carrier.format(self.terms[i])
+            parts.append(m if i == 0 else "%s(x)F^%d" % (m, i))
+        return " + ".join(parts)
 
     def __add__(self, other):
         if self.twist != other.twist:
@@ -125,6 +157,26 @@ class SkewModuleElem(FreeSkewElem):
         for j, r in xi.terms.items():
             out = out + self.act_ring(r).act_F(j)
         return out
+
+
+def graded_skew_space(module, dmax, twist=0):
+    """Flat F_p coordinates for M (x) R{F} truncated at F-degree <= dmax,
+    where M has a finite flat space."""
+    return BlockSpace(
+        range(dmax + 1),
+        module.space(),
+        lambda elt: elt.terms.items(),
+        lambda parts: SkewModuleElem(module, parts, twist),
+    )
+
+
+def check_with_alpha(monkeypatch, module, dmax, A):
+    """`check_two_step_exact` with alpha replaced by the SparseMatrix A, next
+    to the honest Phi and beta."""
+    Phi, _, B = skew.two_step_matrices(module, dmax)
+    with monkeypatch.context() as patch:
+        patch.setattr(skew, "two_step_matrices", lambda *_: (Phi, A, B))
+        return skew.check_two_step_exact(module, dmax)
 
 
 def two_step_maps(module):
@@ -171,7 +223,7 @@ def two_step_witness(module, kernel_elt):
         y = module.neg(terms.get(j + 1, module.zero()))
         x = y if x is None else module.add(module.phi(x), y)
         out[j] = x
-    return FreeSkewElem(module, out, 1)
+    return SkewModuleElem(module, out, 1)
 
 
 def flatten_two_step(module, dmax):
