@@ -14,10 +14,11 @@ into itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
-from .fmodules import artin_schreier_matrix
+from .fmodules import artin_schreier_matrix, unit_digits
 from .koszul import KoszulComplex, wedge_boundary
 from .linalg import (
     SparseMatrix,
@@ -158,7 +159,8 @@ class ConeComplex:
         self.fs = self.koszul.fs
         self.length = self.d + 1
         coupling = [[module.c * v for v in row] for row in module.cmatrix]
-        self.kernel = {}
+        units = ring.field.power_basis
+        self.kernel, self.lifts = {}, {}
         for j in range(self.d + 1):
             for S in self.koszul.subsets(j):
                 outside = ring.one
@@ -166,6 +168,12 @@ class ConeComplex:
                     if i not in S:
                         outside = outside * self.fs[i] ** (self.p - 1)
                 self.kernel[S] = [[k * outside for k in row] for row in coupling]
+                # kernel[S][t][s]'s terms a*x^c as (c, digits of (a*u)^(1/p) per unit u)
+                self.lifts[S] = [
+                    [[(c, unit_digits((a * u).pth_root() for u in units)) for c, a in k.terms.items()]
+                     for k in row]
+                    for row in self.kernel[S]
+                ]
 
     def differential(self, n, z):
         """d_n: spot n -> spot n-1."""
@@ -281,16 +289,46 @@ def cone_window(cone, n, cap, dfmax):
 
 
 def _flatten_diff(cone, n, dom, cap, dfmax):
-    """Flatten d_n from the window `dom`; the codomain window is the
-    (cap, dfmax) one, grown to fit the images."""
-    images = [cone.differential(n, z) for z in dom.basis_elems()]
-    for z in images:
-        for key, g in z.items():
-            dfmax = max(dfmax, key[3])
-            for exp in g.terms:
-                cap = max(cap, max(exp) if exp else 0)
-    cod = cone_window(cone, n - 1, cap, dfmax)
-    return flatten(images, cod, cone.p), cod
+    """Flatten d_n from the window `dom` by index arithmetic; the codomain
+    window is the (cap, dfmax) one, grown to fit the images.  The column of
+    u*x^m at key (part, S, s, i) holds `ConeComplex.differential`'s terms:
+    per (sign, l, T) of the wedge boundary, x^(m + a_l*e_l) at (part, T, s,
+    i) with value sign*u, negated on part "C"; on part "C" also the lift
+    (a*u)^(1/p) * x^((c+m+1)/p - 1) at ("D", S, t, i) for each term a*x^c
+    of kernel[S][t][s] with p dividing every c+m+1, and the F-shift -u*x^m
+    at ("D", S, s, i+1).  No two terms of a column share a row."""
+    field = cone.ring.field
+    p, e = cone.p, field.e
+    mons = dom.inner.mons
+    signed = {1: unit_digits(field.power_basis), -1: unit_digits(-u for u in field.power_basis)}
+    up = [[m[:l] + (m[l] + a,) + m[l + 1 :] for m in mons] for l, a in enumerate(cone.module.algebra.exponents)]
+
+    @functools.cache
+    def lift(c):  # per m, the lift's exponent (c+m+1)/p - 1, or None off the congruence
+        tops = ([x + y + 1 for x, y in zip(c, m)] for m in mons)
+        return [tuple(x // p - 1 for x in t) if all(x % p == 0 for x in t) else None for t in tops]
+
+    groups = []  # per (key, m), in dom's order: [(row key, exponent, digits per unit)]
+    for part, S, s, i in dom.keys:
+        flip = -1 if part == "C" else 1
+        terms = [((part, T, s, i), up[l], signed[flip * sign]) for sign, l, T in wedge_boundary(S)]
+        if part == "C":
+            terms += [(("D", S, t, i), lift(c), ds) for t, row in enumerate(cone.lifts[S]) for c, ds in row[s]]
+            terms.append((("D", S, s, i + 1), mons, signed[-1]))
+        for j in range(len(mons)):
+            groups.append([(key, exps[j], ds) for key, exps, ds in terms if exps[j] is not None])
+    keys = {key for hits in groups for key, _, _ in hits}
+    exps = {exp for hits in groups for _, exp, _ in hits}
+    cap = max([cap] + [max(exp, default=0) for exp in exps])
+    cod = cone_window(cone, n - 1, cap, max([dfmax] + [key[3] for key in keys]))
+    at = {key: cod.at(key) for key in keys}
+    pos = {exp: cod.inner.index[exp] * e for exp in exps}
+    rows = [{} for _ in range(cod.dim())]
+    for col, (hits, k) in enumerate(itertools.product(groups, range(e))):
+        for key, exp, ds in hits:
+            for t, x in ds[k]:
+                rows[at[key] + pos[exp] + t][col] = x
+    return SparseMatrix(rows, dom.dim()), cod
 
 
 def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):

@@ -371,6 +371,11 @@ def _unsat(proven, reason, bound=None, certificate=None):
     return out
 
 
+def unit_digits(values):
+    """Per F_q value, its nonzero (digit position, digit) pairs."""
+    return [[(k, x) for k, x in enumerate(v.val) if x] for v in values]
+
+
 def artin_schreier_matrix(dom, cod, h, s):
     """The matrix of c * x^a -> F(c) * x^(p*a + h) - c * x^(a + s), with h and
     s added to every exponent, from the PolySpace `dom` to the PolySpace
@@ -381,14 +386,10 @@ def artin_schreier_matrix(dom, cod, h, s):
     p, e = dom.p, dom.e
     index = cod.index
     units = dom.ring.field.power_basis
-
-    def digits(values):
-        return [[(k, x) for k, x in enumerate(v.val) if x] for v in values]
-
     # per unit c: the nonzero digits of F(c), of -c, and of F(c) - c
-    up_digits = digits(c.frobenius() for c in units)
-    down_digits = digits(-c for c in units)
-    both_digits = digits(c.frobenius() - c for c in units)
+    up_digits = unit_digits(c.frobenius() for c in units)
+    down_digits = unit_digits(-c for c in units)
+    both_digits = unit_digits(c.frobenius() - c for c in units)
     rows = [{} for _ in range(cod.dim())]
     col = 0
     for a in dom.mons:

@@ -9,14 +9,17 @@ map: the whole-matrix reference for `ext_dim_free_target`, which computes
 the same images by index arithmetic.  `ext_split_check` is AC4's second way
 to the Ext table: the plain and twisted plain-ring blocks of the dual
 complex, each picked out of the cone's keys and `_reads` terms by part, and
-the cross block between them.  `unit_transpose_report` gives the
+the cross block between them.  `flatten_diff` flattens a cone window by
+pushing each basis vector through the symbolic `ConeComplex.differential`:
+the reference for `frobext.cartier._flatten_diff`, which writes the same
+columns by index arithmetic.  `unit_transpose_report` gives the
 rank of the unit transpose and `free_transpose_roundtrip` checks that on the
 free rank-one module the transpose is digit reversal: `unitalize` reports
 only the tower built on that transpose.
 """
 
 from frobext import cartier
-from frobext.cartier import _digit_tuples, _image, _reads, ext_dims_artinian, unit_transpose_map
+from frobext.cartier import _digit_tuples, _image, _reads, cone_window, ext_dims_artinian, unit_transpose_map
 from frobext.linalg import complex_dims, flatten, keyed, rank
 from frobext.poly import PolySpace
 
@@ -63,6 +66,19 @@ class FreeTarget:
     def space(self, cap):
         # cap is the largest exponent allowed, inclusive
         return PolySpace.box(self.ring, cap + 1)
+
+
+def flatten_diff(cone, n, dom, cap, dfmax):
+    """Flatten d_n from the window `dom`; the codomain window is the
+    (cap, dfmax) one, grown to fit the images."""
+    images = [cone.differential(n, z) for z in dom.basis_elems()]
+    for z in images:
+        for key, g in z.items():
+            dfmax = max(dfmax, key[3])
+            for exp in g.terms:
+                cap = max(cap, max(exp) if exp else 0)
+    cod = cone_window(cone, n - 1, cap, dfmax)
+    return flatten(images, cod, cone.p), cod
 
 
 def _block_space(cone, n, nspace, part):

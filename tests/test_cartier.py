@@ -55,6 +55,7 @@ from cartier_reference import (
     ext_r_dims,
     ext_r_twisted_dims,
     ext_split_check,
+    flatten_diff,
     free_transpose_roundtrip,
     unit_transpose_report,
 )
@@ -190,6 +191,19 @@ def test_zero_rank_module_passes_vacuously():
     assert check_two_step_exact(module, 3)["passed"]
 
 
+def _draw_module(data, algebra, rank):
+    """A module on `algebra` with a drawn standard, zero, scaled or random
+    structure."""
+    structure = data.draw(st.sampled_from(["standard", "zero", "scaled", "random"]), "structure")
+    seed = data.draw(st.integers(0, 50), "seed")
+    if structure == "random":
+        return random_module(algebra, rank, seed)
+    if structure == "scaled":
+        lam = random_poly(algebra.ring, algebra.space.mons, random.Random(seed), 0.5)
+        return scaled_module(algebra, lam, rank)
+    return (standard_module if structure == "standard" else zero_structure_module)(algebra, rank)
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_direct_two_step_assembly_matches_the_symbolic_reference(data):
@@ -201,16 +215,7 @@ def test_direct_two_step_assembly_matches_the_symbolic_reference(data):
     rank = data.draw(st.integers(0, 2), "rank")
     exps = tuple(data.draw(st.lists(st.integers(1, 2), min_size=d, max_size=d), "exponents"))
     dmax = data.draw(st.integers(1, 5), "dmax")
-    structure = data.draw(st.sampled_from(["standard", "zero", "scaled", "random"]), "structure")
-    seed = data.draw(st.integers(0, 50), "seed")
-    algebra = ArtinianAlgebra(ring_over(p, e, d), exps)
-    if structure == "random":
-        module = random_module(algebra, rank, seed)
-    elif structure == "scaled":
-        lam = random_poly(algebra.ring, algebra.space.mons, random.Random(seed), 0.5)
-        module = scaled_module(algebra, lam, rank)
-    else:
-        module = (standard_module if structure == "standard" else zero_structure_module)(algebra, rank)
+    module = _draw_module(data, ArtinianAlgebra(ring_over(p, e, d), exps), rank)
     amap, bmap, dom, cod = flatten_two_step(module, dmax)
     Phi, A, B = two_step_matrices(module, dmax)
     assert A == amap.mat
@@ -277,6 +282,28 @@ def test_cone_wedge_blocks_are_the_koszul_differential(p, d):
             else:
                 twisted = {key: h for key, h in image.items() if key[0] == "C"}
                 assert twisted == {("C", T, s, i): -h for T, h in wedge.items()}
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_cone_window_matrix_matches_the_symbolic_reference(data):
+    # d_n's matrix written by index arithmetic against the flattening of
+    # ConeComplex.differential, on every spot; the domain window may be
+    # wider than the codomain cap, as in the sweep's growth rounds
+    p = data.draw(st.sampled_from([2, 3, 5]), "p")
+    e = data.draw(st.integers(1, 2), "e")
+    d = data.draw(st.integers(1, 3), "d")
+    rank = data.draw(st.integers(0, 2), "rank")
+    exps = tuple(data.draw(st.lists(st.integers(1, 2), min_size=d, max_size=d), "exponents"))
+    cap, dfmax = data.draw(st.integers(0, 2), "cap"), data.draw(st.integers(0, 2), "dfmax")
+    grow = data.draw(st.integers(0, 2), "grow")
+    cone = ConeComplex(_draw_module(data, ArtinianAlgebra(ring_over(p, e, d), exps), rank))
+    for n in range(1, cone.length + 1):
+        dom = cone_window(cone, n, cap + grow, dfmax)
+        A, cod = _flatten_diff(cone, n, dom, cap, dfmax)
+        ref, ref_cod = flatten_diff(cone, n, dom, cap, dfmax)
+        assert A == ref
+        assert cod.keys == ref_cod.keys and cod.inner.mons == ref_cod.inner.mons
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)])
