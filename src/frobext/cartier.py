@@ -5,7 +5,7 @@ A Cartier-type map on M is additive with phi(r^p m) = r phi(m).  On a
 quotient A = R/(x1^a1, ..., xd^ad) every such map (valued in rank-`rank`
 columns) is the descent of
 
-    y |-> C(c[t][s] * (x1...xd)^((p-1)*a) * y)
+    y |-> C(cmatrix[t][s] * (x1...xd)^((p-1)*a) * y)
 
 where C is the digit-projection operator of the ring; the inner factor makes
 the descent automatic, because C((xi^ai)^p h) = xi^ai C(h) pushes the ideal
@@ -19,7 +19,7 @@ import itertools
 import random
 
 from .fmodules import artin_schreier_matrix, unit_digits
-from .koszul import KoszulComplex, wedge_boundary
+from .koszul import subsets, wedge_boundary
 from .linalg import (
     SparseMatrix,
     StructureError,
@@ -36,38 +36,77 @@ from .linalg import (
     tuple_space,
 )
 from .poly import PolyRing, PolySpace, add_at, monomials_box, random_poly
-from .skew import FreeCartierCarrier, frob_power
+from .skew import frob_power
 
 
 def _digit_tuples(p, d):
     return list(itertools.product(range(p), repeat=d))
 
 
-class ArtinianCartierModule(FreeCartierCarrier):
-    """A = R/(x1^a1..xd^ad) to the power `rank`, with structure map
+class ArtinianCartierModule:
+    """M = A^rank for A = R/(x1^a1..xd^ad), with structure map
 
-        phi(y)_t = reduce(C(sum_s kern[t][s] * y_s)),  kern[t][s] = c * cmatrix[t][s] * twist
+        phi(y)_t = reduce(C(sum_s kern[t][s] * y_s)),  kern[t][s] = cmatrix[t][s] * twist
 
-    where twist = prod_i xi^(ai*(p-1)).  c = 1 is the standard structure,
-    c = 0 the zero one, any other scalar a rescaling; cmatrix couples the
-    components of a higher-rank module.
+    where C is the digit-projection operator of the ring and twist =
+    prod_i xi^(ai*(p-1)).  cmatrix = I is the standard structure, the zero
+    matrix the zero one and lambda*I a rescaling; other entries couple the
+    components of a higher-rank module.  Elements are rank-tuples of
+    reduced polynomials.
     """
 
-    def __init__(self, algebra, rank=1, c=None, cmatrix=None):
-        super().__init__(algebra.ring, rank, cmatrix)
+    def __init__(self, algebra, rank=1, cmatrix=None):
         self.algebra = algebra
-        ring = self.ring
-        self.c = ring.one if c is None else ring.coerce(c)
+        self.ring = ring = algebra.ring
+        self.rank = rank
+        if cmatrix is None:
+            cmatrix = [[int(s == t) for s in range(rank)] for t in range(rank)]
+        self.cmatrix = [[ring.coerce(v) for v in row] for row in cmatrix]
+        if len(self.cmatrix) != rank or any(len(r) != rank for r in self.cmatrix):
+            raise ValueError("cmatrix must be rank x rank")
         p = ring.field.p
         twist = ring.one
         for i, a in enumerate(algebra.exponents):
             twist = twist * ring.gens()[i] ** (a * (p - 1))
-        self.kern = [[self.c * v * twist for v in row] for row in self.cmatrix]
+        self.kern = [[v * twist for v in row] for row in self.cmatrix]
         self._space = tuple_space(algebra.space, rank, ring.zero)
         self.structure_check()
 
-    def normal_form(self, f):
-        return self.algebra.reduce(f)
+    def zero(self):
+        return (self.ring.zero,) * self.rank
+
+    def add(self, a, b):
+        # a sum of reduced polynomials is reduced
+        return tuple(x + y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def act(self, r, a):
+        return tuple(self.algebra.reduce(x * r) for x in a)
+
+    def phi(self, a):
+        out = []
+        for row in self.kern:
+            acc = self.ring.zero
+            for k, y in zip(row, a):
+                if k and y:
+                    acc = acc + k * y
+            out.append(self.algebra.reduce(self.ring.cartier(acc)))
+        return tuple(out)
+
+    def phi_iter(self, a, k):
+        for _ in range(k):
+            a = self.phi(a)
+        return a
+
+    def eq(self, a, b):
+        return all(x == y for x, y in zip(a, b))
+
+    def format(self, a):
+        if self.rank == 1:
+            return self.ring.format(a[0])
+        return "(" + ", ".join(self.ring.format(x) for x in a) + ")"
 
     def space(self):
         return self._space
@@ -91,11 +130,7 @@ class ArtinianCartierModule(FreeCartierCarrier):
                     raise StructureError("structure map violates the p-th power twist law")
 
     def __repr__(self):
-        return "ArtinianCartierModule(%r, rank=%d, c=%s)" % (
-            self.algebra,
-            self.rank,
-            self.ring.format(self.c),
-        )
+        return "ArtinianCartierModule(%r, rank=%d)" % (self.algebra, self.rank)
 
 
 def standard_module(algebra, rank=1):
@@ -103,11 +138,13 @@ def standard_module(algebra, rank=1):
 
 
 def zero_structure_module(algebra, rank=1):
-    return ArtinianCartierModule(algebra, rank=rank, c=0)
+    return scaled_module(algebra, 0, rank)
 
 
 def scaled_module(algebra, lam, rank=1):
-    return ArtinianCartierModule(algebra, rank=rank, c=lam)
+    """cmatrix = lam * I."""
+    cm = [[lam if s == t else 0 for s in range(rank)] for t in range(rank)]
+    return ArtinianCartierModule(algebra, rank=rank, cmatrix=cm)
 
 
 def random_module(algebra, rank, seed):
@@ -138,7 +175,7 @@ class ConeComplex:
 
         (g . e_(S,s))  |->  sum_t C(kernel[S][t][s] * g) . e_(S,t)
 
-    with kernel[S][t][s] = c * cmatrix[t][s] * prod_(i not in S) fi^(p-1).
+    with kernel[S][t][s] = cmatrix[t][s] * prod_(i not in S) fi^(p-1).
     Each square against the wedge differential commutes exactly.  The check
     is d_squared_on_generators: the plain part of d(d(g)) on a twisted
     generator g is boundary . lift - lift . boundary, so d^2 = 0 on the
@@ -151,23 +188,22 @@ class ConeComplex:
         self.ring = ring
         self.d = ring.d
         self.p = ring.field.p
-        # the wedge resolution of R/(x1^a1..xd^ad); raises unless the
-        # defining sequence is regular
-        self.koszul = KoszulComplex(
-            ring, [ring.gens()[i] ** a for i, a in enumerate(module.algebra.exponents)]
-        )
-        self.fs = self.koszul.fs
+        # the wedge resolution of R/(x1^a1..xd^ad): x1^a1, ..., xd^ad is a
+        # regular sequence once every exponent is >= 1
+        exps = module.algebra.exponents
+        if any(a < 1 for a in exps):
+            raise ValueError("the cone needs every exponent >= 1, got %s" % ",".join(map(str, exps)))
+        self.fs = [x**a for x, a in zip(ring.gens(), exps)]
         self.length = self.d + 1
-        coupling = [[module.c * v for v in row] for row in module.cmatrix]
         units = ring.field.power_basis
         self.kernel, self.lifts = {}, {}
         for j in range(self.d + 1):
-            for S in self.koszul.subsets(j):
+            for S in subsets(self.d, j):
                 outside = ring.one
                 for i in range(self.d):
                     if i not in S:
                         outside = outside * self.fs[i] ** (self.p - 1)
-                self.kernel[S] = [[k * outside for k in row] for row in coupling]
+                self.kernel[S] = [[k * outside for k in row] for row in module.cmatrix]
                 # kernel[S][t][s]'s terms a*x^c as (c, digits of (a*u)^(1/p) per unit u)
                 self.lifts[S] = [
                     [[(c, unit_digits((a * u).pth_root() for u in units)) for c, a in k.terms.items()]
@@ -221,9 +257,8 @@ class ConeComplex:
         on the plain part."""
         digits = _digit_tuples(self.p, self.d)
         rank = range(self.module.rank)
-        subsets = self.koszul.subsets
-        return [("C", S, s, a) for S in subsets(n - 1) for s in rank for a in digits] + [
-            ("D", S, s) for S in subsets(n) for s in rank
+        return [("C", S, s, a) for S in subsets(self.d, n - 1) for s in rank for a in digits] + [
+            ("D", S, s) for S in subsets(self.d, n) for s in rank
         ]
 
     def hom_space(self, n, nspace):
@@ -256,12 +291,12 @@ class ConeComplex:
 
     def right_linearity_check(self, seed=0):
         """Spot-check d(z . r) = d(z) . r and d(z . F) = d(z) . F on four
-        random generators per spot."""
+        random generators per spot that has any."""
         rng = random.Random(seed)
         mons = monomials_box(self.d, (self.p,) * self.d)
         for n in range(1, self.length + 1):
             gens = self.generators(n)
-            for _ in range(4):
+            for _ in range(4 if gens else 0):
                 key, z = gens[rng.randrange(len(gens))]
                 z = self.act_F(z, rng.randrange(2))
                 r = random_poly(self.ring, mons, rng, 0.4)
@@ -280,7 +315,7 @@ def cone_window(cone, n, cap, dfmax):
     keys = [
         (part, S, s, i)
         for part, size in (("C", n - 1), ("D", n))
-        for S in cone.koszul.subsets(size)
+        for S in subsets(cone.d, size)
         for s in range(cone.module.rank)
         for i in range(dfmax + 1)
     ]
@@ -415,22 +450,16 @@ def _dual_images(cone, target, n, dom_space):
     return [_image(target, reads.get(key, ()), b) for key in dom_space.keys for b in basis]
 
 
-def _dual_dims(cone, target, spots):
-    """Cohomology dimensions of the dual complex against an Artinian target
-    on the given consecutive spots."""
+def ext_dims_artinian(cone, target, jmax):
+    """Exact Ext dimensions over R{F} against an Artinian target, one per
+    spot 0..jmax (0 beyond d+1): the cohomology of the dual complex."""
     nspace = target.space()
     mats = []
-    for n in spots:
+    for n in range(min(jmax, cone.length) + 1):
         dom = cone.hom_space(n, nspace)
         cod = cone.hom_space(n + 1, nspace)
         mats.append(flatten(_dual_images(cone, target, n, dom), cod, nspace.p))
-    return complex_dims(mats, nspace.p)
-
-
-def ext_dims_artinian(cone, target, jmax):
-    """Exact Ext dimensions over R{F} against an Artinian target, one per
-    spot 0..jmax (0 beyond d+1)."""
-    dims = _dual_dims(cone, target, range(min(jmax, cone.length) + 1))
+    dims = complex_dims(mats, nspace.p)
     return dims + [0] * (jmax + 1 - len(dims))
 
 

@@ -40,10 +40,6 @@ class StdR:
     def pth_power(self, f):
         return f.frobenius()
 
-    def artin_schreier(self, f):
-        """F(f) - f."""
-        return f.frobenius() - f
-
     def sample(self, rng):
         return random_poly(self.ring, PolySpace.total_degree(self.ring, 2).mons, rng, 0.5)
 
@@ -73,9 +69,6 @@ class StdE:
 
     def pth_power(self, z):
         return z.pth_power()
-
-    def artin_schreier(self, z):
-        return z.pth_power() - z
 
     def sample(self, rng):
         box = PolySpace.box(self.ring, 2)  # the numerators at level 2
@@ -125,9 +118,6 @@ class ShiftRInf:
     def pth_power(self, z):
         return {j - 1: r.frobenius() for j, r in z.items()}
 
-    def artin_schreier(self, z):
-        return self.add(self.pth_power(z), self.neg(z))
-
     def sample(self, rng):
         """Random linear polynomials on the slots -2..2."""
         mons = PolySpace.total_degree(self.ring, 1).mons
@@ -171,14 +161,16 @@ class DirectSum:
     def pth_power(self, z):
         return tuple(m.pth_power(c) for m, c in zip(self.parts, z))
 
-    def artin_schreier(self, z):
-        return tuple(m.artin_schreier(c) for m, c in zip(self.parts, z))
-
     def sample(self, rng):
         return tuple(m.sample(rng) for m in self.parts)
 
     def describe(self):
         return "direct sum of %d x (%s)" % (len(self.parts), self.parts[0].describe())
+
+
+def artin_schreier(module, z):
+    """F(z) - z in any of the instances above."""
+    return module.add(module.pth_power(z), module.neg(z))
 
 
 # -- the solver ----------------------------------------------------------------
@@ -228,7 +220,7 @@ def as_solve_elem(module, u, level_bound=4):
         rep, z = _as_solve_sum(module, u, level_bound)
     else:
         raise TypeError("no solver for %r" % type(module).__name__)
-    if z is not None and module.artin_schreier(z) != module.coerce(u):
+    if z is not None and artin_schreier(module, z) != module.coerce(u):
         raise RuntimeError("witness check failed: F(z) - z misses the target")
     return rep, z
 
@@ -444,7 +436,7 @@ class ExtensionDatum:
             a, b = ab
             return (m.add(a, m.scal(b, s)), b)
 
-        return psi, ExtensionDatum(m, m.add(self.z, m.neg(m.artin_schreier(s))))
+        return psi, ExtensionDatum(m, m.add(self.z, m.neg(artin_schreier(m, s))))
 
 
 def ext1_class(module, u1, u2, level_bound=4, samples=20, seed=0):

@@ -32,66 +32,6 @@ def frob_power(f, k):
     return f
 
 
-class FreeCartierCarrier:
-    """M = R^rank with a Cartier-type structure map.
-
-    The structure map is phi(y)_t = C(sum_s kern[t][s] * y_s) where C is the
-    digit-projection operator of the ring; any additive map with the twist law
-    phi(r^p y) = r phi(y) between free modules has this shape.  On R^rank the
-    kernel matrix is cmatrix itself; a quotient carrier builds its own kern
-    once and puts each value in its normal form.
-    """
-
-    def __init__(self, ring, rank, cmatrix=None):
-        self.ring = ring
-        self.rank = rank
-        if cmatrix is None:
-            cmatrix = [[ring.one if s == t else ring.zero for s in range(rank)] for t in range(rank)]
-        self.cmatrix = [[ring.coerce(v) for v in row] for row in cmatrix]
-        if len(self.cmatrix) != rank or any(len(r) != rank for r in self.cmatrix):
-            raise ValueError("cmatrix must be rank x rank")
-        self.kern = self.cmatrix
-
-    def normal_form(self, f):
-        return f
-
-    def zero(self):
-        return (self.ring.zero,) * self.rank
-
-    def add(self, a, b):
-        # a sum of normal forms is one
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def act(self, r, a):
-        return tuple(self.normal_form(x * r) for x in a)
-
-    def phi(self, a):
-        out = []
-        for row in self.kern:
-            acc = self.ring.zero
-            for k, y in zip(row, a):
-                if k and y:
-                    acc = acc + k * y
-            out.append(self.normal_form(self.ring.cartier(acc)))
-        return tuple(out)
-
-    def phi_iter(self, a, k):
-        for _ in range(k):
-            a = self.phi(a)
-        return a
-
-    def eq(self, a, b):
-        return all(x == y for x, y in zip(a, b))
-
-    def format(self, a):
-        if self.rank == 1:
-            return self.ring.format(a[0])
-        return "(" + ", ".join(self.ring.format(x) for x in a) + ")"
-
-
 # -- the two-step sequence ---------------------------------------------------
 
 

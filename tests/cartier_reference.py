@@ -150,7 +150,8 @@ def ext_split_check(module, nmodule):
 
     rhs = [at(plain, j) + at(twisted, j - 1) for j in range(jmax + 1)]
     cross_zero = None
-    if not module.c and not nmodule.c:  # both structure maps vanish
+    # both structure maps vanish: every cmatrix entry is zero
+    if not any(v for m in (module, nmodule) for row in m.cmatrix for v in row):
         cross_zero = _cross_block_is_zero(cone, nmodule)
     return {
         "dims": lhs,

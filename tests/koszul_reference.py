@@ -1,11 +1,12 @@
 """The Koszul complex as a complex: its differential on whole elements,
 d.d = 0, the quotient algebra and window-truncated exactness.
 
-`KoszulComplex` is `frobext.koszul.KoszulComplex` with these checks added,
-and the exponent of each variable in the sequence (`pure_exponents`).
-The program itself reads only the regularity check, `subsets` and
-`wedge_boundary`: the mapping cone assembles its differential from those
-terms and checks d.d = 0 on its own generators.
+`KoszulComplex` is the complex on a sequence of pure powers of distinct
+variables, built on the wedge basis of `frobext.koszul` (`subsets` and
+`wedge_boundary`), with the exponent of each variable in the sequence
+(`pure_exponents`).  The program itself reads only those two functions:
+the mapping cone assembles its differential from their terms and checks
+d.d = 0 on its own generators.
 """
 
 from frobext import koszul
@@ -16,15 +17,20 @@ from frobext.poly import PolySpace, add_at
 from artinian_reference import ArtinianAlgebra
 
 
-class KoszulComplex(koszul.KoszulComplex):
+class KoszulComplex:
     def __init__(self, ring, fs):
-        super().__init__(ring, fs)
+        self.ring = ring
+        self.fs = [ring.coerce(f) for f in fs]
+        self.k = len(self.fs)
         # each entry is unit * x_i^a for its own i: a is x_i's exponent
         self.pure_exponents = [0] * ring.d
         for f in self.fs:
             (exp,) = f.terms
             for i, a in enumerate(exp):
                 self.pure_exponents[i] += a
+
+    def subsets(self, j):
+        return koszul.subsets(self.k, j)
 
     def rank(self, j):
         return len(self.subsets(j))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobext import cartier
 from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import (
     ArtinianCartierModule,
@@ -42,7 +43,6 @@ from frobext.linalg import (
 )
 from frobext.poly import PolySpace, monomials_box, random_poly, ring_over
 from frobext.skew import (
-    FreeCartierCarrier,
     check_two_step_exact,
     two_step_matrices,
     two_step_witnesses,
@@ -232,13 +232,13 @@ def test_two_step_check_calls_phi_once_per_basis_vector(p, e, dmax, monkeypatch)
     # M's basis and everything else is assembled from that matrix
     module = random_module(ArtinianAlgebra(ring_over(p, e, 2), (2, 2)), rank=2, seed=3)
     calls = []
-    phi = FreeCartierCarrier.phi
+    phi = ArtinianCartierModule.phi
 
     def counted(self, a):
         calls.append(a)
         return phi(self, a)
 
-    monkeypatch.setattr(FreeCartierCarrier, "phi", counted)
+    monkeypatch.setattr(ArtinianCartierModule, "phi", counted)
     assert check_two_step_exact(module, dmax)["passed"]
     assert len(calls) == module.space().dim()
 
@@ -258,6 +258,13 @@ def test_cone_shape_and_differential(p, d):
     assert counts == expected
     if d == 1:
         assert counts == [1, 2, 1]
+
+
+def test_cone_refuses_a_zero_exponent():
+    # x1^0 = 1 is a unit, so x1^0, x2 is not a regular sequence
+    module = standard_module(ArtinianAlgebra(ring_over(2, 1, 2), (0, 1)))
+    with pytest.raises(ValueError, match="exponent >= 1"):
+        cartier.ConeComplex(module)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -167,6 +167,14 @@ def test_cone_tasks_refuse_a_zero_exponent_at_its_line(tmp_path, capsys, task, e
     assert f"{path}:4:" in err and "exponent >= 1" in err
 
 
+def test_cone_resolution_of_the_rank_zero_module_passes(tmp_path, capsys):
+    # every spot of the rank-0 cone is empty: the spot checks draw nothing
+    path = write(tmp_path, "r0.scenario", "task: cone-resolution\np: 2\nd: 2\nexponents: 1,1\nrank: 0\n")
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+
+
 @pytest.mark.parametrize("task", ["two-step-check", "unitalize"])
 def test_a_zero_exponent_is_the_zero_carrier_outside_the_cone(tmp_path, capsys, task):
     path = write(tmp_path, "z.scenario", "task: %s\np: 2\nd: 2\nexponents: 0,1\n" % task)
