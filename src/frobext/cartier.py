@@ -18,7 +18,7 @@ import functools
 import itertools
 import random
 
-from .fmodules import artin_schreier_matrix, unit_digits
+from .fmodules import artin_schreier_matrix
 from .koszul import subsets, wedge_boundary
 from .linalg import (
     SparseMatrix,
@@ -35,7 +35,7 @@ from .linalg import (
     solve,
     tuple_space,
 )
-from .poly import PolyRing, PolySpace, add_at, monomials_box, random_poly
+from .poly import PolyRing, PolySpace, add_at, monomials_box, random_poly, unit_digits
 from .skew import frob_power
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 
 from .artinian import EElem
-from .linalg import SparseMatrix, kernel_basis, keyed, matrix_of_map, rank, solve_with_certificate
-from .poly import PolySpace, add_at, random_poly
+from .linalg import SparseMatrix, kernel_basis, keyed, matrix_of_map, rank, solve_with_certificate, support
+from .poly import PolySpace, add_at, random_poly, unit_digits
 from .rational import BoundedRationalSpace, is_squarefree, u_divmod
 
 
@@ -359,13 +359,8 @@ def _unsat(proven, reason, bound=None, certificate=None):
     if bound is not None:
         out["bound"] = bound
     if certificate is not None:
-        out["certificate"] = certificate
+        out["certificate"] = support(certificate)
     return out
-
-
-def unit_digits(values):
-    """Per F_q value, its nonzero (digit position, digit) pairs."""
-    return [[(k, x) for k, x in enumerate(v.val) if x] for v in values]
 
 
 def artin_schreier_matrix(dom, cod, h, s):
@@ -567,7 +562,7 @@ def shift_ses_check(ring, nmax=3, degree_bound=2):
     smap = matrix_of_map(space.basis_elems(), split_system, cod, p)
     x, cert = solve_with_certificate(smap.mat, cod.coords({"sum": ring.one}), p)
     report["split"] = x is not None
-    report["split_window_certificate"] = cert
+    report["split_window_certificate"] = cert and support(cert)
     report["support_escape"] = (
         "a nonzero y_j forces y_(j+1) nonzero through y_j = y_(j+1)^p, "
         "escaping every window upward; within the window the top slot dies "
@@ -711,7 +706,7 @@ def rational_class_distinct(base, a, b, level_bound=3, degree_bound=3):
         "proven": True,
         "bounded_check_unsat": True,
         "bound": {"level": level_bound, "degree": degree_bound},
-        "certificate": cert,
+        "certificate": support(cert),
         "symbolic_branch": branch,
         "reason": "a lowest-terms solution f/g forces g^p to divide "
         "(t-a)(t-b) up to a unit; " + branch,

@@ -8,8 +8,8 @@ transform matrix), so solve / kernel / image / quotient answers are
 reproducible bit-for-bit.  The elimination works on those row dicts and
 returns the pivot rows of the unique reduced row echelon form.  Solutions
 and certificates are int lists.  An unsolvable system comes back with a
-cokernel functional: the first row y of `kernel_basis(A.T)` with y @ b != 0,
-checked to satisfy y @ A == 0.
+cokernel functional y, checked: y @ A == 0 and y @ b != 0.  It is the first
+row of `kernel_basis(A.T)` with y @ b != 0, written alone (`_cokernel_row`).
 
 Nothing here needs numpy, and every function takes and returns
 `SparseMatrix`es only; vectors (right-hand sides, solutions, certificates,
@@ -197,10 +197,8 @@ def solve(A, b, p):
 def _solve(A, B, stacked, p):
     """`solve` on the right-hand side that `_targets` made of b."""
     n = A.ncols
-    aug = [dict(row) for row in A.rows]
-    for row, brow in zip(aug, B.rows):
-        for k, v in brow.items():
-            row[n + k] = v
+    # rref_transform copies the rows it reduces, so a row with no b part is shared
+    aug = [{**row, **{n + k: v for k, v in brow.items()}} if brow else row for row, brow in zip(A.rows, B.rows)]
     R, pivots = rref_transform(SparseMatrix(aug, n + B.ncols), p)
     if pivots and pivots[-1] >= n:
         return None
@@ -218,19 +216,44 @@ def solve_with_certificate(A, b, p):
     Returns (x, None) on success, x as `solve` gives it.  On failure returns
     (None, y) where y is a cokernel functional, an int list: y @ A == 0 and
     y @ b != 0, an exact witness that no solution exists.  y is the first
-    row of kernel_basis(A.T) with y @ b != 0, and y @ A == 0 is checked by
-    combining A's rows before y is returned.
+    row of kernel_basis(A.T) with y @ b != 0 (`_cokernel_row`), and both
+    properties are checked by combining rows before y is returned.
     """
     B, stacked = _targets(A, b, p)
     x = _solve(A, B, stacked, p)
     if x is not None:
         return x, None
-    y = next((y for y in kernel_basis(A.T, p).rows if _combine(y, B.rows, p)), None)
+    y = _cokernel_row(A, B, p)
     if y is None:
         raise RuntimeError("certificate check failed: no y with y @ A == 0 has y @ b != 0")
+    if not _combine(y, B.rows, p):
+        raise RuntimeError("certificate check failed: y @ b == 0")
     if _combine(y, A.rows, p):
         raise RuntimeError("certificate check failed: y @ A != 0")
     return None, _dense(y, len(A.rows))
+
+
+def _cokernel_row(A, B, p):
+    """The first row y of kernel_basis(A.T) with y @ B != 0, or None.  Row f
+    is 1 at f and p - R_i[f] at each pivot c_i of A.T's reduced form R, so
+    (y @ B)[k] = B[f, k] - w_k[f] for w_k = sum_i B[c_i, k] * R_i (zero at
+    the pivots): f is the least index where some w_k differs from B[:, k]."""
+    R, pivots = rref_transform(A.T, p)
+    at = {c: i for i, c in enumerate(pivots)}
+    differ = []
+    for col in B.T.rows:
+        w = _combine({at[r]: v for r, v in col.items() if r in at}, R.rows, p)
+        differ.extend(r for r in w.keys() | col.keys() if (w.get(r, 0) - col.get(r, 0)) % p)
+    f = min(differ, default=None)
+    if f is None:
+        return None
+    return {f: 1, **{c: p - v for c, row in zip(pivots, R.rows) if (v := row.get(f))}}
+
+
+def support(vec):
+    """The nonzero entries of an int list as [index, value] pairs, by index:
+    the form in which reports write certificates."""
+    return [[i, v] for i, v in enumerate(vec) if v]
 
 
 def complex_dims(mats, p):

@@ -412,6 +412,11 @@ class PolySpace:
         return MultiPoly(self.ring, terms)
 
 
+def unit_digits(values):
+    """Per F_q value, its nonzero (digit position, digit) pairs."""
+    return [[(k, x) for k, x in enumerate(v.val) if x] for v in values]
+
+
 def add_at(out, key, v):
     """out[key] += v, dropping the key when the sum vanishes: the one merge
     step of every key -> polynomial dict (sequences, cone elements, skew

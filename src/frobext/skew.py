@@ -21,9 +21,10 @@ from .linalg import (
     product,
     solve,
     solve_with_certificate,
+    support,
     tuple_space,
 )
-from .poly import PolySpace, add_at
+from .poly import PolySpace, add_at, unit_digits
 
 
 def frob_power(f, k):
@@ -217,26 +218,49 @@ def residue_trace(ring, target):
     return trace, bool(cur)
 
 
+def h_dual_matrix(ring, slots, dom_poly, cod_poly):
+    """The matrix of `h_dual_apply` from (s, t_1..t_d) on `slots` slots of
+    `dom_poly` to slots + 1 slots of `cod_poly` (holding every image), in
+    `matrix_of_map`'s order, by index arithmetic: unit c times x^a at slot j
+    gives (-1)^d F(c) x^(p*a) at j, -(-1)^d c x^a at j+1 (s), c x^(a+e_i) at j (t_i)."""
+    d, p, e = ring.d, dom_poly.p, dom_poly.e
+    units, index, n = ring.field.power_basis, cod_poly.index, cod_poly.dim()
+    up = unit_digits(-c.frobenius() if d % 2 else c.frobenius() for c in units)
+    down = unit_digits(c if d % 2 else -c for c in units)
+    ones, mons = unit_digits(units), dom_poly.mons
+    # per block, per monomial a: the (row offset, per-unit digits) of its terms
+    blocks = [[((index[tuple(p * x for x in a)] * e, up), (n + index[a] * e, down)) for a in mons]]
+    blocks += [[((index[a[:i] + (a[i] + 1,) + a[i + 1 :]] * e, ones),) for a in mons] for i in range(d)]
+    rows, col = [{} for _ in range((slots + 1) * n)], 0
+    for block in blocks:
+        for j in range(0, slots * n, n):
+            for terms in block:
+                for k in range(e):
+                    for at, digits in terms:
+                        for t, x in digits[k]:
+                            rows[j + at + t][col] = x
+                    col += 1
+    return SparseMatrix(rows, col)
+
+
 def in_image_hdual(ring, target, window, degree_bound):
     """Membership of `target` (a dict j -> nonzero polynomial) in the image of
     the dual tail map, searched over sequences supported in `window` with
     polynomial degree <= degree_bound.
 
-    Returns a dict with verdict SAT (witness included, re-verified exactly)
-    or UNSAT (cokernel functional; plus the residue trace, and proven=True
-    when the trace argument rules out *every* window and bound).
+    Returns a dict with verdict SAT (witness included, re-verified exactly,
+    and refused when the residue trace rules every preimage out) or UNSAT
+    (cokernel functional; plus the residue trace, and proven=True when the
+    trace argument rules out *every* window and bound).
     """
-    lo, hi = window
-    d = ring.d
-    p = ring.field.p
-    B = degree_bound
+    (lo, hi), p, B = window, ring.field.p, degree_bound
     dom_poly = PolySpace.total_degree(ring, B)
     cod_deg = max(p * B, B + 1, max((f.total_degree() for f in target.values()), default=0))
     cod_poly = PolySpace.total_degree(ring, cod_deg)
     # the unknowns (s, t_1, ..., t_d), all supported in the window
-    dom = tuple_space(keyed(range(lo, hi + 1), dom_poly), d + 1, {})
+    dom = tuple_space(keyed(range(lo, hi + 1), dom_poly), ring.d + 1, {})
     cod = keyed(range(lo, hi + 2), cod_poly)
-    A = matrix_of_map(dom.basis_elems(), lambda st: h_dual_apply(ring, st[0], st[1:]), cod, p).mat
+    A = h_dual_matrix(ring, hi - lo + 1, dom_poly, cod_poly)
     x, cert = solve_with_certificate(A, cod.coords(target), p)
     trace, proven = residue_trace(ring, target)
     trace_str = {str(j): ring.field.format_elem(v) for j, v in sorted(trace.items())}
@@ -244,6 +268,8 @@ def in_image_hdual(ring, target, window, degree_bound):
         s, *ts = dom.from_coords(x)
         if h_dual_apply(ring, s, ts) != target:
             raise RuntimeError("witness check failed: the dual tail map misses the target")
+        if proven:
+            raise RuntimeError("residue trace check failed: a witness exists where the trace rules one out")
         return {
             "verdict": "SAT",
             "window": [lo, hi],
@@ -256,7 +282,7 @@ def in_image_hdual(ring, target, window, degree_bound):
         "verdict": "UNSAT",
         "window": [lo, hi],
         "degree_bound": B,
-        "certificate": cert,
+        "certificate": support(cert),
         "residue_trace": trace_str,
         "proven": bool(proven),
     }

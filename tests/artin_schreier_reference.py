@@ -13,11 +13,12 @@ assembled by index arithmetic:
   L*p (`hom_fr` between limit carriers).
 
 `limit_solve` is the limit-carrier solve on the reference matrix, with the
-verdict, witness string and certificate the solver reports.
+verdict, witness string and certificate (as [index, value] pairs) the solver
+reports.
 """
 
 from frobext.artinian import EElem
-from frobext.linalg import matrix_of_map, solve_with_certificate
+from frobext.linalg import matrix_of_map, solve_with_certificate, support
 from frobext.poly import PolySpace
 
 
@@ -57,5 +58,5 @@ def limit_solve(ering, u, level_bound):
     dom, cod = PolySpace.box(ering.ring, n), PolySpace.box(ering.ring, n * p)
     x, cert = solve_with_certificate(limit_matrix(ering, n), cod.coords(u.raise_to(n * p).numer), p)
     if x is None:
-        return "UNSAT", None, cert
+        return "UNSAT", None, support(cert)
     return "SAT", repr(EElem(ering, n, dom.from_coords(x))), None

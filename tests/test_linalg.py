@@ -31,7 +31,7 @@ from frobext.linalg import (
 from frobext.poly import PolySpace, ring_over
 
 from artinian_reference import ArtinianAlgebra
-from dense import sparse
+from dense import dense_kernel_rows, dense_rref, sparse
 from koszul_reference import KoszulComplex
 from two_step_reference import SkewModuleElem, graded_skew_space
 
@@ -124,55 +124,17 @@ def test_unsat_certificate_is_checked_independently(monkeypatch):
     A = sparse(np.array([[1], [1]], dtype=np.int64), p)
     b = np.array([0, 1], dtype=np.int64)
     assert solve_with_certificate(A, b, p)[1] == [1, 1]
-    monkeypatch.setattr(linalg, "kernel_basis", lambda At, p: linalg.SparseMatrix([{1: 1}], 2))
+    # the one-row builder is checked after it answers: a row that does not
+    # kill A, a row that does not see b, and no row at all are each refused
+    monkeypatch.setattr(linalg, "_cokernel_row", lambda A, B, p: {1: 1})
     with pytest.raises(RuntimeError, match=r"y @ A != 0"):
         solve_with_certificate(A, b, p)
-    monkeypatch.setattr(linalg, "kernel_basis", lambda At, p: linalg.SparseMatrix([{}], 2))
+    monkeypatch.setattr(linalg, "_cokernel_row", lambda A, B, p: {0: 1})
+    with pytest.raises(RuntimeError, match=r"y @ b == 0"):
+        solve_with_certificate(A, b, p)
+    monkeypatch.setattr(linalg, "_cokernel_row", lambda A, B, p: None)
     with pytest.raises(RuntimeError, match=r"y @ b != 0"):
         solve_with_certificate(A, b, p)
-
-
-def dense_rref(A, p):
-    """Dense Gauss-Jordan over F_p (oracle): columns in order, the first
-    nonzero entry going down is the pivot, and each pivot column is cleared
-    in every other row at once."""
-    R = np.array(A, dtype=np.int64) % p
-    m, n = R.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        nz = np.nonzero(R[row:, col])[0]
-        if nz.size == 0:
-            continue
-        pivot = row + int(nz[0])
-        if pivot != row:
-            R[[row, pivot]] = R[[pivot, row]]
-        inv = pow(int(R[row, col]), p - 2, p)
-        if inv != 1:
-            R[row] = (R[row] * inv) % p
-        mask = np.nonzero(R[:, col])[0]
-        mask = mask[mask != row]
-        if mask.size:
-            R[mask] = (R[mask] - R[mask, col][:, None] * R[row]) % p
-        pivots.append(col)
-        row += 1
-    return R, pivots
-
-
-def dense_kernel_rows(R, pivots, p):
-    """One kernel row per free column f, in increasing f: 1 at f, minus the
-    pivot rows' entries of column f at the pivot columns, 0 elsewhere."""
-    n = R.shape[1]
-    rows = []
-    for f in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = int(-R[i, f]) % p
-        rows.append(v)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
 @given(
@@ -268,7 +230,12 @@ def test_sparse_matrices_match_the_dense_oracles(p, m, n, k, density, seed):
     RB, pivB = dense_rref(np.hstack([A, B]), p)
     if pivB and pivB[-1] >= n:
         assert X is None
-        assert solve_with_certificate(S, sparse(B, p), p)[0] is None
+        # the certificate is the dense left kernel's first row that some
+        # column of B sees
+        x, y = solve_with_certificate(S, sparse(B, p), p)
+        Rt, pivt = dense_rref(A.T, p)
+        first = next(row for row in dense_kernel_rows(Rt, pivt, p) if ((row @ B) % p).any())
+        assert x is None and y == first.tolist()
     else:
         want = np.zeros((n, k), dtype=np.int64)
         want[pivB] = RB[: len(pivB), n:]

@@ -3,22 +3,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import random_module, standard_module
 from frobext.cli import run_scenario_file
 from frobext.fmodules import ShiftRInf
 from frobext.linalg import keyed
-from frobext.poly import ring_over
+from frobext.poly import PolySpace, ring_over
 from frobext.skew import (
     format_graded,
     format_seq,
     frob_power,
     h_dual_apply,
+    h_dual_matrix,
     in_image_hdual,
     residue_trace,
 )
 
+from hdual_reference import hdual_matrix
 from two_step_reference import SkewElem, SkewModuleElem, graded_skew_space, skew_mul, two_step_maps
 
 
@@ -158,6 +162,42 @@ def test_hdual_sat_witness_is_re_verified(monkeypatch):
     monkeypatch.setattr(skew, "solve_with_certificate", broken)
     with pytest.raises(RuntimeError, match="witness check failed"):
         in_image_hdual(ring, target, (-2, 0), 2)
+
+
+def test_hdual_sat_is_cross_checked_against_the_residue_trace(monkeypatch):
+    # an explicit raise, so it holds under python -O: a re-verified witness
+    # for a target whose residue trace rules out every finitely supported
+    # preimage means that one of the two is wrong, and no verdict is given
+    from frobext import skew
+
+    ring = ring_over(2, 1, 1)
+    target = {0: ring.gens()[0]}
+    assert in_image_hdual(ring, target, (-2, 0), 2)["verdict"] == "SAT"
+    trace = skew.residue_trace
+    monkeypatch.setattr(skew, "residue_trace", lambda ring, target: (trace(ring, target)[0], True))
+    with pytest.raises(RuntimeError, match="residue trace check failed"):
+        in_image_hdual(ring, target, (-2, 0), 2)
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 2),
+    st.integers(0, 3),
+    st.integers(-3, 1),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_hdual_matrix_matches_the_symbolic_flattening(p, e, d, lo, width, bound, grow):
+    ring = ring_over(p, e, d)
+    window = (lo, lo + width - 1)
+    dom_poly = PolySpace.total_degree(ring, bound)
+    # grow > 0 stands for a target of degree above p*B: the codomain holds
+    # monomials that no image reaches
+    cod_poly = PolySpace.total_degree(ring, max(p * bound, bound + 1) + grow)
+    want = hdual_matrix(ring, window, dom_poly, cod_poly)
+    assert h_dual_matrix(ring, width, dom_poly, cod_poly) == want
 
 
 def _random_seq(ring, rng, lo, hi):
