@@ -1,101 +1,4 @@
 """Frobenius-twisted module calculus over F_q[x1..xd]: Artin-Schreier
 solvers, Cartier-linear structures and their two-step presentations, mapping
-cones, Ext computations with truncation certificates, and a scenario CLI."""
-
-from .field import GF
-from .poly import MultiPoly, PolyRing, PolySpace, ring_over
-from .linalg import (
-    FpLinearMap,
-    SparseMatrix,
-    StructureError,
-    kernel_basis,
-    matrix_of_map,
-    solve,
-    solve_with_certificate,
-)
-from .artinian import ArtinianAlgebra, EElem, ERing
-from .rational import BoundedRationalSpace, RationalBase, RationalFn, is_squarefree
-from .skew import (
-    check_two_step_exact,
-    format_seq,
-    h_dual_apply,
-    in_image_hdual,
-    residue_trace,
-    two_step_matrices,
-)
-from .cartier import (
-    ArtinianCartierModule,
-    ConeComplex,
-    coker_formula,
-    cone_acyclicity_report,
-    ext_dims_artinian,
-    ext_rf,
-    random_module,
-    scaled_module,
-    standard_module,
-    unitalize_report,
-    zero_structure_module,
-)
-from .fmodules import (
-    DirectSum,
-    ExtensionDatum,
-    ShiftRInf,
-    StdE,
-    StdR,
-    as_solve,
-    as_solve_elem,
-    ext1_class,
-    hom_fr,
-    rational_class_distinct,
-    shift_ses_check,
-)
-
-__all__ = [
-    "GF",
-    "MultiPoly",
-    "PolyRing",
-    "PolySpace",
-    "ring_over",
-    "FpLinearMap",
-    "SparseMatrix",
-    "StructureError",
-    "kernel_basis",
-    "matrix_of_map",
-    "solve",
-    "solve_with_certificate",
-    "ArtinianAlgebra",
-    "EElem",
-    "ERing",
-    "BoundedRationalSpace",
-    "RationalBase",
-    "RationalFn",
-    "is_squarefree",
-    "check_two_step_exact",
-    "format_seq",
-    "h_dual_apply",
-    "in_image_hdual",
-    "residue_trace",
-    "two_step_matrices",
-    "ArtinianCartierModule",
-    "ConeComplex",
-    "coker_formula",
-    "cone_acyclicity_report",
-    "ext_dims_artinian",
-    "ext_rf",
-    "random_module",
-    "scaled_module",
-    "standard_module",
-    "unitalize_report",
-    "zero_structure_module",
-    "DirectSum",
-    "ExtensionDatum",
-    "ShiftRInf",
-    "StdE",
-    "StdR",
-    "as_solve",
-    "as_solve_elem",
-    "ext1_class",
-    "hom_fr",
-    "rational_class_distinct",
-    "shift_ses_check",
-]
+cones, Ext computations with truncation certificates, and a scenario CLI.
+Each name is imported from its own module; the package root exports none."""

@@ -66,13 +66,6 @@ class ERing:
     def zero(self):
         return EElem(self, 1, self.ring.zero)
 
-    def socle(self, coeff=1):
-        """(coeff; x1, ..., xd): the level-1 stratum."""
-        return self.elem(self.ring.coerce(coeff), 1)
-
-    def top_generator(self, level):
-        return self.elem(self.ring.one, level)
-
 
 class EElem:
     __slots__ = ("ering", "level", "numer")

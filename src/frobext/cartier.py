@@ -376,7 +376,7 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
     """
     module = cone.module
     p = cone.p
-    step = max(max(module.algebra.exponents), 1)
+    step = max((*module.algebra.exponents, 1))
     report = {"cap": cap, "dfmax": dfmax, "spots": [], "passed": True}
 
     def hit_by_next(n, cycles, cyc_space):

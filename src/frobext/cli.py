@@ -150,10 +150,6 @@ def build_ring(sc):
         ring = ring_over(p, e, d, var_names=names)
     except ValueError as exc:
         raise ScenarioError("bad field/ring: %s" % exc, line=sc.line("p"))
-    sc.echo = {
-        "field": {"p": p, "e": e, "q": ring.field.q},
-        "ring": {"d": d, "vars": list(ring.var_names)},
-    }
     return ring
 
 
@@ -216,7 +212,7 @@ def parse_entries(sc, ring, key, text=None):
 def parse_exponents(sc, ring, minimum=0):
     raw = sc.get("exponents")
     try:
-        exps = tuple(int(t) for t in raw.split(","))
+        exps = tuple(int(t) for t in raw.split(",")) if raw else ()
     except ValueError:
         sc.fail("exponents", "exponents must be a comma-separated integer list")
     if len(exps) != ring.d or any(a < 0 for a in exps):
@@ -341,8 +337,7 @@ def build_quotient_module(sc, ring, minimum=0):
 # -- task handlers ------------------------------------------------------------
 
 
-def run_ext1_class(sc):
-    ring = build_ring(sc)
+def run_ext1_class(sc, ring):
     module = parse_module(sc, ring, "module")
     u1 = parse_module_elem(sc, module, "u1")
     u2 = parse_module_elem(sc, module, "u2")
@@ -360,8 +355,7 @@ def run_ext1_class(sc):
     return rep
 
 
-def run_as_solve(sc):
-    ring = build_ring(sc)
+def run_as_solve(sc, ring):
     module = parse_module(sc, ring, "module")
     target = parse_module_elem(sc, module, "target")
     rep = as_solve(module, target, level_bound=sc.int("level_bound", 4, minimum=1))
@@ -370,19 +364,17 @@ def run_as_solve(sc):
     return rep
 
 
-def run_two_step(sc):
-    ring = build_ring(sc)
+def run_two_step(sc, ring):
     module, echo = build_quotient_module(sc, ring)
     rep = check_two_step_exact(module, sc.int("dmax", 4, minimum=1))
     rep["module"] = echo
     return rep
 
 
-def run_cone_resolution(sc):
-    ring = build_ring(sc)
+def run_cone_resolution(sc, ring):
     module, echo = build_quotient_module(sc, ring, minimum=1)
     cone = ConeComplex(module)
-    cap = sc.int("cap", max(max(module.algebra.exponents, default=1), 1), minimum=0)
+    cap = sc.int("cap", max((*module.algebra.exponents, 1)), minimum=0)
     dfmax = sc.int("dfmax", 2, minimum=0)
     growth = sc.int("max_growth", 3, minimum=1)
     acyc = cone_acyclicity_report(cone, cap, dfmax, max_growth=growth)
@@ -398,8 +390,7 @@ def run_cone_resolution(sc):
     }
 
 
-def run_ext_rf(sc):
-    ring = build_ring(sc)
+def run_ext_rf(sc, ring):
     module, echo = build_quotient_module(sc, ring, minimum=1)
     j = sc.int("j", minimum=0)
     target_name = sc.get("target", "artinian")
@@ -408,15 +399,8 @@ def run_ext_rf(sc):
         target = module
     elif target_name == "free":
         target = ring
-        cap = sc.int("cap", None, minimum=0)
-        gap = sc.int("gap", None, minimum=0)
-        rounds = sc.int("max_rounds", None, minimum=1)
-        if cap is not None:
-            caps["cap"] = cap
-        if gap is not None:
-            caps["gap"] = gap
-        if rounds is not None:
-            caps["max_rounds"] = rounds
+        bounds = (("cap", 0), ("gap", 0), ("max_rounds", 1))
+        caps = {k: v for k, low in bounds if (v := sc.int(k, None, minimum=low)) is not None}
     else:
         sc.fail("target", "target must be 'artinian' or 'free', got %r" % target_name)
     rep = ext_rf(module, target, j, **caps)
@@ -426,8 +410,7 @@ def run_ext_rf(sc):
     return rep
 
 
-def run_coker_formula(sc):
-    ring = build_ring(sc)
+def run_coker_formula(sc, ring):
     return {
         "dimension": coker_formula(ring.field),
         "proven": True,
@@ -435,8 +418,7 @@ def run_coker_formula(sc):
     }
 
 
-def run_hdual_membership(sc):
-    ring = build_ring(sc)
+def run_hdual_membership(sc, ring):
     lo, hi = parse_window(sc, "window")
     bound = sc.int("degree_bound", 3, minimum=0)
     entries = parse_entries(sc, ring, "target")
@@ -449,8 +431,7 @@ def run_hdual_membership(sc):
     return rep
 
 
-def run_shift_ses(sc):
-    ring = build_ring(sc)
+def run_shift_ses(sc, ring):
     return shift_ses_check(
         ring,
         nmax=sc.int("n", 3, minimum=1),
@@ -458,8 +439,7 @@ def run_shift_ses(sc):
     )
 
 
-def run_hom_fr(sc):
-    ring = build_ring(sc)
+def run_hom_fr(sc, ring):
     source = parse_module(sc, ring, "source")
     target = parse_module(sc, ring, "target")
     if (type(source), type(target)) not in ((StdR, StdR), (StdE, StdE)):
@@ -475,16 +455,14 @@ def run_hom_fr(sc):
     return rep
 
 
-def run_unitalize(sc):
-    ring = build_ring(sc)
+def run_unitalize(sc, ring):
     module, echo = build_quotient_module(sc, ring)
     rep = unitalize_report(module, sc.int("levels", 3, minimum=1))
     rep["module"] = echo
     return rep
 
 
-def run_rational_distinct(sc):
-    ring = build_ring(sc)
+def run_rational_distinct(sc, ring):
     if ring.d != 1:
         sc.fail("d", "rational-distinct needs a univariate ring (d: 1)")
     a = parse_scalar(sc, ring, "a")
@@ -608,11 +586,13 @@ def run_scenario_file(path):
             "unknown task %r (expected one of: %s)" % (task, ", ".join(sorted(TASKS))),
         )
     t0 = time.perf_counter()
-    body = handler(sc)
+    ring = build_ring(sc)
+    body = handler(sc, ring)
     elapsed = (time.perf_counter() - t0) * 1000.0
     sc.check_unused()
-    report = {"task": task}
-    report.update(getattr(sc, "echo", {}))
+    field = ring.field
+    report = {"task": task, "field": {"p": field.p, "e": field.e, "q": field.q}}
+    report["ring"] = {"d": ring.d, "vars": list(ring.var_names)}
     report.update(body)
     report["elapsed_ms"] = round(elapsed, 3)
     report = _plain(report)

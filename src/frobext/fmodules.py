@@ -418,10 +418,6 @@ class ExtensionDatum:
         bp = b.frobenius()
         return (m.add(m.pth_power(a), m.scal(bp, self.z)), bp)
 
-    def structure_composite(self, ab):
-        y, r = ab
-        return (self.module.add(y, self.module.scal(r, self.z)), r)
-
     def section_shift(self, s):
         """psi(a, b) = (a + b*s, b) carries this datum to the one with class
         z - (F(s) - s), commuting with both F operations."""

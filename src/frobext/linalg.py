@@ -177,14 +177,14 @@ def kernel_basis(A, p):
 
 
 def _targets(A, b, p):
-    """The right-hand side b of A x = b as an m x k SparseMatrix, and whether
-    b stacks k column targets (a SparseMatrix) rather than being one vector
-    (a sequence of ints)."""
+    """The right-hand side b of A x = b as its k column targets, each a
+    {row: value} dict of its nonzeros, and whether b stacks k column targets
+    (a SparseMatrix) rather than being one vector (a sequence of ints)."""
     stacked = isinstance(b, SparseMatrix)
-    B = b if stacked else SparseMatrix([{0: x} if (x := int(v) % p) else {} for v in b], 1)
-    if len(B.rows) != len(A.rows):
-        raise ValueError("%d right-hand side rows for %d equations" % (len(B.rows), len(A.rows)))
-    return B, stacked
+    m = len(b.rows) if stacked else len(b)
+    if m != len(A.rows):
+        raise ValueError("%d right-hand side rows for %d equations" % (m, len(A.rows)))
+    return (b.T.rows if stacked else [{i: x for i, v in enumerate(b) if (x := int(v) % p)}]), stacked
 
 
 def solve(A, b, p):
@@ -194,19 +194,24 @@ def solve(A, b, p):
     return _solve(A, *_targets(A, b, p), p)
 
 
-def _solve(A, B, stacked, p):
-    """`solve` on the right-hand side that `_targets` made of b."""
+def _solve(A, cols, stacked, p):
+    """`solve` on the column targets that `_targets` made of b."""
     n = A.ncols
-    # rref_transform copies the rows it reduces, so a row with no b part is shared
-    aug = [{**row, **{n + k: v for k, v in brow.items()}} if brow else row for row, brow in zip(A.rows, B.rows)]
-    R, pivots = rref_transform(SparseMatrix(aug, n + B.ncols), p)
+    # rref_transform copies the rows it reduces, so a row that no target hits is shared
+    aug = list(A.rows)
+    for k, col in enumerate(cols):
+        for r, v in col.items():
+            if aug[r] is A.rows[r]:
+                aug[r] = dict(aug[r])
+            aug[r][n + k] = v
+    R, pivots = rref_transform(SparseMatrix(aug, n + len(cols)), p)
     if pivots and pivots[-1] >= n:
         return None
     X = [{} for _ in range(n)]
     for c, row in zip(pivots, R.rows):
         X[c] = {j - n: v for j, v in row.items() if j >= n}
     if stacked:
-        return SparseMatrix(X, B.ncols)
+        return SparseMatrix(X, len(cols))
     return [x.get(0, 0) for x in X]
 
 
@@ -219,29 +224,29 @@ def solve_with_certificate(A, b, p):
     row of kernel_basis(A.T) with y @ b != 0 (`_cokernel_row`), and both
     properties are checked by combining rows before y is returned.
     """
-    B, stacked = _targets(A, b, p)
-    x = _solve(A, B, stacked, p)
+    cols, stacked = _targets(A, b, p)
+    x = _solve(A, cols, stacked, p)
     if x is not None:
         return x, None
-    y = _cokernel_row(A, B, p)
+    y = _cokernel_row(A, cols, p)
     if y is None:
         raise RuntimeError("certificate check failed: no y with y @ A == 0 has y @ b != 0")
-    if not _combine(y, B.rows, p):
+    if not any(sum(c * col.get(r, 0) for r, c in y.items()) % p for col in cols):
         raise RuntimeError("certificate check failed: y @ b == 0")
     if _combine(y, A.rows, p):
         raise RuntimeError("certificate check failed: y @ A != 0")
     return None, _dense(y, len(A.rows))
 
 
-def _cokernel_row(A, B, p):
-    """The first row y of kernel_basis(A.T) with y @ B != 0, or None.  Row f
-    is 1 at f and p - R_i[f] at each pivot c_i of A.T's reduced form R, so
-    (y @ B)[k] = B[f, k] - w_k[f] for w_k = sum_i B[c_i, k] * R_i (zero at
-    the pivots): f is the least index where some w_k differs from B[:, k]."""
+def _cokernel_row(A, cols, p):
+    """The first row y of kernel_basis(A.T) with y @ b != 0, or None, for b's
+    columns `cols`.  Row f is 1 at f and p - R_i[f] at each pivot c_i of A.T's
+    reduced form R, so (y @ b)[k] = b[f, k] - w_k[f] for w_k = sum_i b[c_i, k]
+    * R_i (zero at the pivots): f is the least index where some w_k and b[:, k] differ."""
     R, pivots = rref_transform(A.T, p)
     at = {c: i for i, c in enumerate(pivots)}
     differ = []
-    for col in B.T.rows:
+    for col in cols:
         w = _combine({at[r]: v for r, v in col.items() if r in at}, R.rows, p)
         differ.extend(r for r in w.keys() | col.keys() if (w.get(r, 0) - col.get(r, 0)) % p)
     f = min(differ, default=None)

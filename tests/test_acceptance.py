@@ -178,7 +178,7 @@ def test_ac6_socle_classes_are_obstructed_and_distinct(criterion):
             for d in (1, 2):
                 ring = ring_over(p, 1, d)
                 m = StdE(ERing(ring))
-                rep = as_solve(m, m.ering.socle(1))
+                rep = as_solve(m, m.ering.elem(1, 1))
                 assert rep["verdict"] == "UNSAT" and rep["proven"], (p, d, rep)
 
         ring = ring_over(2, 2, 1)
@@ -186,7 +186,7 @@ def test_ac6_socle_classes_are_obstructed_and_distinct(criterion):
         field = ring.field
         units = [u for u in field.elements() if u != field.zero]
         assert len(units) == 3
-        socles = [m.ering.socle(u) for u in units]
+        socles = [m.ering.elem(u, 1) for u in units]
         for s in socles:
             rep = as_solve(m, s)
             assert rep["verdict"] == "UNSAT" and rep["proven"]

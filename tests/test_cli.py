@@ -184,6 +184,53 @@ def test_a_zero_exponent_is_the_zero_carrier_outside_the_cone(tmp_path, capsys, 
     assert report["module"]["carrier_dim_fp"] == 0
 
 
+@pytest.mark.parametrize("structure", ["standard", "zero", "random:7\nrank: 2"], ids=["standard", "zero", "random-r2"])
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_cone_over_no_variables_passes(tmp_path, capsys, p, e, structure):
+    # d = 0: R = F_q, an empty `exponents:` is the empty list, the cone is M itself
+    text = "task: cone-resolution\np: %d\ne: %d\nd: 0\nexponents:\nstructure: %s\n" % (p, e, structure)
+    code, out, err = run_cli(capsys, "run", write(tmp_path, "d0.scenario", text))
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("target", ["artinian", "free"])
+@pytest.mark.parametrize("j,dim", [(1, 1), (2, 0)])
+def test_ext_over_no_variables_is_the_artin_schreier_cokernel(tmp_path, capsys, target, j, dim):
+    # d = 0: Ext^(d+1) is dim F_q / (y^p - y) = 1 (AC3), and nothing lies above d + 1
+    text = "task: ext-rf\np: 3\ne: 2\nd: 0\nexponents:\nj: %d\ntarget: %s\n" % (j, target)
+    code, out, err = run_cli(capsys, "run", write(tmp_path, "d0.scenario", text))
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["dim"], report["stable"]) == (dim, True)
+
+
+def test_empty_exponents_are_refused_when_the_ring_has_variables(tmp_path, capsys):
+    path = write(tmp_path, "e.scenario", "task: two-step-check\np: 2\nd: 1\nexponents:\n")
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 1 and not out
+    assert f"{path}:4:" in err and "need 1 exponents" in err
+
+
+@pytest.mark.parametrize(
+    "target,key,value,message",
+    [
+        ("free", "cap", -1, "must be >= 0"),
+        ("free", "gap", -1, "must be >= 0"),
+        ("free", "max_rounds", 0, "must be >= 1"),
+        ("artinian", "cap", 2, "unknown key 'cap'"),
+    ],
+    ids=["cap", "gap", "max-rounds", "cap-on-artinian"],
+)
+def test_ext_rf_refuses_a_bad_cap_at_its_line(tmp_path, capsys, target, key, value, message):
+    text = "task: ext-rf\np: 2\nd: 1\nexponents: 1\nj: 2\ntarget: %s\n%s: %d\n" % (target, key, value)
+    path = write(tmp_path, "c.scenario", text)
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 1 and not out
+    assert f"{path}:7:" in err and message in err
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     path = write(
         tmp_path,
@@ -309,7 +356,7 @@ def test_regress_goes_on_after_a_crash(tmp_path, capsys, monkeypatch):
         for ext in (".scenario", ".expected.json"):
             shutil.copy(CORPUS / (name + ext), tmp_path / (name + ext))
 
-    def crash(sc):
+    def crash(sc, ring):
         raise KeyError("boom")
 
     monkeypatch.setitem(cli.TASKS, "cone-resolution", crash)
@@ -340,11 +387,11 @@ def test_regress_rejects_an_absent_corpus(tmp_path, capsys):
 
 
 def test_an_undecided_report_exits_two_and_names_its_paths(tmp_path, capsys, monkeypatch):
-    def undecided(sc):
+    def undecided(sc, ring):
         return {"caps": [{"stable": False}], "inconclusive": True}
 
     monkeypatch.setitem(cli.TASKS, "coker-formula", undecided)
-    path = write(tmp_path, "u.scenario", "task: coker-formula\n")
+    path = write(tmp_path, "u.scenario", "task: coker-formula\np: 2\n")
     code, out, err = run_cli(capsys, "run", path)
     assert code == 2
     rep = json.loads(out)
