@@ -24,8 +24,8 @@ from .linalg import (
     SparseMatrix,
     StructureError,
     complex_dims,
+    echelon,
     flatten,
-    intersection_dim,
     kernel_basis,
     keyed,
     matrix_of_map,
@@ -385,8 +385,7 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
         for g in range(1, max_growth + 1):
             dom = cone_window(cone, n + 1, cap + g * step, dfmax)
             A, cod = _flatten_diff(cone, n + 1, dom, cap, dfmax)
-            targets = reembed(cycles, cyc_space, cod).T
-            if solve(A, targets, p) is not None:
+            if solve(A, reembed(cycles, cyc_space, cod), p) is not None:
                 return True, g
         return False, max_growth
 
@@ -488,8 +487,12 @@ def ext_dim_free_target(cone, j, cap=2, gap=None, max_rounds=3):
     row (g, m), read through a term (k, i, c) of `_reads` (x^c a monomial of
     the coefficient), names the one functional k -> x^b with phi^i(x^(c+b))
     = x^m, b = p^i*m + p^i - 1 - c componentwise, kept when 0 <= b <= p*L +
-    gap.  Rows are numbered as reached, so no value cap is needed, and the
-    images are kept across rounds.
+    gap.  Rows are numbered as reached, and each image is reduced into one
+    echelon form as it is taken.  The cycles and the closure at cap L-1 lie
+    inside those at cap L, so cap L resumes the walk and the elimination of
+    cap L-1: a functional turned away only by the bound waits for a larger
+    one, and q(L) = rank(cycles + B) - rank(B) is the number of cycles that
+    survive reduction against a copy of the boundaries' pivot rows B.
     """
     if j > cone.length:
         return {"dim": 0, "stable": True, "structural_zero": True, "caps": []}
@@ -498,73 +501,97 @@ def ext_dim_free_target(cone, j, cap=2, gap=None, max_rounds=3):
     if gap is None:
         gap = p + sum(cone.module.algebra.exponents)
     units = field.power_basis
-    # per side (values at spot j+1, at spot j): functional key k ->
-    # [(generator key, F-degree i, exponent c, coefficient a)], one per term
-    # a*x^c of a coefficient in `_reads`
-    tables = tuple(
-        {k: [(gkey, i, c, a) for gkey, i, w in terms for c, a in w.terms.items()] for k, terms in reads.items()}
-        for reads in (_reads(cone, j), _reads(cone, j - 1) if j else {})
-    )
-    usedby = {}  # spot-j generator key -> [(functional key k, F-degree i, exponent c)]
-    for k, terms in tables[1].items():
-        for gkey, i, c, _ in terms:
-            usedby.setdefault(gkey, []).append((k, i, c))
-    # per side: (generator key, monomial) -> row number, and (k, b) -> (flat
-    # images, rows they meet)
-    rows, cache = ({}, {}), ({}, {})
-
-    def images(side, k, b):
-        """The flat images of the functionals k -> x^b * unit, one per unit.
-        phi^i(a*x^c * x^b * u) is (a*u)^(1/p^i) * x^m, m = (c+b+1)/p^i - 1,
-        when p^i divides every c+b+1, and zero otherwise."""
-        if (k, b) not in cache[side]:
-            hits = []  # (row key, F-degree, coefficient) of the terms that survive
-            for gkey, i, c, a in tables[side].get(k, ()):
-                top, step = [x + y + 1 for x, y in zip(c, b)], p**i
-                if all(x % step == 0 for x in top):
-                    hits.append(((gkey, tuple(x // step - 1 for x in top)), i, a))
-            flat, met = [], []
-            for u in units:
-                sums = {}
-                for key, i, a in hits:
-                    v = a * u
+    reads = (_reads(cone, j), _reads(cone, j - 1) if j else {})  # values at spot j+1, at spot j
+    # the generator keys of spots j-1..j+1 by number, so that the walk hashes ints
+    ids = {n: {key: x for x, key in enumerate(cone.generator_keys(n))} for n in range(max(j - 1, 0), j + 2)}
+    # per side: functional k -> [(p^i, (c+1) mod p^i -> [(generator, c+1,
+    # (u*e + t, digit t of (a*u)^(1/p^i)) per unit u)])], one entry per term
+    # a*x^c of a coefficient
+    tables = ({}, {})
+    for table, side, n in zip(tables, reads, (j, j - 1)):
+        for k, terms in side.items():
+            by = {}
+            for gkey, i, w in terms:
+                for c, a in w.terms.items():
+                    roots = [a * u for u in units]
                     for _ in range(i):
-                        v = v.pth_root()
-                    sums[key] = sums[key] + v if key in sums else v
-                row = {}
-                for key, v in sums.items():
-                    if v:
-                        r = rows[side].setdefault(key, len(rows[side]))
-                        row.update((r * e + t, x) for t, x in enumerate(v.val) if x)
-                        met.append(key)
-                flat.append(row)
-            cache[side][(k, b)] = flat, met
-        return cache[side][(k, b)]
+                        roots = [v.pth_root() for v in roots]
+                    flat = [(u * e + t, x) for u, v in enumerate(roots) for t, x in enumerate(v.val) if x]
+                    c1, step = tuple(x + 1 for x in c), p**i
+                    res = tuple(x % step for x in c1)
+                    by.setdefault(step, {}).setdefault(res, []).append((ids[n + 1][gkey], c1, flat))
+            table[ids[n][k]] = list(by.items())
+    usedby = {}  # spot-j generator -> [(functional k, p^i, c+1)]
+    for k, terms in reads[1].items():
+        for gkey, i, w in terms:
+            uses = usedby.setdefault(ids[j][gkey], [])
+            uses.extend((ids[j - 1][k], p**i, tuple(x + 1 for x in c)) for c in w.terms)
+
+    def image(table, k, b, at, order):
+        """The flat images of the functionals k -> x^b * u, one row per unit
+        u; a row key met for the first time is numbered in `at` and appended
+        to `order`.  phi^i(a*x^c * x^b * u) is (a*u)^(1/p^i) * x^m, m =
+        (c+b+1)/p^i - 1, when p^i divides every c+b+1, and zero otherwise."""
+        sums = {}  # row key -> its nonzero (u*e + t, digit) pairs
+        for step, groups in table.get(k, ()):
+            for gkey, c1, flat in groups.get(tuple([-x % step for x in b]), ()):
+                key = (gkey, tuple([(x + y) // step - 1 for x, y in zip(c1, b)]))
+                if key in sums:  # two terms meet at one row key
+                    acc = dict(sums[key])
+                    for ut, x in flat:
+                        acc[ut] = (acc.get(ut, 0) + x) % p
+                    flat = [(ut, x) for ut, x in acc.items() if x]
+                sums[key] = flat
+        rows = [{} for _ in units]
+        for key, acc in sums.items():
+            if not acc:
+                continue
+            r = at.get(key)
+            if r is None:
+                r = at[key] = len(at)
+                order.append(key)
+            for ut, x in acc:
+                rows[ut // e][r * e + ut % e] = x
+        return rows
+
+    # the boundary walk, resumed by every cap: row key -> row number, the
+    # row keys in that order, how many of them are walked, the functionals
+    # taken, those turned away by the bound only, and the echelon form of
+    # the images taken
+    at, queue, walked, done, waiting, piv = {}, [], 0, set(), {}, {}
 
     def q(L):
+        nonlocal walked
         # cap L is the largest exponent allowed, inclusive
-        dom = [(k, m) for k in cone.generator_keys(j) for m in monomials_box(cone.d, (L + 1,) * cone.d)]
-        cols = [row for k, m in dom for row in images(0, k, m)[0]]
-        ker = kernel_basis(SparseMatrix(cols, len(rows[0]) * e).T, p)  # exact cycles
+        dom = [(k, m) for k in range(len(ids[j])) for m in monomials_box(cone.d, (L + 1,) * cone.d)]
+        at0 = {}
+        cols = [row for k, m in dom for row in image(tables[0], k, m, at0, [])]
+        ker = kernel_basis(SparseMatrix(cols, len(at0) * e).T, p)  # exact cycles
         if j == 0 or not ker.rows:
             return len(ker.rows)
-        at = rows[1]
-        lift = [{at.setdefault(dom[c // e], len(at)) * e + c % e: v for c, v in y.items()} for y in ker.rows]
-        queue = list(dict.fromkeys(dom[c // e] for y in ker.rows for c in y))
-        seen, done, B, big = set(queue), set(), [], p * L + gap
-        for gkey, m in queue:  # grows while it is walked
-            for k, i, c in usedby.get(gkey, ()):
-                b = tuple(p**i * (x + 1) - 1 - y for x, y in zip(m, c))
-                if (k, b) in done or not all(0 <= x <= big for x in b):
+        for key in dict.fromkeys(dom[c // e] for y in ker.rows for c in y):
+            if key not in at:
+                at[key] = len(at)
+                queue.append(key)
+        lift = [{at[dom[c // e]] * e + c % e: v for c, v in y.items()} for y in ker.rows]
+        big, named = p * L + gap, list(waiting)
+        waiting.clear()
+        while True:
+            for k, b in named:
+                if (k, b) in done or min(b, default=0) < 0:  # a negative b stays out at every cap
+                    continue
+                if max(b, default=0) > big:
+                    waiting[(k, b)] = None
                     continue
                 done.add((k, b))
-                flat, met = images(1, k, b)
-                B += flat
-                new = [key for key in dict.fromkeys(met) if key not in seen]
-                seen.update(new)
-                queue += new
-        n = len(at) * e
-        return len(lift) - intersection_dim(SparseMatrix(lift, n), SparseMatrix(B, n), p)
+                echelon(image(tables[1], k, b, at, queue), p, piv)
+            if walked == len(queue):  # the queue grows while it is walked
+                break
+            gkey, m = queue[walked]
+            walked += 1
+            uses = usedby.get(gkey, ())
+            named = [(k, tuple([step * (x + 1) - y for x, y in zip(m, c1)])) for k, step, c1 in uses]
+        return len(echelon(lift, p, dict(piv))) - len(piv)
 
     caps = []
     prev = None

@@ -94,13 +94,13 @@ def rref_transform(A, p):
     Returns (R, pivots): pivots is the increasing list of pivot columns and R
     the SparseMatrix of the nonzero rows of A's reduced row echelon form (mod
     p), R.rows[i] holding the leading 1 at pivots[i].  Each row of A in turn
-    is reduced against the pivot rows found so far (`_echelon`); back-
+    is reduced against the pivot rows found so far (`echelon`); back-
     substitution in decreasing pivot order then clears every other pivot
     column from each pivot row.  The reduced row echelon form of a matrix is
     unique, so R is the one any Gauss-Jordan pivot order gives, whatever
     order A's rows are taken in.
     """
-    piv = _echelon(A.rows, p, {})
+    piv = echelon(A.rows, p, {})
     pivots = sorted(piv)
     for c in reversed(pivots):
         row = piv[c]
@@ -109,7 +109,7 @@ def rref_transform(A, p):
     return SparseMatrix([piv[c] for c in pivots], A.ncols), pivots
 
 
-def _echelon(rows, p, piv):
+def echelon(rows, p, piv):
     """Reduce a copy of each of `rows` against the pivot rows `piv` (pivot
     column -> row whose smallest column is that one, with a 1 there),
     smallest column first, until its leading column has no pivot row; scaled
@@ -177,25 +177,27 @@ def kernel_basis(A, p):
 
 
 def _targets(A, b, p):
-    """The right-hand side b of A x = b as its k column targets, each a
-    {row: value} dict of its nonzeros, and whether b stacks k column targets
-    (a SparseMatrix) rather than being one vector (a sequence of ints)."""
+    """The right-hand side b of A x = b as its k targets, each a {row:
+    value} dict of its nonzeros, and whether b stacks k targets (a
+    SparseMatrix whose rows are the targets) rather than being one vector
+    (a sequence of ints)."""
     stacked = isinstance(b, SparseMatrix)
-    m = len(b.rows) if stacked else len(b)
+    m = b.ncols if stacked else len(b)
     if m != len(A.rows):
         raise ValueError("%d right-hand side rows for %d equations" % (m, len(A.rows)))
-    return (b.T.rows if stacked else [{i: x for i, v in enumerate(b) if (x := int(v) % p)}]), stacked
+    return (b.rows if stacked else [{i: x for i, v in enumerate(b) if (x := int(v) % p)}]), stacked
 
 
 def solve(A, b, p):
     """One solution x of A x = b (mod p), or None.  For a vector b, x is an
-    int list.  For stacked column targets b, x is the SparseMatrix of the
-    solutions' columns, and None means some column has no solution."""
+    int list.  For stacked targets b (a SparseMatrix whose k rows are the
+    targets), x is the SparseMatrix whose k rows are the solutions, and None
+    means some target has no solution."""
     return _solve(A, *_targets(A, b, p), p)
 
 
 def _solve(A, cols, stacked, p):
-    """`solve` on the column targets that `_targets` made of b."""
+    """`solve` on the targets that `_targets` made of b."""
     n = A.ncols
     # rref_transform copies the rows it reduces, so a row that no target hits is shared
     aug = list(A.rows)
@@ -207,12 +209,12 @@ def _solve(A, cols, stacked, p):
     R, pivots = rref_transform(SparseMatrix(aug, n + len(cols)), p)
     if pivots and pivots[-1] >= n:
         return None
-    X = [{} for _ in range(n)]
+    X = [{} for _ in cols]
     for c, row in zip(pivots, R.rows):
-        X[c] = {j - n: v for j, v in row.items() if j >= n}
-    if stacked:
-        return SparseMatrix(X, len(cols))
-    return [x.get(0, 0) for x in X]
+        for j, v in row.items():
+            if j >= n:
+                X[j - n][c] = v
+    return SparseMatrix(X, n) if stacked else _dense(X[0], n)
 
 
 def solve_with_certificate(A, b, p):
@@ -239,10 +241,11 @@ def solve_with_certificate(A, b, p):
 
 
 def _cokernel_row(A, cols, p):
-    """The first row y of kernel_basis(A.T) with y @ b != 0, or None, for b's
-    columns `cols`.  Row f is 1 at f and p - R_i[f] at each pivot c_i of A.T's
-    reduced form R, so (y @ b)[k] = b[f, k] - w_k[f] for w_k = sum_i b[c_i, k]
-    * R_i (zero at the pivots): f is the least index where some w_k and b[:, k] differ."""
+    """The first row y of kernel_basis(A.T) with y @ b != 0, or None, for
+    b's targets `cols`, b_0 .. b_(k-1).  Row f is 1 at f and p - R_i[f] at
+    each pivot c_i of A.T's reduced form R, so y @ b_k = b_k[f] - w_k[f] for
+    w_k = sum_i b_k[c_i] * R_i (zero at the pivots): f is the least index
+    where some w_k and b_k differ."""
     R, pivots = rref_transform(A.T, p)
     at = {c: i for i, c in enumerate(pivots)}
     differ = []
@@ -275,18 +278,6 @@ def complex_dims(mats, p):
         dims.append(A.ncols - r - prev_rank)
         prev_rank = r
     return dims
-
-
-def intersection_dim(U, V, p):
-    """dim(span U intersect span V), for the row spans.  V is eliminated
-    once and U's rows are then reduced against V's pivot rows: each that
-    does not vanish adds one to dim(span U + span V)."""
-    du = rank(U, p)
-    R, pivots = rref_transform(V, p)
-    if du == 0 or not pivots:
-        return 0
-    dsum = len(_echelon(U.rows, p, dict(zip(pivots, R.rows))))
-    return du + len(pivots) - dsum
 
 
 class FpLinearMap:

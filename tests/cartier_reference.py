@@ -6,7 +6,9 @@ carries the whole-element differential.  `FreeTarget` is the free target R
 as a carrier of the dual complex, so that `frobext.cartier._dual_images`
 evaluates functionals into it through polynomial products and the Cartier
 map: the whole-matrix reference for `ext_dim_free_target`, which computes
-the same images by index arithmetic.  `ext_split_check` is AC4's second way
+the same images by index arithmetic.  `whole_matrix_q` is that reference's
+q(L), with `intersection_dim` of two row spans, and is independent of the
+closure walk.  `ext_split_check` is AC4's second way
 to the Ext table: the plain and twisted plain-ring blocks of the dual
 complex, each picked out of the cone's keys and `_reads` terms by part, and
 the cross block between them.  `flatten_diff` flattens a cone window by
@@ -19,8 +21,16 @@ only the tower built on that transpose.
 """
 
 from frobext import cartier
-from frobext.cartier import _digit_tuples, _image, _reads, cone_window, ext_dims_artinian, unit_transpose_map
-from frobext.linalg import complex_dims, flatten, keyed, rank
+from frobext.cartier import (
+    _digit_tuples,
+    _dual_images,
+    _image,
+    _reads,
+    cone_window,
+    ext_dims_artinian,
+    unit_transpose_map,
+)
+from frobext.linalg import complex_dims, echelon, flatten, kernel_basis, keyed, rank, reembed, rref_transform
 from frobext.poly import PolySpace
 
 from koszul_reference import KoszulComplex
@@ -66,6 +76,40 @@ class FreeTarget:
     def space(self, cap):
         # cap is the largest exponent allowed, inclusive
         return PolySpace.box(self.ring, cap + 1)
+
+
+def intersection_dim(U, V, p):
+    """dim(span U intersect span V), for the row spans.  V is eliminated
+    once and U's rows are then reduced against V's pivot rows: each that
+    does not vanish adds one to dim(span U + span V)."""
+    du = rank(U, p)
+    R, pivots = rref_transform(V, p)
+    if du == 0 or not pivots:
+        return 0
+    dsum = len(echelon(U.rows, p, dict(zip(pivots, R.rows))))
+    return du + len(pivots) - dsum
+
+
+def whole_matrix_q(cone, target, j, L, gap):
+    """q(L) of `ext_dim_free_target` on the whole boundary matrix: every
+    spot-(j-1) functional up to cap p*L + gap, flattened into value boxes
+    wide enough for every image.  The reference for the closure walk;
+    `target` is a `FreeTarget`."""
+    p = cone.p
+
+    def value_cap(images):
+        return max([L] + [max(exp) for img in images for v in img.values() for exp in v.terms])
+
+    dom = cone.hom_space(j, target.space(L))
+    images = _dual_images(cone, target, j, dom)
+    cod = cone.hom_space(j + 1, target.space(value_cap(images)))
+    ker = kernel_basis(flatten(images, cod, p), p)  # exact cycles with values capped at L
+    if j == 0 or ker.shape[0] == 0:
+        return ker.shape[0]
+    prev_images = _dual_images(cone, target, j - 1, cone.hom_space(j - 1, target.space(p * L + gap)))
+    amb = cone.hom_space(j, target.space(value_cap(prev_images)))
+    lift = reembed(ker, dom, amb)
+    return lift.shape[0] - intersection_dim(lift, flatten(prev_images, amb, p).T, p)
 
 
 def flatten_diff(cone, n, dom, cap, dfmax):

@@ -95,8 +95,7 @@ def koszul_window_report(K, cap):
         # dnext maps into, then ask for simultaneous preimages
         ok = True
         if cycles.shape[0]:
-            targets = reembed(cycles, dom, keyed(K.subsets(j), bigger)).T
-            ok = solve(dnext, targets, p) is not None
+            ok = solve(dnext, reembed(cycles, dom, keyed(K.subsets(j), bigger)), p) is not None
         report["spots"][j] = {"cycles": int(cycles.shape[0]), "hit": bool(ok)}
         report["passed"] = report["passed"] and bool(ok)
     # spot 0: window homology = quotient algebra
@@ -110,7 +109,7 @@ def koszul_window_report(K, cap):
         ]
         ok0 = True
         if ideal:
-            ok0 = solve(d1, flatten(ideal, big, p), p) is not None
+            ok0 = solve(d1, flatten(ideal, big, p).T, p) is not None
         window_quotient = len(small.mons) - len(ideal)
         if all(cap >= a for a in K.pure_exponents):
             # the window contains the whole algebra, so dims must agree

@@ -1,6 +1,7 @@
 """Cartier structures on Artinian carriers, their two-step presentations,
 and the glued resolution."""
 
+import itertools
 import json
 import os
 import random
@@ -35,7 +36,6 @@ from frobext.field import GF
 from frobext.linalg import (
     SparseMatrix,
     flatten,
-    intersection_dim,
     kernel_basis,
     keyed,
     matrix_of_map,
@@ -57,7 +57,9 @@ from cartier_reference import (
     ext_split_check,
     flatten_diff,
     free_transpose_roundtrip,
+    intersection_dim,
     unit_transpose_report,
+    whole_matrix_q,
 )
 from dense import sparse
 from two_step_reference import (
@@ -365,42 +367,26 @@ def test_cone_resolution_at_d3_and_d4(p, d):
     assert report["passed"], report
 
 
-def _whole_matrix_q(cone, target, j, L, gap):
-    """q(L) of `ext_dim_free_target` on the whole boundary matrix: every
-    spot-(j-1) functional up to cap p*L + gap, flattened into value boxes
-    wide enough for every image.  The reference for the closure walk."""
-    p = cone.p
-
-    def value_cap(images):
-        return max([L] + [max(exp) for img in images for v in img.values() for exp in v.terms])
-
-    dom = cone.hom_space(j, target.space(L))
-    images = _dual_images(cone, target, j, dom)
-    cod = cone.hom_space(j + 1, target.space(value_cap(images)))
-    ker = kernel_basis(flatten(images, cod, p), p)  # exact cycles with values capped at L
-    if j == 0 or ker.shape[0] == 0:
-        return ker.shape[0]
-    prev_images = _dual_images(cone, target, j - 1, cone.hom_space(j - 1, target.space(p * L + gap)))
-    amb = cone.hom_space(j, target.space(value_cap(prev_images)))
-    lift = reembed(ker, dom, amb)
-    return lift.shape[0] - intersection_dim(lift, flatten(prev_images, amb, p).T, p)
-
-
-def _check_closure_against_whole_matrix(module, j):
+def _check_closure_against_whole_matrix(module, j, **caps):
+    """Every cap entry of the closure walk's report against the whole-matrix
+    q(L); returns the report."""
     cone = ConeComplex(module)
     target = FreeTarget(module.ring)
-    gap = cone.p + sum(module.algebra.exponents)
-    rep = ext_dim_free_target(cone, j)
+    rep = ext_dim_free_target(cone, j, **caps)
+    gap = caps.get("gap")
+    if gap is None:
+        gap = cone.p + sum(module.algebra.exponents)
     for entry in rep["caps"]:
-        assert entry["dim"] == _whole_matrix_q(cone, target, j, entry["cap"], gap), (j, rep)
+        assert entry["dim"] == whole_matrix_q(cone, target, j, entry["cap"], gap), (j, caps, rep)
+    return rep
 
 
 @given(st.data())
 @settings(max_examples=12, deadline=None)
 def test_free_target_closure_matches_the_whole_matrix(data):
-    p = data.draw(st.sampled_from([2, 3]), "p")
+    p = data.draw(st.sampled_from([2, 3, 5]), "p")
     e = data.draw(st.integers(1, 2), "e")
-    d = data.draw(st.integers(1, 2), "d")
+    d = 1 if p == 5 else data.draw(st.integers(1, 2), "d")
     rank = data.draw(st.integers(1, 2), "rank")
     exps = tuple(data.draw(st.lists(st.integers(1, 2), min_size=d, max_size=d), "exponents"))
     algebra = ArtinianAlgebra(ring_over(p, e, d), exps)
@@ -409,12 +395,64 @@ def test_free_target_closure_matches_the_whole_matrix(data):
         module = random_module(algebra, rank, data.draw(st.integers(0, 50), "seed"))
     else:
         module = (standard_module if structure == "standard" else zero_structure_module)(algebra, rank)
-    _check_closure_against_whole_matrix(module, data.draw(st.integers(0, d + 1), "j"))
+    caps = {
+        "cap": data.draw(st.integers(0, 2), "cap"),
+        "gap": data.draw(st.sampled_from([0, 1, None]), "gap"),
+        "max_rounds": data.draw(st.integers(1, 3), "max_rounds"),
+    }
+    _check_closure_against_whole_matrix(module, data.draw(st.integers(0, d + 1), "j"), **caps)
 
 
 def test_free_target_closure_matches_the_whole_matrix_at_d3():
     module = standard_module(ArtinianAlgebra(ring_over(2, 1, 3), (1, 1, 1)))
     _check_closure_against_whole_matrix(module, 4)
+
+
+@pytest.mark.parametrize(
+    "p,e,exps,structure,j,max_rounds,dims,stable",
+    [
+        (3, 2, (2,), "scaled:1 + x1", 2, 1, [2, 1], False),
+        (2, 2, (1, 2), "standard", 3, 2, [3, 1, 1], True),
+        # cap 1 needs boundaries that the bound turned away at cap 0
+        (3, 1, (2,), "zero", 2, 1, [1, 0], False),
+    ],
+)
+def test_free_target_caps_that_change_match_the_whole_matrix(p, e, exps, structure, j, max_rounds, dims, stable):
+    # q moves with the cap here, so each cap resumes a walk and an
+    # elimination that a smaller cap left behind
+    ring = ring_over(p, e, len(exps))
+    algebra = ArtinianAlgebra(ring, exps)
+    if structure in ("standard", "zero"):
+        module = (standard_module if structure == "standard" else zero_structure_module)(algebra)
+    else:
+        module = scaled_module(algebra, ring.parse(structure[len("scaled:") :]))
+    rep = _check_closure_against_whole_matrix(module, j, cap=0, gap=0, max_rounds=max_rounds)
+    assert [entry["dim"] for entry in rep["caps"]] == dims
+    assert rep["stable"] is stable
+
+
+def test_row_space_contains():
+    # v lies in the row span iff the span meets the line through v
+    p = 2
+    rows = sparse(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64), p)
+    assert intersection_dim(rows, sparse(np.array([[1, 1, 0]]), p), p) == 1
+    assert intersection_dim(rows, sparse(np.array([[0, 0, 1]]), p), p) == 0
+
+
+def test_intersection_dim_by_enumeration():
+    # members of both spans, brute forced: a fixed pair and seeded small ones
+    span = lambda B, p: {
+        tuple((c @ B) % p) for c in itertools.product(range(p), repeat=B.shape[0])
+    }
+    cases = [(2, np.array([[1, 0, 1], [0, 1, 0]]), np.array([[1, 1, 1]]))]
+    rng = np.random.default_rng(5)
+    for p in (2, 3):
+        for _ in range(10):
+            n, ku, kv = (int(x) for x in rng.integers(1, 4, size=3))
+            cases.append((p, rng.integers(0, p, size=(ku, n)), rng.integers(0, p, size=(kv, n))))
+    for p, U, V in cases:
+        both = span(U, p) & span(V, p)
+        assert p ** intersection_dim(sparse(U, p), sparse(V, p), p) == len(both), (p, U, V)
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (2, 2, 1), (3, 1, 2), (2, 1, 3)])

@@ -17,7 +17,6 @@ from frobext.cartier import (
 from frobext.linalg import (
     complex_dims,
     flatten,
-    intersection_dim,
     kernel_basis,
     keyed,
     matrix_of_map,
@@ -109,13 +108,13 @@ def test_unsat_certificate_is_a_cokernel_functional(data, bflat):
 def test_solve_with_stacked_targets_agrees_with_enumeration(data, k, bflat):
     p, m, n, flat = data
     A = np.array(flat[: m * n], dtype=np.int64).reshape(m, n) % p
-    B = np.array(bflat[: m * k], dtype=np.int64).reshape(m, k) % p
+    B = np.array(bflat[: m * k], dtype=np.int64).reshape(k, m) % p  # one target per row
     X = solve(sparse(A, p), sparse(B, p), p)
-    solvable = all(brute_solvable(A, B[:, c], p) is not None for c in range(k))
+    solvable = all(brute_solvable(A, b, p) is not None for b in B)
     assert (X is not None) == solvable
     if X is not None:
-        assert X.shape == (n, k)
-        assert (((A @ X) - B) % p == 0).all()
+        assert X.shape == (k, n)  # one solution per row
+        assert (((A @ np.asarray(X).T) - B.T) % p == 0).all()
 
 
 def test_unsat_certificate_is_checked_independently(monkeypatch):
@@ -225,22 +224,22 @@ def test_sparse_matrices_match_the_dense_oracles(p, m, n, k, density, seed):
         assert y == first.tolist()
         assert not ((np.array(y) @ A) % p).any()
 
-    # stacked targets
-    X = solve(S, sparse(B, p), p)
+    # stacked targets: B's columns, handed over as the rows of B.T
+    X = solve(S, sparse(B.T, p), p)
     RB, pivB = dense_rref(np.hstack([A, B]), p)
     if pivB and pivB[-1] >= n:
         assert X is None
         # the certificate is the dense left kernel's first row that some
         # column of B sees
-        x, y = solve_with_certificate(S, sparse(B, p), p)
+        x, y = solve_with_certificate(S, sparse(B.T, p), p)
         Rt, pivt = dense_rref(A.T, p)
         first = next(row for row in dense_kernel_rows(Rt, pivt, p) if ((row @ B) % p).any())
         assert x is None and y == first.tolist()
     else:
         want = np.zeros((n, k), dtype=np.int64)
         want[pivB] = RB[: len(pivB), n:]
-        assert X.shape == (n, k) and (np.asarray(X) == want).all()
-        assert solve_with_certificate(S, sparse(B, p), p)[0] == X
+        assert X.shape == (k, n) and (np.asarray(X) == want.T).all()
+        assert solve_with_certificate(S, sparse(B.T, p), p)[0] == X
 
     # a two-map complex: the rows of the second span the left kernel of A
     Rt, pivt = dense_rref(A.T, p)
@@ -248,9 +247,6 @@ def test_sparse_matrices_match_the_dense_oracles(p, m, n, k, density, seed):
     mats = [S, sparse(left, p)]
     assert complex_dims(mats, p) == [n - r, m - dense_rank(left, p) - r]
 
-    assert intersection_dim(sparse(U, p), S, p) == (
-        dense_rank(U, p) + r - dense_rank(np.vstack([U, A]), p)
-    )
     assert (np.asarray(product(S, sparse(U.T, p), p)) == (A @ U.T) % p).all()  # n x k on the right
 
 
@@ -275,26 +271,6 @@ def test_rref_transform_certifies_itself():
             assert (R[:, pivots] == np.eye(r, dtype=np.int64)).all()
             # R's rows lie in A's row space and span all of it
             assert rank(sparse(np.vstack([A, R]), p), p) == r == rank(sparse(A, p), p)
-
-
-def test_row_space_contains():
-    # v lies in the row span iff the span meets the line through v
-    p = 2
-    rows = sparse(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64), p)
-    assert intersection_dim(rows, sparse(np.array([[1, 1, 0]]), p), p) == 1
-    assert intersection_dim(rows, sparse(np.array([[0, 0, 1]]), p), p) == 0
-
-
-def test_intersection_dim_by_enumeration():
-    p = 2
-    U = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.int64)
-    V = np.array([[1, 1, 1]], dtype=np.int64)
-    # members of both spans, brute forced
-    span = lambda B: {
-        tuple((c @ B) % p) for c in itertools.product(range(p), repeat=B.shape[0])
-    }
-    both = span(U) & span(V)
-    assert p ** intersection_dim(sparse(U, p), sparse(V, p), p) == len(both)
 
 
 class _PairSpace:
