@@ -140,17 +140,10 @@ def build_ring(sc):
     p = sc.int("p", minimum=2)
     e = sc.int("e", 1, minimum=1)
     d = sc.int("d", 1, minimum=0)
-    names = None
-    raw_names = sc.get("vars", None)
-    if raw_names is not None:
-        names = [n.strip() for n in raw_names.split(",")]
-        if len(names) != d or any(not n.isidentifier() for n in names):
-            sc.fail("vars", "vars must list %d identifiers" % d)
     try:
-        ring = ring_over(p, e, d, var_names=names)
+        return ring_over(p, e, d)
     except ValueError as exc:
         raise ScenarioError("bad field/ring: %s" % exc, line=sc.line("p"))
-    return ring
 
 
 def parse_poly(sc, ring, key, text=None, col_base=None):
@@ -178,8 +171,8 @@ def parse_scalar(sc, ring, key):
 
 
 def parse_window(sc, key):
-    raw = sc.get(key, None)
-    m = re.fullmatch(r"\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*", raw or "")
+    raw = sc.get(key)
+    m = re.fullmatch(r"\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*", raw)
     if not m:
         sc.fail(key, "key %r must look like 'lo..hi'" % key)
     lo, hi = int(m.group(1)), int(m.group(2))
@@ -257,11 +250,14 @@ def parse_module(sc, ring, key, text=None):
 _EELEM_RE = re.compile(r"\s*\(\s*(.*?)\s*;\s*(-?\d+)\s*\)\s*$")
 
 
-def parse_module_elem(sc, module, key, text=None):
+def parse_module_elem(sc, module, key, text=None, col=None):
+    """`col` is the column where `text` starts on the key's line."""
     raw = sc.get(key) if text is None else text
+    if text is None:
+        col = sc.cols.get(key)
     ring = module.ring
     if isinstance(module, StdR):
-        return parse_poly(sc, ring, key, text=raw, col_base=sc.cols.get(key))
+        return parse_poly(sc, ring, key, text=raw, col_base=col)
     if isinstance(module, StdE):
         m = _EELEM_RE.fullmatch(raw)
         if not m:
@@ -281,10 +277,12 @@ def parse_module_elem(sc, module, key, text=None):
                 "expected %d '|'-separated components, got %d"
                 % (len(module.parts), len(comps)),
             )
-        return tuple(
-            parse_module_elem(sc, part, key, text=c.strip())
-            for part, c in zip(module.parts, comps)
-        )
+        elems = []
+        for part, c in zip(module.parts, comps):
+            lead = len(c) - len(c.lstrip())
+            elems.append(parse_module_elem(sc, part, key, text=c.strip(), col=col + lead))
+            col += len(c) + 1
+        return tuple(elems)
     sc.fail(key, "cannot parse elements for this module")
 
 

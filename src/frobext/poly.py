@@ -122,14 +122,10 @@ class MultiPoly:
 class PolyRing:
     """F_q[x_1, ..., x_d].  d = 0 is allowed and means the field itself."""
 
-    def __init__(self, field, d, var_names=None):
+    def __init__(self, field, d):
         self.field = field
         self.d = d
-        if var_names is None:
-            var_names = tuple("x%d" % (i + 1) for i in range(d))
-        if len(var_names) != d:
-            raise ValueError("expected %d variable names" % d)
-        self.var_names = tuple(var_names)
+        self.var_names = tuple("x%d" % (i + 1) for i in range(d))
         self.zero = MultiPoly(self, {})
         self.one = MultiPoly(self, {(0,) * d: field.one})
         self._gens = [
@@ -441,6 +437,6 @@ def random_poly(ring, mons, rng, density):
     return f
 
 
-def ring_over(p, e=1, d=1, var_names=None):
+def ring_over(p, e=1, d=1):
     """Convenience constructor used all over the tests and the CLI."""
-    return PolyRing(GF(p, e), d, var_names)
+    return PolyRing(GF(p, e), d)

@@ -16,6 +16,7 @@ from frobext.cli import main
 from frobext.linalg import SparseMatrix
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+GATES = CORPUS.parent / "gates"
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +97,32 @@ def test_poly_parse_error_reports_line_and_column(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", path)
     assert code == 1
     assert f"{path}:6:" in err  # the bad token sits on line 6
+
+
+@pytest.mark.parametrize("target,col", [("x1 | x1 + $", 19), ("x1 + $ | x1", 14), ("x1 |  $", 15)])
+def test_poly_parse_error_in_a_sum_component_points_at_its_column(tmp_path, capsys, target, col):
+    text = "task: as-solve\np: 2\nd: 1\nmodule: Sum[StdR, StdR]\ntarget: %s\n" % target
+    path = write(tmp_path, "s.scenario", text)
+    code, _, err = run_cli(capsys, "run", path)
+    assert code == 1
+    assert f"{path}:5:{col}:" in err
+    assert text.splitlines()[4][col - 1] == "$"
+
+
+def test_missing_window_is_reported_as_missing(tmp_path, capsys):
+    text = "task: hdual-membership\np: 2\nd: 1\ntarget: 0: 1\n"
+    path = write(tmp_path, "w.scenario", text)
+    code, _, err = run_cli(capsys, "run", path)
+    assert code == 1
+    assert "missing required key 'window'" in err
+
+
+def test_vars_is_an_unknown_key(tmp_path, capsys):
+    text = "task: coker-formula\np: 2\nd: 2\nvars: a, b\n"
+    path = write(tmp_path, "v.scenario", text)
+    code, _, err = run_cli(capsys, "run", path)
+    assert code == 1
+    assert f"{path}:4:" in err and "unknown key 'vars'" in err
 
 
 def test_unknown_key_is_located(tmp_path, capsys):
@@ -418,3 +445,17 @@ def test_inconclusive_reports_exit_two(tmp_path, capsys):
         assert code == 0
         rep = json.loads(out)
         assert rep["stable"] is True
+
+
+def test_every_gate_is_a_well_formed_pair():
+    # the scale gates run in CI under a memory limit, too slow for tier 1;
+    # here each is only parsed and matched with its expected report
+    scenarios = sorted(GATES.glob("*/*.scenario"))
+    assert scenarios
+    for spath in scenarios:
+        sc = cli.Scenario(str(spath), spath.read_text())
+        assert sc.get("task") in cli.TASKS, spath
+        epath = spath.with_name(spath.stem + ".expected.json")
+        assert json.loads(epath.read_text())["task"] == sc.get("task"), epath
+    for epath in GATES.glob("*/*.expected.json"):
+        assert epath.with_name(epath.name[: -len(".expected.json")] + ".scenario").exists(), epath
