@@ -18,7 +18,6 @@ import functools
 import itertools
 import random
 
-from .fmodules import artin_schreier_matrix
 from .koszul import subsets, wedge_boundary
 from .linalg import (
     SparseMatrix,
@@ -35,8 +34,7 @@ from .linalg import (
     solve,
     tuple_space,
 )
-from .poly import PolyRing, PolySpace, add_at, monomials_box, random_poly, unit_digits
-from .skew import frob_power
+from .poly import PolyRing, PolySpace, add_at, frob_power, monomials_box, random_poly, unit_digits
 
 
 def _digit_tuples(p, d):
@@ -613,19 +611,6 @@ def ext_rf(module, target, j, **caps):
         return ext_dim_free_target(cone, j, **caps)
     dims = ext_dims_artinian(cone, target, j)
     return {"dim": dims[j], "stable": True, "structural_zero": j > cone.length, "caps": []}
-
-
-# -- the one-dimensional cokernel --------------------------------------------
-
-
-def coker_formula(field):
-    """dim over F_p of F_q modulo the image of x -> x^p - x.
-
-    The kernel of that map is exactly F_p (solutions of x^p = x), so the
-    image has codimension one; the formula e - rank is computed anyway.
-    """
-    space = PolySpace(PolyRing(field, 0), [()])
-    return field.e - rank(artin_schreier_matrix(space, space, 0, 0), field.p)
 
 
 # -- transpose and the unitalization tower ------------------------------------

@@ -15,7 +15,7 @@ import random
 
 from .artinian import EElem
 from .linalg import SparseMatrix, kernel_basis, keyed, matrix_of_map, rank, solve_with_certificate, support
-from .poly import PolySpace, add_at, random_poly, unit_digits
+from .poly import PolyRing, PolySpace, add_at, random_poly, unit_digits
 from .rational import BoundedRationalSpace, is_squarefree, u_divmod
 
 
@@ -392,6 +392,13 @@ def artin_schreier_matrix(dom, cod, h, s):
                     rows[i * e + t][col] = x
             col += 1
     return SparseMatrix(rows, dom.dim())
+
+
+def coker_formula(field):
+    """dim over F_p of F_q modulo the image of x -> x^p - x: its kernel is F_p
+    (the solutions of x^p = x), so this is 1; it is computed as e - rank."""
+    space = PolySpace(PolyRing(field, 0), [()])
+    return field.e - rank(artin_schreier_matrix(space, space, 0, 0), field.p)
 
 
 # -- rank-two extensions -------------------------------------------------------

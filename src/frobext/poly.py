@@ -425,6 +425,12 @@ def add_at(out, key, v):
         out.pop(key, None)
 
 
+def frob_power(f, k):
+    for _ in range(k):
+        f = f.frobenius()
+    return f
+
+
 def random_poly(ring, mons, rng, density):
     """A seeded random polynomial on the monomial list `mons`: each monomial,
     in list order, is kept when rng.random() < density and then gets e random

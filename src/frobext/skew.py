@@ -27,12 +27,6 @@ from .linalg import (
 from .poly import PolySpace, add_at, unit_digits
 
 
-def frob_power(f, k):
-    for _ in range(k):
-        f = f.frobenius()
-    return f
-
-
 # -- the two-step sequence ---------------------------------------------------
 
 

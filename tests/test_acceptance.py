@@ -15,7 +15,6 @@ import pytest
 from frobext.artinian import ArtinianAlgebra, EElem, ERing
 from frobext.cartier import (
     ConeComplex,
-    coker_formula,
     cone_acyclicity_report,
     ext_rf,
     random_module,
@@ -30,6 +29,7 @@ from frobext.fmodules import (
     StdR,
     artin_schreier,
     as_solve,
+    coker_formula,
     ext1_class,
     hom_fr,
     rational_class_distinct,

@@ -21,7 +21,6 @@ from frobext.cartier import (
     ArtinianCartierModule,
     _dual_images,
     _flatten_diff,
-    coker_formula,
     cone_acyclicity_report,
     cone_window,
     ext_dim_free_target,
@@ -33,6 +32,7 @@ from frobext.cartier import (
     zero_structure_module,
 )
 from frobext.field import GF
+from frobext.fmodules import coker_formula
 from frobext.linalg import (
     SparseMatrix,
     flatten,

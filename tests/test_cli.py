@@ -314,6 +314,15 @@ def test_regress_passes_on_the_shipped_corpus(capsys):
     assert "drift" not in out.lower() or "0 drift" in out.lower()
 
 
+def run_child(code, *argv):
+    """Run `code` in a fresh interpreter that imports frobext from src/."""
+    src = str(CORPUS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
 def test_the_runtime_needs_no_numpy():
     # importing the CLI leaves numpy out; with numpy then made unimportable
     # the whole corpus still regresses clean
@@ -325,12 +334,44 @@ def test_the_runtime_needs_no_numpy():
         "sys.modules['numpy'] = None\n"
         "sys.exit(frobext.cli.main(['regress', sys.argv[1]]))\n"
     )
-    src = str(CORPUS.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-c", child, str(CORPUS)], env=env, capture_output=True, text=True, timeout=300
-    )
+    run = run_child(child, str(CORPUS))
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_a_run_loads_only_the_modules_of_its_task():
+    # `import frobext.cli` compiles three modules; `build_ring` loads the
+    # engine modules of the scenario's task (TASK_MODULES), and the task then
+    # loads no more.  One child per task runs that task's corpus entries.
+    child = (
+        "import json, sys\n"
+        "from frobext import cli\n"
+        "def loaded():\n"
+        "    return sorted(m[len('frobext.'):] for m in sys.modules if m.startswith('frobext.'))\n"
+        "out = {'import': loaded(), 'added': {}}\n"
+        "for path in sys.argv[1:]:\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        cli.build_ring(cli.Scenario(path, fh.read()))\n"
+        "    before = loaded()\n"
+        "    out.setdefault('ring', before)\n"
+        "    cli.run_scenario_file(path)\n"
+        "    out['added'][path] = sorted(set(loaded()) - set(before))\n"
+        "print(json.dumps(out))\n"
+    )
+    assert set(cli.TASK_MODULES) == set(cli.TASKS)
+    by_task = {}
+    for spath in sorted(CORPUS.glob("*.scenario")):
+        by_task.setdefault(cli.Scenario(str(spath), spath.read_text()).get("task"), []).append(str(spath))
+    assert set(by_task) == set(cli.TASKS)
+    loads = {}
+    for task, paths in by_task.items():
+        run = run_child(child, *paths)
+        assert run.returncode == 0, run.stdout + run.stderr
+        loads[task] = json.loads(run.stdout)
+        assert loads[task]["import"] == ["cli", "field", "poly"], task
+        assert loads[task]["added"] == {path: [] for path in paths}, task
+    assert loads["hdual-membership"]["ring"] == ["cli", "field", "linalg", "poly", "skew"]
+    for task in ("cone-resolution", "ext-rf"):
+        assert not {"fmodules", "rational", "skew"} & set(loads[task]["ring"]), task
 
 
 def test_the_corpus_densifies_no_matrix(monkeypatch):
@@ -395,6 +436,31 @@ def test_regress_goes_on_after_a_crash(tmp_path, capsys, monkeypatch):
     lines = out.splitlines()
     assert [line for line in lines if line.startswith("CRASH")] == ["CRASH cone-d1 (KeyError: 'boom')"]
     assert [line for line in lines if line.startswith("ok")] == ["ok coker-f2"]
+
+
+def test_regress_goes_on_when_the_traceback_does_not_fit(tmp_path, capsys, monkeypatch):
+    # near a memory limit the traceback of a MemoryError can raise one too;
+    # the CRASH line is out first, and the next entry still runs
+    for name in ("coker-f2", "cone-d1"):
+        for ext in (".scenario", ".expected.json"):
+            shutil.copy(CORPUS / (name + ext), tmp_path / (name + ext))
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli.TASKS, "coker-formula", out_of_memory)
+    monkeypatch.setattr(cli.traceback, "print_exc", out_of_memory)
+    code, out, _ = run_cli(capsys, "regress", str(tmp_path))
+    assert code == 1
+    assert out.splitlines()[:2] == ["CRASH coker-f2 (MemoryError: )", "ok cone-d1"]
+
+
+def test_a_nested_sum_is_refused_as_such(tmp_path, capsys):
+    text = "task: as-solve\np: 2\nd: 1\nmodule: Sum[StdR, Sum[StdR, StdR]]\ntarget: 1 | 1 | 1\n"
+    path = write(tmp_path, "n.scenario", text)
+    code, out, err = run_cli(capsys, "run", path)
+    assert (code, out) == (1, "")
+    assert err == "error: %s:4:9: nested Sum[..] is not supported in 'Sum[StdR, Sum[StdR, StdR]]'\n" % path
 
 
 @pytest.mark.parametrize("slot", [9, -50])

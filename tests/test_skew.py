@@ -11,11 +11,10 @@ from frobext.cartier import random_module, standard_module
 from frobext.cli import run_scenario_file
 from frobext.fmodules import ShiftRInf
 from frobext.linalg import keyed
-from frobext.poly import PolySpace, ring_over
+from frobext.poly import PolySpace, frob_power, ring_over
 from frobext.skew import (
     format_graded,
     format_seq,
-    frob_power,
     h_dual_apply,
     h_dual_matrix,
     in_image_hdual,

@@ -17,8 +17,7 @@ tests.
 
 from frobext import skew
 from frobext.linalg import BlockSpace, matrix_of_map
-from frobext.poly import MultiPoly, add_at
-from frobext.skew import frob_power
+from frobext.poly import MultiPoly, add_at, frob_power
 
 
 class SkewElem:
