@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 
 from .koszul import subsets, wedge_boundary
@@ -27,7 +28,6 @@ from .linalg import (
     flatten,
     kernel_basis,
     keyed,
-    matrix_of_map,
     product,
     rank,
     reembed,
@@ -63,12 +63,48 @@ class ArtinianCartierModule:
         if len(self.cmatrix) != rank or any(len(r) != rank for r in self.cmatrix):
             raise ValueError("cmatrix must be rank x rank")
         p = ring.field.p
-        twist = ring.one
-        for i, a in enumerate(algebra.exponents):
-            twist = twist * ring.gens()[i] ** (a * (p - 1))
+        twist = ring.monomial(tuple(a * (p - 1) for a in algebra.exponents))
         self.kern = [[v * twist for v in row] for row in self.cmatrix]
         self._space = tuple_space(algebra.space, rank, ring.zero)
+        # Phi, the matrix of phi, by the digit rule: the term a*x^c of
+        # kern[t][s] sends u*x^m at component s to (a*u)^(1/p) *
+        # x^((c+m+1)/p - 1) at component t when p divides every c+m+1
+        units, exps = ring.field.power_basis, algebra.exponents
+        self.Phi = self._matrix(
+            (t, s, [(a * u).pth_root() for u in units],
+             [(m, tuple((x + y + 1) // p - 1 for x, y in zip(c, m)))
+              for m in itertools.product(*(range((-x - 1) % p, b, p) for x, b in zip(c, exps)))])
+            for t, row in enumerate(self.kern) for s, k in enumerate(row) for c, a in k.terms.items()
+        )
         self.structure_check()
+
+    def _matrix(self, blocks):
+        """The matrix sending u_k * x^m at component s to values[k] * x^m' at
+        component t, for each (t, s, values, moves) of `blocks`, each move
+        (m, m') and u_k the F_q power basis.  An m' outside the box is
+        dropped, as `reduce` drops it; no two moves meet at an entry."""
+        space = self.algebra.space
+        n, e, index = space.dim(), space.e, space.index
+        rows = [{} for _ in range(self.rank * n)]
+        for t, s, values, moves in blocks:
+            digits = unit_digits(values)
+            for m, m2 in moves:
+                j = index.get(m2)
+                if j is not None:
+                    col = s * n + index[m] * e
+                    for k, ds in enumerate(digits):
+                        for r, x in ds:
+                            rows[t * n + j * e + r][col + k] = x
+        return SparseMatrix(rows, self.rank * n)
+
+    def times(self, w):
+        """M(w), the matrix of y |-> w*y: each term a*x^c of w sends u*x^m
+        to (a*u)*x^(m+c) in the same component."""
+        units, mons = self.ring.field.power_basis, self.algebra.space.mons
+        return self._matrix(
+            (s, s, [a * u for u in units], [(m, tuple(map(operator.add, m, c))) for m in mons])
+            for s in range(self.rank) for c, a in w.terms.items()
+        )
 
     def zero(self):
         return (self.ring.zero,) * self.rank
@@ -110,22 +146,16 @@ class ArtinianCartierModule:
         return self._space
 
     def structure_check(self):
-        """Spot-check additivity and the twist law phi(r^p y) = r phi(y)."""
-        ring = self.ring
-        probes = [ring.one] + list(ring.gens())
-        basis = list(self._space.basis_elems())
-        sample = basis[: min(len(basis), 6)]
-        for y in sample:
-            for z in sample[:2]:
-                lhs = self.phi(self.add(y, z))
-                rhs = self.add(self.phi(y), self.phi(z))
-                if not self.eq(lhs, rhs):
-                    raise StructureError("structure map is not additive")
-            for r in probes:
-                lhs = self.phi(self.act(r ** ring.field.p, y))
-                rhs = self.act(r, self.phi(y))
-                if not self.eq(lhs, rhs):
-                    raise StructureError("structure map violates the p-th power twist law")
+        """The twist law phi(x_i^p y) = x_i phi(y) as Phi M(x_i^p) = M(x_i)
+        Phi on the whole carrier, and Phi's columns against phi on six
+        sampled basis vectors."""
+        p = self.ring.field.p
+        for x in self.ring.gens():
+            if product(self.Phi, self.times(x**p), p) != product(self.times(x), self.Phi, p):
+                raise StructureError("structure map violates the p-th power twist law")
+        sample = list(itertools.islice(self._space.basis_elems(), 6))
+        if flatten(map(self.phi, sample), self._space, p) != self.Phi.first_columns(len(sample)):
+            raise StructureError("structure matrix disagrees with the structure map")
 
     def __repr__(self):
         return "ArtinianCartierModule(%r, rank=%d)" % (self.algebra, self.rank)
@@ -197,10 +227,7 @@ class ConeComplex:
         self.kernel, self.lifts = {}, {}
         for j in range(self.d + 1):
             for S in subsets(self.d, j):
-                outside = ring.one
-                for i in range(self.d):
-                    if i not in S:
-                        outside = outside * self.fs[i] ** (self.p - 1)
+                outside = ring.monomial(tuple(0 if i in S else a * (self.p - 1) for i, a in enumerate(exps)))
                 self.kernel[S] = [[k * outside for k in row] for row in module.cmatrix]
                 # kernel[S][t][s]'s terms a*x^c as (c, digits of (a*u)^(1/p) per unit u)
                 self.lifts[S] = [
@@ -364,6 +391,20 @@ def _flatten_diff(cone, n, dom, cap, dfmax):
     return SparseMatrix(rows, dom.dim()), cod
 
 
+def _augment_matrix(module, dom, dfmax):
+    """The matrix of `ConeComplex.augment` on the spot-0 window `dom`: the
+    column of u*x^m at ("D", (), s, i) is column (s, m, u) of Phi^i when x^m
+    lies in the carrier's box, and zero otherwise."""
+    p, n, box = module.ring.field.p, module.space().dim(), module.algebra.space
+    powers = [SparseMatrix([{r: 1} for r in range(n)], n)]  # (Phi^i)^T, whose rows are Phi^i's columns
+    while len(powers) <= dfmax:
+        powers.append(product(powers[-1], module.Phi.T, p))
+    at = [box.index.get(m) for m in dom.inner.mons]
+    cols = [powers[i].rows[s * box.dim() + j * box.e + k] if j is not None else {}
+            for _, _, s, i in dom.keys for j in at for k in range(box.e)]
+    return SparseMatrix(cols, n).T
+
+
 def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
     """Windowed exactness sweep of the cone over the augmentation.
 
@@ -392,7 +433,7 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
         if n:
             A = _flatten_diff(cone, n, dom, cap, dfmax)[0]
         else:  # spot 0 is measured by the augmentation
-            A = matrix_of_map(dom.basis_elems(), cone.augment, module.space(), p).mat
+            A = _augment_matrix(module, dom, dfmax)
         ker = kernel_basis(A, p)
         entry = {"spot": n, "window_dim": dom.dim(), "cycles": int(ker.shape[0])}
         if n == cone.length:  # top spot: no cycles at all
@@ -427,36 +468,38 @@ def _reads(cone, n):
     return reads
 
 
-def _image(target, terms, b):
-    """Generator -> the nonzero value sum phiN^i(w * b) over a functional's
-    terms, for inner value b in the carrier `target`: what right
-    R{F}-linearity gives it (tests/test_cartier.py checks this against the
-    direct evaluation)."""
-    img = {}
-    for gkey, i, w in terms:
-        v = target.phi_iter(target.act(w, b), i)
-        img[gkey] = target.add(img[gkey], v) if gkey in img else v
-    return {gkey: v for gkey, v in img.items() if not target.eq(v, target.zero())}
+def _dual_matrix(cone, target, n):
+    """The dual differential Hom(spot n) -> Hom(spot n+1), values in the
+    Artinian carrier `target`, in the layouts of `hom_space`: the block from
+    key k to generator g is the sum of Phi^i M(w) over k's `_reads` terms
+    (g, i, w), which is what right R{F}-linearity gives."""
+    p, nt, reads = cone.p, target.space().dim(), _reads(cone, n)
+    cod = cone.hom_space(n + 1, target.space())
 
+    @functools.cache  # few (i, w) pairs recur across the keys
+    def columns(i, w):  # the columns of Phi^i M(w)
+        blockT = target.times(w).T
+        for _ in range(i):
+            blockT = product(blockT, target.Phi.T, p)
+        return blockT.rows
 
-def _dual_images(cone, target, n, dom_space):
-    """Images of the dual differential Hom(spot n) -> Hom(spot n+1) on the
-    flat basis of dom_space, each a key -> value dict."""
-    reads = _reads(cone, n)
-    basis = list(dom_space.inner.basis_elems())
-    return [_image(target, reads.get(key, ()), b) for key in dom_space.keys for b in basis]
+    cols = []
+    for k in cone.generator_keys(n):
+        block = [{} for _ in range(nt)]
+        for g, i, w in reads.get(k, ()):
+            at = cod.offset[g]
+            for col, row in zip(block, columns(i, w)):
+                for r, v in row.items():
+                    col[at + r] = (col.get(at + r, 0) + v) % p
+        cols.extend({r: v for r, v in col.items() if v} for col in block)
+    return SparseMatrix(cols, cod.dim()).T
 
 
 def ext_dims_artinian(cone, target, jmax):
     """Exact Ext dimensions over R{F} against an Artinian target, one per
     spot 0..jmax (0 beyond d+1): the cohomology of the dual complex."""
-    nspace = target.space()
-    mats = []
-    for n in range(min(jmax, cone.length) + 1):
-        dom = cone.hom_space(n, nspace)
-        cod = cone.hom_space(n + 1, nspace)
-        mats.append(flatten(_dual_images(cone, target, n, dom), cod, nspace.p))
-    dims = complex_dims(mats, nspace.p)
+    mats = [_dual_matrix(cone, target, n) for n in range(min(jmax, cone.length) + 1)]
+    dims = complex_dims(mats, cone.p)
     return dims + [0] * (jmax + 1 - len(dims))
 
 
@@ -617,18 +660,12 @@ def ext_rf(module, target, j, **caps):
 
 
 def unit_transpose_map(module):
-    """tau(m) = (phi(x^a m))_a over the digit tuples, flattened over F_p."""
-    ring = module.ring
-    p = ring.field.p
+    """tau(m) = (phi(x^a m))_a over the digit tuples a, flattened over F_p:
+    the blocks Phi M(x^a) stacked in digit order.  Returns (matrix, digits)."""
+    ring, p = module.ring, module.ring.field.p
     digits = _digit_tuples(p, ring.d)
-    mspace = module.space()
-
-    def tau(m):
-        return tuple(module.phi(module.act(ring.monomial(a, ring.field.one), m)) for a in digits)
-
-    cod = tuple_space(mspace, len(digits), module.zero())
-    fmap = matrix_of_map(mspace.basis_elems(), tau, cod, p)
-    return fmap, tau, digits
+    rows = [row for a in digits for row in product(module.Phi, module.times(ring.monomial(a)), p).rows]
+    return SparseMatrix(rows, module.space().dim()), digits
 
 
 def unitalize_report(module, levels):
@@ -636,8 +673,8 @@ def unitalize_report(module, levels):
     tuples with entries in the module; the transition fans the transpose out
     along a fresh index.  Reports per-level dimensions and transition ranks
     (and their composite), all over F_p."""
-    fmap, _, digits = unit_transpose_map(module)
-    p, nd, mdim = module.ring.field.p, len(digits), fmap.mat.ncols
+    tmat, digits = unit_transpose_map(module)
+    p, nd, mdim = module.ring.field.p, len(digits), tmat.ncols
 
     def level_dim(l):
         return (nd**l) * mdim
@@ -647,7 +684,7 @@ def unitalize_report(module, levels):
         (index tuple, module coordinate), so t_l applies the transpose to
         each index tuple's block and appends the fresh index last: the
         block-diagonal matrix with one copy of the transpose's per tuple."""
-        rows = [{b * mdim + j: v for j, v in row.items()} for b in range(nd**l) for row in fmap.mat.rows]
+        rows = [{b * mdim + j: v for j, v in row.items()} for b in range(nd**l) for row in tmat.rows]
         return SparseMatrix(rows, level_dim(l))
 
     report = {"level_dims": [level_dim(l) for l in range(levels + 1)], "transition_ranks": []}

@@ -16,7 +16,6 @@ import random
 from .artinian import EElem
 from .linalg import SparseMatrix, kernel_basis, keyed, matrix_of_map, rank, solve_with_certificate, support
 from .poly import PolyRing, PolySpace, add_at, random_poly, unit_digits
-from .rational import BoundedRationalSpace, is_squarefree, u_divmod
 
 
 class StdR:
@@ -672,6 +671,7 @@ def rational_class_distinct(base, a, b, level_bound=3, degree_bound=3):
       g makes F(z) - z a polynomial while the target has honest poles.  This
       layer is a proof, so `proven` is True.
     """
+    from .rational import BoundedRationalSpace, is_squarefree, u_divmod
     ring = base.ring
     field = ring.field
     t = ring.gens()[0]

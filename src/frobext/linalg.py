@@ -94,19 +94,24 @@ def rref_transform(A, p):
     Returns (R, pivots): pivots is the increasing list of pivot columns and R
     the SparseMatrix of the nonzero rows of A's reduced row echelon form (mod
     p), R.rows[i] holding the leading 1 at pivots[i].  Each row of A in turn
-    is reduced against the pivot rows found so far (`echelon`); back-
-    substitution in decreasing pivot order then clears every other pivot
-    column from each pivot row.  The reduced row echelon form of a matrix is
-    unique, so R is the one any Gauss-Jordan pivot order gives, whatever
-    order A's rows are taken in.
+    is reduced against the pivot rows found so far (`echelon`), and
+    `_back_substitute` then clears every other pivot column from each pivot
+    row.  The reduced row echelon form of a matrix is unique, so R is the
+    one any Gauss-Jordan pivot order gives, whatever order A's rows are
+    taken in.
     """
-    piv = echelon(A.rows, p, {})
+    return _back_substitute(echelon(A.rows, p, {}), A.ncols, p)
+
+
+def _back_substitute(piv, ncols, p):
+    """`rref_transform`'s (R, pivots) from `echelon`'s pivot rows, in
+    decreasing pivot order; the rows of piv are reduced in place."""
     pivots = sorted(piv)
     for c in reversed(pivots):
         row = piv[c]
         for j in [j for j in row if j != c and j in piv]:
             _sub_multiple(row, row[j], piv[j], p)
-    return SparseMatrix([piv[c] for c in pivots], A.ncols), pivots
+    return SparseMatrix([piv[c] for c in pivots], ncols), pivots
 
 
 def echelon(rows, p, piv):
@@ -157,17 +162,21 @@ def product(A, B, p):
 
 
 def rank(A, p):
-    return len(rref_transform(A, p)[1])
+    """The number of pivots that `echelon` finds; no back-substitution."""
+    return len(echelon(A.rows, p, {}))
 
 
 def kernel_basis(A, p):
     """Rows of the result form a basis of {x : A x = 0 (mod p)}: one row per
     non-pivot column f, in increasing f, with a 1 at f and minus column f of
-    the pivot rows at the pivot columns."""
+    the pivot rows at the pivot columns.  With a pivot in every column the
+    basis is empty, and no back-substitution is done."""
     n = A.ncols
-    R, pivots = rref_transform(A, p)
-    pivset = set(pivots)
-    free = [f for f in range(n) if f not in pivset]
+    piv = echelon(A.rows, p, {})
+    if len(piv) == n:
+        return SparseMatrix([], n)
+    R, pivots = _back_substitute(piv, n, p)
+    free = [f for f in range(n) if f not in piv]
     basis = {f: {f: 1} for f in free}
     for c, row in zip(pivots, R.rows):
         for j, v in row.items():

@@ -17,7 +17,6 @@ from .linalg import (
     SparseMatrix,
     kernel_basis,
     keyed,
-    matrix_of_map,
     product,
     solve,
     solve_with_certificate,
@@ -49,13 +48,11 @@ def two_step_matrices(module, dmax):
     with alpha on F-degree <= dmax-1 (so its image fits in degree <= dmax)
     and beta on F-degree <= dmax, in the layouts `keyed(range(dmax + 1),
     module.space())`: F-degree blocks of M's flat space.
-    phi is additive, so on M's flat space (dimension n) it is the n x n
-    matrix Phi, built by one flatten of phi over M's basis.  Block (i, i) of
-    alpha is Phi and block (i+1, i) is -I; block i of beta is Phi^i.
-    Returns (Phi, A, B)."""
+    phi is additive, so on M's flat space (dimension n) it is the carrier's
+    n x n matrix Phi.  Block (i, i) of alpha is Phi and block (i+1, i) is
+    -I; block i of beta is Phi^i.  Returns (Phi, A, B)."""
     mspace = module.space()
-    p, n = mspace.p, mspace.dim()
-    Phi = matrix_of_map(mspace.basis_elems(), module.phi, mspace, p).mat
+    p, n, Phi = mspace.p, mspace.dim(), module.Phi
     A = []
     for i in range(dmax + 1):
         for r in range(n):
@@ -77,27 +74,24 @@ def two_step_witnesses(Phi, kernel, p):
     y = sum y_k (x) F^k, one row of alpha's domain coordinates per row of
     `kernel` (which has alpha's domain width).
 
-    Computed top down by x_j = Phi x_(j+1) - y_(j+1) from x = 0 above every
-    row's top degree t, which gives x_(t-1) = -y_t: one product by Phi per
-    degree, on all rows' {index: value} dicts at once."""
+    Computed top down by x_j = Phi x_(j+1) - y_(j+1), each row from its own
+    top degree t, where x_(t-1) = -y_t: one product by Phi per degree, on
+    the {index: value} dicts of the rows started so far."""
     n = Phi.ncols
-    top = max((max(y) // n for y in kernel.rows), default=0)
-    minus_y = [[{} for _ in kernel.rows] for _ in range(top + 1)]
+    minus_y = {}  # degree -> row -> -y at that degree
     for r, y in enumerate(kernel.rows):
         for c, v in y.items():
-            minus_y[c // n][r][c % n] = p - v
-    X = SparseMatrix([{} for _ in kernel.rows], n)
+            minus_y.setdefault(c // n, {}).setdefault(r, {})[c % n] = p - v
+    X = {}  # row -> x_(j+1), for the rows started above j
     W = [{} for _ in kernel.rows]
     PhiT = Phi.T
-    for j in range(top - 1, -1, -1):
-        X = product(X, PhiT, p)
-        for x, y, w in zip(X.rows, minus_y[j + 1], W):
-            for k, v in y.items():
-                if s := (x.get(k, 0) + v) % p:
-                    x[k] = s
-                else:
-                    del x[k]
-            w.update({j * n + k: v for k, v in x.items()})
+    for j in range(max(minus_y, default=0) - 1, -1, -1):
+        X = dict(zip(X, product(SparseMatrix(list(X.values()), n), PhiT, p).rows))
+        for r, y in minus_y.get(j + 1, {}).items():
+            x = X.get(r, {})
+            X[r] = {k: v for k in x.keys() | y.keys() if (v := (x.get(k, 0) + y.get(k, 0)) % p)}
+        for r, x in X.items():
+            W[r].update({j * n + k: v for k, v in x.items()})
     return SparseMatrix(W, kernel.ncols)
 
 

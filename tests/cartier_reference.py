@@ -2,9 +2,11 @@
 
 `ConeComplex` is `frobext.cartier.ConeComplex` with a generator count per
 spot, and its `koszul` is the Koszul complex of `koszul_reference`, which
-carries the whole-element differential.  `FreeTarget` is the free target R
-as a carrier of the dual complex, so that `frobext.cartier._dual_images`
-evaluates functionals into it through polynomial products and the Cartier
+carries the whole-element differential.  `_dual_images` evaluates the
+dual differential's functionals through a carrier's symbolic `act` and
+`phi_iter`: the reference for `frobext.cartier._dual_matrix`, which builds
+the same matrix from the carrier's Phi and M(w).  `FreeTarget` is the free
+target R as such a carrier, through polynomial products and the Cartier
 map: the whole-matrix reference for `ext_dim_free_target`, which computes
 the same images by index arithmetic.  `whole_matrix_q` is that reference's
 q(L), with `intersection_dim` of two row spans, and is independent of the
@@ -23,8 +25,6 @@ only the tower built on that transpose.
 from frobext import cartier
 from frobext.cartier import (
     _digit_tuples,
-    _dual_images,
-    _image,
     _reads,
     cone_window,
     ext_dims_artinian,
@@ -76,6 +76,26 @@ class FreeTarget:
     def space(self, cap):
         # cap is the largest exponent allowed, inclusive
         return PolySpace.box(self.ring, cap + 1)
+
+
+def _image(target, terms, b):
+    """Generator -> the nonzero value sum phiN^i(w * b) over a functional's
+    terms, for inner value b in the carrier `target`: what right
+    R{F}-linearity gives it (tests/test_cartier.py checks this against the
+    direct evaluation)."""
+    img = {}
+    for gkey, i, w in terms:
+        v = target.phi_iter(target.act(w, b), i)
+        img[gkey] = target.add(img[gkey], v) if gkey in img else v
+    return {gkey: v for gkey, v in img.items() if not target.eq(v, target.zero())}
+
+
+def _dual_images(cone, target, n, dom_space):
+    """Images of the dual differential Hom(spot n) -> Hom(spot n+1) on the
+    flat basis of dom_space, each a key -> value dict."""
+    reads = _reads(cone, n)
+    basis = list(dom_space.inner.basis_elems())
+    return [_image(target, reads.get(key, ()), b) for key in dom_space.keys for b in basis]
 
 
 def intersection_dim(U, V, p):
@@ -208,7 +228,7 @@ def ext_split_check(module, nmodule):
 
 
 def unit_transpose_report(module):
-    A = unit_transpose_map(module)[0].mat
+    A = unit_transpose_map(module)[0]
     m, n = A.shape
     r = rank(A, module.ring.field.p)
     return {"domain_dim": n, "codomain_dim": m, "rank": r, "injective": r == n, "surjective": r == m}

@@ -19,7 +19,8 @@ from frobext import cartier
 from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import (
     ArtinianCartierModule,
-    _dual_images,
+    _augment_matrix,
+    _dual_matrix,
     _flatten_diff,
     cone_acyclicity_report,
     cone_window,
@@ -28,6 +29,7 @@ from frobext.cartier import (
     random_module,
     scaled_module,
     standard_module,
+    unit_transpose_map,
     unitalize_report,
     zero_structure_module,
 )
@@ -52,6 +54,7 @@ from cartier_reference import (
     ConeComplex,
     FreeTarget,
     _cross_block_is_zero,
+    _dual_images,
     ext_r_dims,
     ext_r_twisted_dims,
     ext_split_check,
@@ -229,9 +232,9 @@ def test_direct_two_step_assembly_matches_the_symbolic_reference(data):
 
 
 @pytest.mark.parametrize("p,e,dmax", [(2, 2, 4), (3, 1, 6)])
-def test_two_step_check_calls_phi_once_per_basis_vector(p, e, dmax, monkeypatch):
-    # the cost gate, counted rather than timed: phi is flattened once over
-    # M's basis and everything else is assembled from that matrix
+def test_two_step_check_never_calls_phi(p, e, dmax, monkeypatch):
+    # the cost gate, counted rather than timed: the check reads the matrix
+    # Phi that the carrier wrote by the digit rule, and never calls phi
     module = random_module(ArtinianAlgebra(ring_over(p, e, 2), (2, 2)), rank=2, seed=3)
     calls = []
     phi = ArtinianCartierModule.phi
@@ -242,7 +245,32 @@ def test_two_step_check_calls_phi_once_per_basis_vector(p, e, dmax, monkeypatch)
 
     monkeypatch.setattr(ArtinianCartierModule, "phi", counted)
     assert check_two_step_exact(module, dmax)["passed"]
-    assert len(calls) == module.space().dim()
+    assert calls == []
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_carrier_matrices_match_the_symbolic_flatten(data):
+    # Phi (the digit rule), M(x^a) and M(w) (shifts) and the unit transpose
+    # against matrix_of_map over the symbolic phi and act, on carriers with
+    # zero exponents (the zero algebra) and d = 0 included
+    p = data.draw(st.sampled_from([2, 3, 5]), "p")
+    e = data.draw(st.integers(1, 2), "e")
+    d = data.draw(st.integers(0, 3), "d")
+    rank = data.draw(st.integers(0, 2), "rank")
+    exps = tuple(data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d), "exponents"))
+    module = _draw_module(data, ArtinianAlgebra(ring_over(p, e, d), exps), rank)
+    ring, space = module.ring, module.space()
+    basis = list(space.basis_elems())
+    assert module.Phi == matrix_of_map(basis, module.phi, space, p).mat
+    c = tuple(data.draw(st.lists(st.integers(0, 2 * p), min_size=d, max_size=d), "c"))
+    w = random_poly(ring, monomials_box(d, (4,) * d), random.Random(data.draw(st.integers(0, 99), "w")), 0.4)
+    for r in (ring.monomial(c), w, ring.zero):
+        assert module.times(r) == matrix_of_map(basis, lambda y: module.act(r, y), space, p).mat
+    digits = list(itertools.product(range(p), repeat=d))
+    cod = keyed(digits, space)
+    tau = matrix_of_map(basis, lambda y: {a: module.phi(module.act(ring.monomial(a), y)) for a in digits}, cod, p)
+    assert unit_transpose_map(module) == (tau.mat, digits)
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -298,7 +326,9 @@ def test_cone_wedge_blocks_are_the_koszul_differential(p, d):
 def test_cone_window_matrix_matches_the_symbolic_reference(data):
     # d_n's matrix written by index arithmetic against the flattening of
     # ConeComplex.differential, on every spot; the domain window may be
-    # wider than the codomain cap, as in the sweep's growth rounds
+    # wider than the codomain cap, as in the sweep's growth rounds.  At
+    # spot 0, the augmentation's matrix (Phi^i after the projection onto
+    # the box) against the flattening of ConeComplex.augment
     p = data.draw(st.sampled_from([2, 3, 5]), "p")
     e = data.draw(st.integers(1, 2), "e")
     d = data.draw(st.integers(1, 3), "d")
@@ -307,6 +337,9 @@ def test_cone_window_matrix_matches_the_symbolic_reference(data):
     cap, dfmax = data.draw(st.integers(0, 2), "cap"), data.draw(st.integers(0, 2), "dfmax")
     grow = data.draw(st.integers(0, 2), "grow")
     cone = ConeComplex(_draw_module(data, ArtinianAlgebra(ring_over(p, e, d), exps), rank))
+    dom = cone_window(cone, 0, cap + grow, dfmax)
+    ref = matrix_of_map(dom.basis_elems(), cone.augment, cone.module.space(), p).mat
+    assert _augment_matrix(cone.module, dom, dfmax) == ref
     for n in range(1, cone.length + 1):
         dom = cone_window(cone, n, cap + grow, dfmax)
         A, cod = _flatten_diff(cone, n, dom, cap, dfmax)
@@ -580,6 +613,7 @@ def test_indexed_dual_images_match_evaluate_hom(p, d):
             assert len(fast) == len(slow) == dom.dim()
             if target is module:  # a finite carrier holds every value
                 cod = cone.hom_space(n + 1, nspace)
+                assert _dual_matrix(cone, target, n) == flatten(slow, cod, p)
             else:
                 exps = (exp for img in fast + slow for v in img.values() for exp in v.terms)
                 cap = max((max(exp) for exp in exps), default=0)
@@ -668,6 +702,18 @@ def test_unitalize_tower_dimensions():
     assert rep["level_dims"] == [2, 4, 8, 16]
     assert rep["all_transitions_injective"]
     assert rep["composite_rank"] == 2
+
+
+def test_structure_check_rejects_a_matrix_off_the_twist_law():
+    from frobext.linalg import StructureError
+
+    # over F_2[x1,x2]/(x1^3, x2^3) the standard phi fixes x1^2*x2^2, the
+    # last basis vector, which the six sampled columns do not reach
+    module = standard_module(ArtinianAlgebra(ring_over(2, 1, 2), (3, 3)))
+    assert module.Phi.rows[8] == {8: 1}
+    module.Phi.rows[8] = {}
+    with pytest.raises(StructureError, match="twist law"):
+        module.structure_check()
 
 
 def test_structure_check_rejects_nonadditive_tampering():

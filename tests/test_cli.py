@@ -370,6 +370,8 @@ def test_a_run_loads_only_the_modules_of_its_task():
         assert loads[task]["import"] == ["cli", "field", "poly"], task
         assert loads[task]["added"] == {path: [] for path in paths}, task
     assert loads["hdual-membership"]["ring"] == ["cli", "field", "linalg", "poly", "skew"]
+    # fmodules imports rational inside the one solver that uses it
+    assert loads["as-solve"]["ring"] == ["artinian", "cli", "field", "fmodules", "linalg", "poly"]
     for task in ("cone-resolution", "ext-rf"):
         assert not {"fmodules", "rational", "skew"} & set(loads[task]["ring"]), task
 
