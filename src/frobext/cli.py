@@ -452,7 +452,7 @@ def run_unitalize(sc, ring):
 
 def run_rational_distinct(sc, ring):
     from .fmodules import rational_class_distinct
-    from .rational import RationalBase
+    from .rational import RationalBase, u_divmod
     if ring.d != 1:
         sc.fail("d", "rational-distinct needs a univariate ring (d: 1)")
     a = parse_scalar(sc, ring, "a")
@@ -460,22 +460,23 @@ def run_rational_distinct(sc, ring):
     if a == b:
         sc.fail("b", "the two pole locations coincide")
     t = ring.gens()[0]
-    raw_d = sc.get("denominator", None)
-    if raw_d is None:
-        denom = (t - ring.coerce(a)) * (t - ring.coerce(b))
-    else:
+    if "denominator" in sc.pairs:
         denom = parse_poly(sc, ring, "denominator")
+    else:
+        denom = (t - ring.coerce(a)) * (t - ring.coerce(b))
     try:
         base = RationalBase(ring, denom)
+    except ValueError as exc:
+        sc.fail("denominator", "invalid rational scenario: %s" % exc)
+    try:
         rep = rational_class_distinct(
-            base,
-            a,
-            b,
+            base, a, b,
             level_bound=sc.int("level_bound", 3, minimum=1),
             degree_bound=sc.int("degree_bound", 3, minimum=0),
         )
-    except ValueError as exc:
-        raise ScenarioError("invalid rational scenario: %s" % exc, line=sc.line("a"))
+    except ValueError as exc:  # a pole location that is not a root of the base divisor
+        key = "a" if u_divmod(base.D, t - ring.coerce(a))[1] else "b"
+        sc.fail(key, "invalid rational scenario: %s" % exc)
     rep["a"] = ring.field.format_elem(a)
     rep["b"] = ring.field.format_elem(b)
     rep["denominator"] = ring.format(denom)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 
 from .artinian import EElem
-from .linalg import SparseMatrix, kernel_basis, keyed, matrix_of_map, rank, solve_with_certificate, support
+from .linalg import SparseMatrix, coordinate_rows, kernel_basis, keyed, matrix_of_map, rank
+from .linalg import solve_with_certificate, support
 from .poly import PolyRing, PolySpace, add_at, random_poly, unit_digits
 
 
@@ -253,7 +254,7 @@ def _as_solve_poly(module, u):
         return rep, None
     space = PolySpace.total_degree(ring, deg // p)
     big = PolySpace.total_degree(ring, deg)
-    x, cert = solve_with_certificate(artin_schreier_matrix(space, big, 0, 0), big.coords(u), p)
+    x, cert = solve_with_certificate(artin_schreier_matrix(space, big, 0, 0), coordinate_rows([u], big, p), p)
     if x is None:
         rep = _unsat(
             proven=True,
@@ -263,7 +264,7 @@ def _as_solve_poly(module, u):
             certificate=cert,
         )
         return rep, None
-    z = space.from_coords(x)
+    z = space.from_row(x.rows[0])
     return _sat(ring.format(z), "forced-degree linear solve"), z
 
 
@@ -276,9 +277,9 @@ def _as_solve_limit(module, u, level_bound):
     # (r * (x1...xd)^((p-1)n); n*p) and F(z) is (r^p; n*p)
     dom, cod = PolySpace.box(ering.ring, n), PolySpace.box(ering.ring, n * p)
     fmat = artin_schreier_matrix(dom, cod, 0, (p - 1) * n)
-    x, cert = solve_with_certificate(fmat, cod.coords(u.raise_to(n * p).numer), p)
+    x, cert = solve_with_certificate(fmat, coordinate_rows([u.raise_to(n * p).numer], cod, p), p)
     if x is not None:
-        z = EElem(ering, n, dom.from_coords(x))
+        z = EElem(ering, n, dom.from_row(x.rows[0]))
         return _sat(repr(z), "flattened solve at level %d" % n), z
     bottom = bool(u) and u.level == 1
     if bottom:
@@ -562,7 +563,7 @@ def shift_ses_check(ring, nmax=3, degree_bound=2):
 
     cod = keyed(slots + ["sum"], PolySpace.total_degree(ring, p * degree_bound))
     smap = matrix_of_map(space.basis_elems(), split_system, cod, p)
-    x, cert = solve_with_certificate(smap.mat, cod.coords({"sum": ring.one}), p)
+    x, cert = solve_with_certificate(smap.mat, coordinate_rows([{"sum": ring.one}], cod, p), p)
     report["split"] = x is not None
     report["split_window_certificate"] = cert and support(cert)
     report["support_escape"] = (
@@ -701,7 +702,7 @@ def rational_class_distinct(base, a, b, level_bound=3, degree_bound=3):
     dom = BoundedRationalSpace(base, level_bound, degree_bound)
     cod = BoundedRationalSpace(base, level_bound * p, max(degree_bound * p, degree_bound + 1))
     fmap = matrix_of_map(dom.basis_elems(), lambda z: z.pth_power() - z, cod, p)
-    x, cert = solve_with_certificate(fmap.mat, cod.coords(target), p)
+    x, cert = solve_with_certificate(fmap.mat, coordinate_rows([target], cod, p), p)
     if x is not None:  # the symbolic layer says this solve can never succeed
         raise RuntimeError("certificate check failed: the bounded solve found a solution")
     return {

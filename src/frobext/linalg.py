@@ -6,23 +6,23 @@ nonzero entries, reduced to 1..p-1, plus the shape.  Every question is one
 deterministic Gaussian elimination (`rref_transform`, which keeps no
 transform matrix), so solve / kernel / image / quotient answers are
 reproducible bit-for-bit.  The elimination works on those row dicts and
-returns the pivot rows of the unique reduced row echelon form.  Solutions
-and certificates are int lists.  An unsolvable system comes back with a
-cokernel functional y, checked: y @ A == 0 and y @ b != 0.  It is the first
-row of `kernel_basis(A.T)` with y @ b != 0, written alone (`_cokernel_row`).
+returns the pivot rows of the unique reduced row echelon form.  An
+unsolvable system comes back with a cokernel functional y, checked: y @ A ==
+0 and y @ b != 0: the first row of `kernel_basis(A.T)` with y @ b != 0,
+written alone (`_cokernel_row`).
 
-Nothing here needs numpy, and every function takes and returns
-`SparseMatrix`es only; vectors (right-hand sides, solutions, certificates,
-flat coordinates) are int lists.  `SparseMatrix.__array__`, which imports
-numpy when it is called, is kept for readers outside the runtime path: the
+Nothing here needs numpy.  Every vector (right-hand sides, solutions,
+certificates, flat coordinates) is a row: a {index: value} dict of its
+nonzeros, and several vectors are the rows of a `SparseMatrix`.
+`SparseMatrix.__array__`, which imports numpy when it is called, serves the
 benchmark's tracer and the tests' dense oracles.
 
 `BlockSpace` is the one home of the flat layout: every direct sum of copies
 of a leaf coordinate space (cone windows, Hom values, sequence windows,
-graded skew truncations, tuples) is a `BlockSpace`, `flatten` turns a list of
-its elements into the matrix of their coordinate columns (writing each part
-at its key's offset), and `complex_dims` reads cohomology dimensions off a
-list of such matrices.
+graded skew truncations, tuples) is a `BlockSpace`.  `coordinate_rows`
+writes elements as rows (writing each part at its key's offset), `flatten`
+is its transpose, `from_row` reads a row back, and `complex_dims` reads
+cohomology dimensions off a list of matrices.
 """
 
 from __future__ import annotations
@@ -75,13 +75,6 @@ class SparseMatrix:
             if row:
                 out[i, list(row)] = list(row.values())
         return out
-
-
-def _dense(row, n):
-    vec = [0] * n
-    for j, v in row.items():
-        vec[j] = v
-    return vec
 
 
 def _inv_mod(c, p):
@@ -185,29 +178,14 @@ def kernel_basis(A, p):
     return SparseMatrix([basis[f] for f in free], n)
 
 
-def _targets(A, b, p):
-    """The right-hand side b of A x = b as its k targets, each a {row:
-    value} dict of its nonzeros, and whether b stacks k targets (a
-    SparseMatrix whose rows are the targets) rather than being one vector
-    (a sequence of ints)."""
-    stacked = isinstance(b, SparseMatrix)
-    m = b.ncols if stacked else len(b)
-    if m != len(A.rows):
-        raise ValueError("%d right-hand side rows for %d equations" % (m, len(A.rows)))
-    return (b.rows if stacked else [{i: x for i, v in enumerate(b) if (x := int(v) % p)}]), stacked
-
-
-def solve(A, b, p):
-    """One solution x of A x = b (mod p), or None.  For a vector b, x is an
-    int list.  For stacked targets b (a SparseMatrix whose k rows are the
-    targets), x is the SparseMatrix whose k rows are the solutions, and None
-    means some target has no solution."""
-    return _solve(A, *_targets(A, b, p), p)
-
-
-def _solve(A, cols, stacked, p):
-    """`solve` on the targets that `_targets` made of b."""
-    n = A.ncols
+def solve(A, B, p):
+    """One solution of A x = b (mod p) for each target b, or None when some
+    target has none.  The targets are the rows of the SparseMatrix B, one
+    column per equation; the solutions are the rows of the SparseMatrix
+    returned."""
+    n, cols = A.ncols, B.rows
+    if B.ncols != len(A.rows):
+        raise ValueError("%d right-hand side rows for %d equations" % (B.ncols, len(A.rows)))
     # rref_transform copies the rows it reduces, so a row that no target hits is shared
     aug = list(A.rows)
     for k, col in enumerate(cols):
@@ -223,30 +201,30 @@ def _solve(A, cols, stacked, p):
         for j, v in row.items():
             if j >= n:
                 X[j - n][c] = v
-    return SparseMatrix(X, n) if stacked else _dense(X[0], n)
+    return SparseMatrix(X, n)
 
 
-def solve_with_certificate(A, b, p):
-    """Solve A x = b (mod p).
+def solve_with_certificate(A, B, p):
+    """Solve A x = b (mod p) for the targets b, the rows of B.
 
-    Returns (x, None) on success, x as `solve` gives it.  On failure returns
-    (None, y) where y is a cokernel functional, an int list: y @ A == 0 and
-    y @ b != 0, an exact witness that no solution exists.  y is the first
-    row of kernel_basis(A.T) with y @ b != 0 (`_cokernel_row`), and both
-    properties are checked by combining rows before y is returned.
+    Returns (X, None) on success, X as `solve` gives it.  On failure returns
+    (None, y) where y is a cokernel functional, a {row: value} dict of its
+    nonzeros: y @ A == 0 and y @ b != 0 for some target b, an exact witness
+    that no solution exists.  y is the first row of kernel_basis(A.T) with y
+    @ b != 0 (`_cokernel_row`), and both properties are checked by combining
+    rows before y is returned.
     """
-    cols, stacked = _targets(A, b, p)
-    x = _solve(A, cols, stacked, p)
-    if x is not None:
-        return x, None
-    y = _cokernel_row(A, cols, p)
+    X = solve(A, B, p)
+    if X is not None:
+        return X, None
+    y = _cokernel_row(A, B.rows, p)
     if y is None:
         raise RuntimeError("certificate check failed: no y with y @ A == 0 has y @ b != 0")
-    if not any(sum(c * col.get(r, 0) for r, c in y.items()) % p for col in cols):
+    if not any(sum(c * col.get(r, 0) for r, c in y.items()) % p for col in B.rows):
         raise RuntimeError("certificate check failed: y @ b == 0")
     if _combine(y, A.rows, p):
         raise RuntimeError("certificate check failed: y @ A != 0")
-    return None, _dense(y, len(A.rows))
+    return None, y
 
 
 def _cokernel_row(A, cols, p):
@@ -267,10 +245,10 @@ def _cokernel_row(A, cols, p):
     return {f: 1, **{c: p - v for c, row in zip(pivots, R.rows) if (v := row.get(f))}}
 
 
-def support(vec):
-    """The nonzero entries of an int list as [index, value] pairs, by index:
-    the form in which reports write certificates."""
-    return [[i, v] for i, v in enumerate(vec) if v]
+def support(row):
+    """A {index: value} row as [index, value] pairs, by index: the form in
+    which reports write certificates."""
+    return [[i, row[i]] for i in sorted(row)]
 
 
 def complex_dims(mats, p):
@@ -300,25 +278,27 @@ class FpLinearMap:
         self.mat = mat
 
 
+def coordinate_rows(elems, space, p):
+    """The matrix whose k-th row holds the nonzero coordinates of the k-th of
+    `elems` (any iterable) in the flat space `space`: the targets of `solve`.
+    A `BlockSpace` part goes to its key's offset, so only the parts an
+    element has are written."""
+    n = space.dim()
+    return SparseMatrix([_fill({}, 0, n, space, z, p) for z in elems], n)
+
+
 def flatten(images, cod, p):
     """The (cod.dim(), len(images)) matrix whose k-th column is the
-    coordinate vector of images[k] in the flat space `cod`.  `images` may be
-    any iterable.  Each column is filled part by part: a `BlockSpace` part
-    goes to its key's offset, so only the parts an image has are written."""
-    n = cod.dim()
-    cols = []
-    for z in images:
-        col = {}
-        _fill(col, 0, n, cod, z, p)
-        cols.append(col)
-    return SparseMatrix(cols, n).T
+    coordinate vector of images[k] in the flat space `cod`: the transpose
+    of `coordinate_rows`."""
+    return coordinate_rows(images, cod, p).T
 
 
 def reembed(rows, dom, amb):
     """The rows (coordinates in the BlockSpace `dom`) re-expressed in `amb`,
     a BlockSpace with each of dom's keys whose PolySpace copies hold each of
     dom's monomials: coordinate (key, monomial, F_q digit) of dom moves to
-    the same (key, monomial, digit) of amb.  This is flatten(dom.from_coords
+    the same (key, monomial, digit) of amb.  This is flatten(dom.from_row
     of each row) into amb, as an index map."""
     inner, wide = dom.inner, amb.inner
     e = inner.e
@@ -329,14 +309,14 @@ def reembed(rows, dom, amb):
 
 def _fill(out, at, n, space, elem, p):
     """Write the nonzero coordinates of elem in `space`, of dimension n, into
-    the dict `out`, shifted by `at`.  A leaf space that has `coord_items`
-    gives its nonzero coordinates directly; the dense `coords` of any other
-    is scanned for them."""
+    the dict `out`, shifted by `at`, and return `out`.  A leaf space that has
+    `coord_items` gives its nonzero coordinates directly; the dense `coords`
+    of any other is scanned for them."""
     if isinstance(space, BlockSpace):
         inner = space.inner.dim()
         for key, part in space.split(elem):
             _fill(out, at + space.at(key), inner, space.inner, part, p)
-        return
+        return out
     if hasattr(space, "coord_items"):
         pairs = space.coord_items(elem)
     else:
@@ -348,6 +328,7 @@ def _fill(out, at, n, space, elem, p):
         x = v % p
         if x:
             out[at + i] = x
+    return out
 
 
 def matrix_of_map(domain_basis, apply_fn, cod, p):
@@ -355,7 +336,7 @@ def matrix_of_map(domain_basis, apply_fn, cod, p):
 
     domain_basis: F_p-basis elements of the domain.
     apply_fn: the map, applied to one basis element.
-    cod: the flat codomain space (exposes coords and dim).
+    cod: the flat codomain space (exposes dim, and coord_items or coords).
     """
     return FpLinearMap(flatten((apply_fn(b) for b in domain_basis), cod, p))
 
@@ -397,10 +378,9 @@ class BlockSpace:
         return at
 
     def coords(self, elem):
-        n = self.dim()
-        out = {}
-        _fill(out, 0, n, self, elem, self.p)
-        return _dense(out, n)
+        """The dense coordinate list of elem: a view of its row."""
+        row = coordinate_rows([elem], self, self.p).rows[0]
+        return [row.get(i, 0) for i in range(self.dim())]
 
     def from_coords(self, vec):
         """The element with coordinates vec."""
@@ -415,7 +395,7 @@ class BlockSpace:
         for i, v in row.items():
             cuts.setdefault(i // n, {})[i % n] = v
         return self.join(
-            {self.keys[b]: self.inner.from_coords(_dense(part, n)) for b, part in sorted(cuts.items())}
+            {self.keys[b]: self.inner.from_row(part) for b, part in sorted(cuts.items())}
         )
 
 

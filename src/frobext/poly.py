@@ -399,12 +399,16 @@ class PolySpace:
         return out
 
     def from_coords(self, vec):
+        return self.from_row({i: x for i, v in enumerate(vec) if (x := int(v) % self.p)})
+
+    def from_row(self, row):
+        """The polynomial whose nonzero coordinates are the {index: value}
+        dict `row` (a row of a SparseMatrix)."""
+        e, digits = self.e, {}
+        for i, v in row.items():
+            digits.setdefault(i // e, [0] * e)[i % e] = v
         field = self.ring.field
-        terms = {}
-        for i, m in enumerate(self.mons):
-            coeff = field.from_coords(tuple(int(vec[i * self.e + k]) % self.p for k in range(self.e)))
-            if coeff:
-                terms[m] = coeff
+        terms = {self.mons[i]: c for i in sorted(digits) if (c := field.from_coords(digits[i]))}
         return MultiPoly(self.ring, terms)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .linalg import (
     SparseMatrix,
+    coordinate_rows,
     kernel_basis,
     keyed,
     product,
@@ -136,7 +137,7 @@ def check_two_step_exact(module, dmax):
     for row, image in zip(kernel.rows, images):
         if image != row:
             report["witness_formula_ok"] = False
-            if solve(A, [row.get(i, 0) for i in range(cod.dim())], p) is None:
+            if solve(A, SparseMatrix([row], cod.dim()), p) is None:
                 report["kernel_covered"] = False
                 report["counterexample"] = format_graded(module, cod.from_row(row))
                 break
@@ -249,11 +250,11 @@ def in_image_hdual(ring, target, window, degree_bound):
     dom = tuple_space(keyed(range(lo, hi + 1), dom_poly), ring.d + 1, {})
     cod = keyed(range(lo, hi + 2), cod_poly)
     A = h_dual_matrix(ring, hi - lo + 1, dom_poly, cod_poly)
-    x, cert = solve_with_certificate(A, cod.coords(target), p)
+    x, cert = solve_with_certificate(A, coordinate_rows([target], cod, p), p)
     trace, proven = residue_trace(ring, target)
     trace_str = {str(j): ring.field.format_elem(v) for j, v in sorted(trace.items())}
     if x is not None:
-        s, *ts = dom.from_coords(x)
+        s, *ts = dom.from_row(x.rows[0])
         if h_dual_apply(ring, s, ts) != target:
             raise RuntimeError("witness check failed: the dual tail map misses the target")
         if proven:

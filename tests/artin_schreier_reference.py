@@ -18,7 +18,7 @@ reports.
 """
 
 from frobext.artinian import EElem
-from frobext.linalg import matrix_of_map, solve_with_certificate, support
+from frobext.linalg import coordinate_rows, matrix_of_map, solve_with_certificate, support
 from frobext.poly import PolySpace
 
 
@@ -56,7 +56,8 @@ def limit_solve(ering, u, level_bound):
     u = u.normalize()
     n = max(level_bound, u.level if u else 1)
     dom, cod = PolySpace.box(ering.ring, n), PolySpace.box(ering.ring, n * p)
-    x, cert = solve_with_certificate(limit_matrix(ering, n), cod.coords(u.raise_to(n * p).numer), p)
+    b = coordinate_rows([u.raise_to(n * p).numer], cod, p)
+    x, cert = solve_with_certificate(limit_matrix(ering, n), b, p)
     if x is None:
         return "UNSAT", None, support(cert)
-    return "SAT", repr(EElem(ering, n, dom.from_coords(x))), None
+    return "SAT", repr(EElem(ering, n, dom.from_row(x.rows[0]))), None

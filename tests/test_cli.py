@@ -13,7 +13,9 @@ import pytest
 
 from frobext import cli
 from frobext.cli import main
-from frobext.linalg import SparseMatrix
+from frobext.linalg import BlockSpace, SparseMatrix
+from frobext.poly import PolySpace
+from frobext.rational import BoundedRationalSpace
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GATES = CORPUS.parent / "gates"
@@ -151,6 +153,24 @@ def test_validation_error_names_the_invariant(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", path)
     assert code == 1
     assert "the two pole locations coincide" in err
+
+
+@pytest.mark.parametrize(
+    "text,place,message",
+    [
+        ("p: 3\na: 0\nb: 1\ndenominator: x1^2\n", "6:14", "denominator base must be squarefree"),
+        ("p: 5\na: 2\nb: 1\ndenominator: (x1 - 1)*(x1 - 3)\n", "4:4", "pole location 2 is not a root"),
+        ("p: 5\na: 1\nb: 2\ndenominator: (x1 - 1)*(x1 - 3)\n", "5:4", "pole location 2 is not a root"),
+    ],
+    ids=["base-not-squarefree", "a-not-a-root", "b-not-a-root"],
+)
+def test_rational_scenario_errors_name_the_key_at_fault(tmp_path, capsys, text, place, message):
+    # the base divisor's error points at `denominator`, a pole location that
+    # is not a root of it at its own key
+    path = write(tmp_path, "q.scenario", "task: rational-distinct\nd: 1\n" + text)
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s:%s: invalid rational scenario: %s" % (path, place, message)), err
 
 
 @pytest.mark.parametrize(
@@ -376,6 +396,15 @@ def test_a_run_loads_only_the_modules_of_its_task():
         assert not {"fmodules", "rational", "skew"} & set(loads[task]["ring"]), task
 
 
+def _assert_the_corpus_regresses():
+    names = sorted(path.stem for path in CORPUS.glob("*.scenario"))
+    assert names
+    for name in names:
+        report, _ = cli.run_scenario_file(str(CORPUS / (name + ".scenario")))
+        expected = json.loads((CORPUS / (name + ".expected.json")).read_text())
+        assert cli.strip_volatile(report) == cli.strip_volatile(expected), name
+
+
 def test_the_corpus_densifies_no_matrix(monkeypatch):
     # SparseMatrix.__array__ serves only the tests' oracles and the
     # benchmark's tracer: with it raising, every corpus entry still gives
@@ -384,12 +413,19 @@ def test_the_corpus_densifies_no_matrix(monkeypatch):
         raise RuntimeError("a SparseMatrix was densified")
 
     monkeypatch.setattr(SparseMatrix, "__array__", refuse)
-    names = sorted(path.stem for path in CORPUS.glob("*.scenario"))
-    assert names
-    for name in names:
-        report, _ = cli.run_scenario_file(str(CORPUS / (name + ".scenario")))
-        expected = json.loads((CORPUS / (name + ".expected.json")).read_text())
-        assert cli.strip_volatile(report) == cli.strip_volatile(expected), name
+    _assert_the_corpus_regresses()
+
+
+def test_the_corpus_reads_no_dense_coordinates(monkeypatch):
+    # right-hand sides go to the solver as rows of their nonzeros, and
+    # solutions come back as rows: with the dense `coords` of every flat
+    # space raising, every corpus entry still gives its expected report
+    def refuse(self, elem):
+        raise RuntimeError("an element was written as dense coordinates")
+
+    for space in (BlockSpace, PolySpace, BoundedRationalSpace):
+        monkeypatch.setattr(space, "coords", refuse)
+    _assert_the_corpus_regresses()
 
 
 def test_regress_detects_drift(tmp_path, capsys):

@@ -29,6 +29,7 @@ from frobext.fmodules import (
     rational_class_distinct,
     shift_ses_check,
 )
+from frobext.linalg import SparseMatrix
 from frobext.poly import PolySpace, ring_over
 from frobext.rational import RationalBase
 
@@ -330,7 +331,11 @@ def _corrupt_solution(monkeypatch):
         x, cert = solve(A, b, p)
         # the last coordinate: the first ones may add an F_p constant, which
         # F(z) - z cannot see
-        return x[:-1] + [(x[-1] + 1) % p], cert
+        n = x.ncols
+        row = {j: v for j, v in x.rows[0].items() if j != n - 1}
+        if (v := (x.rows[0].get(n - 1, 0) + 1) % p):
+            row[n - 1] = v
+        return SparseMatrix([row], n), cert
 
     monkeypatch.setattr(fmodules, "solve_with_certificate", broken)
 

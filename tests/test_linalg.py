@@ -80,11 +80,12 @@ def test_solve_agrees_with_enumeration(data, bflat):
     p, m, n, flat = data
     A = np.array(flat[: m * n], dtype=np.int64).reshape(m, n) % p
     b = np.array(bflat[:m], dtype=np.int64) % p
-    x = solve(sparse(A, p), b, p)
+    X = solve(sparse(A, p), sparse([b], p), p)  # one target, the one row
     witness = brute_solvable(A, b, p)
-    assert (x is None) == (witness is None)
-    if x is not None:
-        assert (((A @ x) - b) % p == 0).all()
+    assert (X is None) == (witness is None)
+    if X is not None:
+        assert X.shape == (1, n)
+        assert (((A @ np.asarray(X)[0]) - b) % p == 0).all()
 
 
 @given(small_matrices, st.lists(st.integers(0, 6), min_size=4, max_size=4))
@@ -93,14 +94,17 @@ def test_unsat_certificate_is_a_cokernel_functional(data, bflat):
     p, m, n, flat = data
     A = np.array(flat[: m * n], dtype=np.int64).reshape(m, n) % p
     b = np.array(bflat[:m], dtype=np.int64) % p
-    x, cert = solve_with_certificate(sparse(A, p), b, p)
-    if x is None:
+    X, cert = solve_with_certificate(sparse(A, p), sparse([b], p), p)
+    if X is None:
         # cert kills every column of A but not b: a proof of unsolvability
-        assert not ((cert @ A) % p).any()
-        assert (cert @ b) % p != 0
+        assert all(0 <= i < m and 0 < v < p for i, v in cert.items())
+        y = np.zeros(m, dtype=np.int64)
+        y[list(cert)] = list(cert.values())
+        assert not ((y @ A) % p).any()
+        assert (y @ b) % p != 0
     else:
         assert cert is None
-        assert (((A @ x) - b) % p == 0).all()
+        assert (((A @ np.asarray(X)[0]) - b) % p == 0).all()
 
 
 @given(small_matrices, st.integers(1, 3), st.lists(st.integers(0, 6), min_size=12, max_size=12))
@@ -121,8 +125,8 @@ def test_unsat_certificate_is_checked_independently(monkeypatch):
     # x = 0 and x = 1 over F_2: the left kernel of A is spanned by (1, 1)
     p = 2
     A = sparse(np.array([[1], [1]], dtype=np.int64), p)
-    b = np.array([0, 1], dtype=np.int64)
-    assert solve_with_certificate(A, b, p)[1] == [1, 1]
+    b = sparse([[0, 1]], p)
+    assert solve_with_certificate(A, b, p)[1] == {0: 1, 1: 1}
     # the one-row builder is checked after it answers: a row that does not
     # kill A, a row that does not see b, and no row at all are each refused
     monkeypatch.setattr(linalg, "_cokernel_row", lambda A, B, p: {1: 1})
@@ -210,19 +214,19 @@ def test_sparse_matrices_match_the_dense_oracles(p, m, n, k, density, seed):
     # one target: the solution and the certificate are the ones the dense
     # reduced row echelon forms of [A | b] and A.T give
     b = B[:, 0]
-    x, y = solve_with_certificate(S, b.tolist(), p)
+    x, y = solve_with_certificate(S, sparse([b], p), p)
     Rb, pivb = dense_rref(np.hstack([A, b[:, None]]), p)
     if n not in pivb:
-        assert y is None and solve(S, b.tolist(), p) == x
+        assert y is None and solve(S, sparse([b], p), p) == x
         want = np.zeros(n, dtype=np.int64)
         want[pivb] = Rb[: len(pivb), n]
-        assert x == want.tolist()
+        assert x == sparse([want], p)
     else:
-        assert x is None and solve(S, b.tolist(), p) is None
+        assert x is None and solve(S, sparse([b], p), p) is None
         Rt, pivt = dense_rref(A.T, p)
         first = next(row for row in dense_kernel_rows(Rt, pivt, p) if (row @ b) % p)
-        assert y == first.tolist()
-        assert not ((np.array(y) @ A) % p).any()
+        assert y == sparse([first], p).rows[0]
+        assert not ((first @ A) % p).any()
 
     # stacked targets: B's columns, handed over as the rows of B.T
     X = solve(S, sparse(B.T, p), p)
@@ -234,7 +238,7 @@ def test_sparse_matrices_match_the_dense_oracles(p, m, n, k, density, seed):
         x, y = solve_with_certificate(S, sparse(B.T, p), p)
         Rt, pivt = dense_rref(A.T, p)
         first = next(row for row in dense_kernel_rows(Rt, pivt, p) if ((row @ B) % p).any())
-        assert x is None and y == first.tolist()
+        assert x is None and y == sparse([first], p).rows[0]
     else:
         want = np.zeros((n, k), dtype=np.int64)
         want[pivB] = RB[: len(pivB), n:]

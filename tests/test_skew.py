@@ -10,7 +10,7 @@ from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import random_module, standard_module
 from frobext.cli import run_scenario_file
 from frobext.fmodules import ShiftRInf
-from frobext.linalg import keyed
+from frobext.linalg import SparseMatrix, keyed
 from frobext.poly import PolySpace, frob_power, ring_over
 from frobext.skew import (
     format_graded,
@@ -156,7 +156,10 @@ def test_hdual_sat_witness_is_re_verified(monkeypatch):
 
     def broken(A, b, p):
         x, cert = solve(A, b, p)
-        return [(x[0] + 1) % p] + x[1:], cert
+        row = {j: v for j, v in x.rows[0].items() if j}
+        if (v := (x.rows[0].get(0, 0) + 1) % p):
+            row[0] = v
+        return SparseMatrix([row], x.ncols), cert
 
     monkeypatch.setattr(skew, "solve_with_certificate", broken)
     with pytest.raises(RuntimeError, match="witness check failed"):
