@@ -87,13 +87,13 @@ def rref_transform(A, p):
     Returns (R, pivots): pivots is the increasing list of pivot columns and R
     the SparseMatrix of the nonzero rows of A's reduced row echelon form (mod
     p), R.rows[i] holding the leading 1 at pivots[i].  Each row of A in turn
-    is reduced against the pivot rows found so far (`echelon`), and
-    `_back_substitute` then clears every other pivot column from each pivot
-    row.  The reduced row echelon form of a matrix is unique, so R is the
-    one any Gauss-Jordan pivot order gives, whatever order A's rows are
-    taken in.
+    is reduced against the pivot rows found so far (`echelon`, which stops
+    at full column rank), and `_back_substitute` then clears every other
+    pivot column from each pivot row.  The reduced row echelon form of a
+    matrix is unique, so R is the one any Gauss-Jordan pivot order gives,
+    whatever order A's rows are taken in.
     """
-    return _back_substitute(echelon(A.rows, p, {}), A.ncols, p)
+    return _back_substitute(echelon(A.rows, p, {}, A.ncols), A.ncols, p)
 
 
 def _back_substitute(piv, ncols, p):
@@ -107,14 +107,17 @@ def _back_substitute(piv, ncols, p):
     return SparseMatrix([piv[c] for c in pivots], ncols), pivots
 
 
-def echelon(rows, p, piv):
+def echelon(rows, p, piv, width=None):
     """Reduce a copy of each of `rows` against the pivot rows `piv` (pivot
     column -> row whose smallest column is that one, with a 1 there),
     smallest column first, until its leading column has no pivot row; scaled
     to a leading 1 it becomes that column's pivot row.  Rows that reduce to
-    zero are dropped.  Returns piv, grown in place; its rows are not
-    changed."""
+    zero are dropped, and once all `width` columns have pivot rows every
+    later row would, so none is taken.  Returns piv, grown in place; its
+    rows are not changed."""
     for row in rows:
+        if len(piv) == width:
+            break
         row = dict(row)
         while row:
             c = min(row)
@@ -156,7 +159,7 @@ def product(A, B, p):
 
 def rank(A, p):
     """The number of pivots that `echelon` finds; no back-substitution."""
-    return len(echelon(A.rows, p, {}))
+    return len(echelon(A.rows, p, {}, A.ncols))
 
 
 def kernel_basis(A, p):
@@ -165,7 +168,7 @@ def kernel_basis(A, p):
     the pivot rows at the pivot columns.  With a pivot in every column the
     basis is empty, and no back-substitution is done."""
     n = A.ncols
-    piv = echelon(A.rows, p, {})
+    piv = echelon(A.rows, p, {}, n)
     if len(piv) == n:
         return SparseMatrix([], n)
     R, pivots = _back_substitute(piv, n, p)
@@ -376,15 +379,6 @@ class BlockSpace:
             span = "%r .. %r" % (self.keys[0], self.keys[-1]) if self.keys else "none"
             raise ValueError("part %r lies outside this space (keys %s)" % (key, span))
         return at
-
-    def coords(self, elem):
-        """The dense coordinate list of elem: a view of its row."""
-        row = coordinate_rows([elem], self, self.p).rows[0]
-        return [row.get(i, 0) for i in range(self.dim())]
-
-    def from_coords(self, vec):
-        """The element with coordinates vec."""
-        return self.from_row(dict(zip(compress(range(len(vec)), vec), compress(vec, vec))))
 
     def from_row(self, row):
         """The element whose nonzero coordinates are the {index: value} dict

@@ -173,8 +173,6 @@ class BoundedRationalSpace:
             for f in self.digit.basis_elems():
                 yield self.base.fn(f, j)
 
-    coords = PolySpace.coords  # the dense vector of coord_items
-
     def coord_items(self, fn):
         """The nonzero coordinates of fn, as (index, value) pairs; raises if
         fn does not lie in the slice."""
@@ -197,13 +195,4 @@ class BoundedRationalSpace:
             out.extend((at + i, v) for i, v in self.digit.coord_items(digit))
         if rem:
             raise ValueError("remainder does not expand in the D-adic basis")
-        return out
-
-    def from_coords(self, vec):
-        out = self.base.fn(self.poly.from_coords(vec[: self.poly.dim()]), 0)
-        for j in range(1, self.N + 1):
-            at = self._at(j)
-            digit = self.digit.from_coords(vec[at : at + self.digit.dim()])
-            if digit:
-                out = out + self.base.fn(digit, j)
         return out

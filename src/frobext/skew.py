@@ -51,7 +51,7 @@ def two_step_matrices(module, dmax):
     module.space())`: F-degree blocks of M's flat space.
     phi is additive, so on M's flat space (dimension n) it is the carrier's
     n x n matrix Phi.  Block (i, i) of alpha is Phi and block (i+1, i) is
-    -I; block i of beta is Phi^i.  Returns (Phi, A, B)."""
+    -I; block i of beta is Phi^i.  Returns (A, B)."""
     mspace = module.space()
     p, n, Phi = mspace.p, mspace.dim(), module.Phi
     A = []
@@ -67,32 +67,26 @@ def two_step_matrices(module, dmax):
         power = product(Phi, power, p)
         for row, prow in zip(B, power.rows):
             row.update({i * n + k: v for k, v in prow.items()})
-    return Phi, SparseMatrix(A, dmax * n), SparseMatrix(B, (dmax + 1) * n)
+    return SparseMatrix(A, dmax * n), SparseMatrix(B, (dmax + 1) * n)
 
 
-def two_step_witnesses(Phi, kernel, p):
+def two_step_witnesses(B, kernel, p):
     """The preimages x_j = -sum_{k > j} phi^(k-j-1)(y_k) of beta-kernel rows
     y = sum y_k (x) F^k, one row of alpha's domain coordinates per row of
     `kernel` (which has alpha's domain width).
 
-    Computed top down by x_j = Phi x_(j+1) - y_(j+1), each row from its own
-    top degree t, where x_(t-1) = -y_t: one product by Phi per degree, on
-    the {index: value} dicts of the rows started so far."""
-    n = Phi.ncols
-    minus_y = {}  # degree -> row -> -y at that degree
-    for r, y in enumerate(kernel.rows):
-        for c, v in y.items():
-            minus_y.setdefault(c // n, {}).setdefault(r, {})[c % n] = p - v
-    X = {}  # row -> x_(j+1), for the rows started above j
-    W = [{} for _ in kernel.rows]
-    PhiT = Phi.T
-    for j in range(max(minus_y, default=0) - 1, -1, -1):
-        X = dict(zip(X, product(SparseMatrix(list(X.values()), n), PhiT, p).rows))
-        for r, y in minus_y.get(j + 1, {}).items():
-            x = X.get(r, {})
-            X[r] = {k: v for k in x.keys() | y.keys() if (v := (x.get(k, 0) + y.get(k, 0)) % p)}
-        for r, x in X.items():
-            W[r].update({j * n + k: v for k, v in x.items()})
+    Column c of Phi^m is row m*n + c of B.T (beta's block m), so entry i =
+    k*n + c of y adds -y[i] times row i - (j+1)*n of B.T to x_j, for each
+    j < k: the witnesses are sums of B.T's rows, with no product by Phi."""
+    n, cols = len(B.rows), B.T.rows
+    W = []
+    for y in kernel.rows:
+        w = {}
+        for i, v in y.items():
+            for at in range(0, i - n + 1, n):  # x_j's offset j*n, for j < k
+                for r, u in cols[i - n - at].items():
+                    w[at + r] = w.get(at + r, 0) + (p - v) * u
+        W.append({j: x for j, v in w.items() if (x := v % p)})
     return SparseMatrix(W, kernel.ncols)
 
 
@@ -105,7 +99,7 @@ def check_two_step_exact(module, dmax):
     x_j = -sum_{k>j} phi^(k-j-1)(y_k) and verifying it exactly.  An element
     is built, as F-degree -> carrier element, only for a counterexample.
     """
-    Phi, A, B = two_step_matrices(module, dmax)
+    A, B = two_step_matrices(module, dmax)
     dom = keyed(range(dmax), module.space())
     cod = keyed(range(dmax + 1), module.space())
     p = dom.p
@@ -123,8 +117,8 @@ def check_two_step_exact(module, dmax):
         report["beta_alpha_zero"] = False
         col = min(min(row) for row in comp.rows if row)
         report["counterexample"] = format_graded(module, dom.from_row({col: 1}))
-    # the kernel does not depend on the row order; taken bottom up, alpha's
-    # rows below its first block start in echelon form (the -I blocks)
+    # the kernel does not depend on the row order; bottom up, each alpha row
+    # above block 0 pivots where it starts, and echelon stops at full rank
     ker_a = kernel_basis(SparseMatrix(A.rows[::-1], A.ncols), p)
     if ker_a.rows:
         report["alpha_injective"] = False
@@ -133,7 +127,7 @@ def check_two_step_exact(module, dmax):
     # as the first dom.dim() coordinates of cod's, so a kernel row is also y's
     # coordinates in cod, and alpha's image of each witness is compared to it
     kernel = kernel_basis(B.first_columns(dom.dim()), p)
-    images = product(two_step_witnesses(Phi, kernel, p), A.T, p).rows
+    images = product(two_step_witnesses(B, kernel, p), A.T, p).rows
     for row, image in zip(kernel.rows, images):
         if image != row:
             report["witness_formula_ok"] = False

@@ -4,11 +4,13 @@ dense elimination oracles.
 The tests build their oracles and small examples as numpy arrays or lists of
 rows; `linalg` takes only `SparseMatrix`es, so each goes through `sparse`.
 `dense_rref` and `dense_kernel_rows` are Gauss-Jordan and the kernel basis on
-numpy arrays, written apart from `linalg`'s row-sparse eliminator."""
+numpy arrays, written apart from `linalg`'s row-sparse eliminator.
+`coords` and `from_coords` write an element of a flat space as a dense
+coordinate list and read one back, for spaces whose library form is rows."""
 
 import numpy as np
 
-from frobext.linalg import SparseMatrix
+from frobext.linalg import SparseMatrix, coordinate_rows
 
 
 def sparse(A, p):
@@ -60,3 +62,25 @@ def dense_kernel_rows(R, pivots, p):
             v[c] = int(-R[i, f]) % p
         rows.append(v)
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+def coords(space, elem):
+    """The dense coordinate list of elem in the flat space `space`: its row
+    of `coordinate_rows`, written out."""
+    row = coordinate_rows([elem], space, space.p).rows[0]
+    return [row.get(i, 0) for i in range(space.dim())]
+
+
+def from_coords(space, vec):
+    """The element of the flat space `space` with the dense coordinates vec:
+    `from_row` of its nonzeros, or on a `BoundedRationalSpace`, which has no
+    `from_row`, its polynomial part plus its D-adic digit over each pole."""
+    if hasattr(space, "from_row"):
+        return space.from_row({i: x for i, v in enumerate(vec) if (x := int(v) % space.p)})
+    n, k = space.poly.dim(), space.digit.dim()
+    out = space.base.fn(space.poly.from_coords(vec[:n]), 0)
+    for j in range(1, space.N + 1):
+        digit = space.digit.from_coords(vec[n + (j - 1) * k : n + j * k])
+        if digit:
+            out = out + space.base.fn(digit, j)
+    return out

@@ -12,6 +12,8 @@ from frobext.linalg import keyed, matrix_of_map, tuple_space
 from frobext.poly import PolySpace
 from frobext.skew import h_dual_apply
 
+from dense import coords
+
 
 def hdual_matrix(ring, window, dom_poly, cod_poly):
     lo, hi = window
@@ -25,5 +27,5 @@ def hdual_system(ring, target, window, degree_bound):
     top = max((f.total_degree() for f in target.values()), default=0)
     dom_poly = PolySpace.total_degree(ring, B)
     cod_poly = PolySpace.total_degree(ring, max(p * B, B + 1, top))
-    b = keyed(range(window[0], window[1] + 2), cod_poly).coords(target)
+    b = coords(keyed(range(window[0], window[1] + 2), cod_poly), target)
     return hdual_matrix(ring, window, dom_poly, cod_poly), b

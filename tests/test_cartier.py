@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobext import cartier
+from frobext import cartier, linalg, skew
 from frobext.artinian import ArtinianAlgebra
 from frobext.cartier import (
     ArtinianCartierModule,
@@ -64,7 +64,7 @@ from cartier_reference import (
     unit_transpose_report,
     whole_matrix_q,
 )
-from dense import sparse
+from dense import from_coords, sparse
 from two_step_reference import (
     SkewModuleElem,
     check_with_alpha,
@@ -156,7 +156,7 @@ def test_two_step_witness_recurrence_matches_the_closed_form(p, e):
     rows = np.asarray(kernel_basis(bmap.mat, p)).tolist()
     assert len(rows) > 8
     for vec in rows + [[(a + b) % p for a, b in zip(u, v)] for u, v in zip(rows, rows[3:])]:
-        y = cod.from_coords(vec)
+        y = from_coords(cod, vec)
         x = two_step_witness(module, y)
         assert x == closed_form_witness(module, y)
         assert alpha(x) == y
@@ -222,13 +222,13 @@ def test_direct_two_step_assembly_matches_the_symbolic_reference(data):
     dmax = data.draw(st.integers(1, 5), "dmax")
     module = _draw_module(data, ArtinianAlgebra(ring_over(p, e, d), exps), rank)
     amap, bmap, dom, cod = flatten_two_step(module, dmax)
-    Phi, A, B = two_step_matrices(module, dmax)
+    A, B = two_step_matrices(module, dmax)
     assert A == amap.mat
     assert B == bmap.mat
     kernel = kernel_basis(B.first_columns(dom.dim()), p)
     ys = [cod.from_row(row) for row in kernel.rows]
     ref = matrix_of_map(ys, lambda y: two_step_witness(module, y), dom, p)
-    assert two_step_witnesses(Phi, kernel, p) == ref.mat.T
+    assert two_step_witnesses(B, kernel, p) == ref.mat.T
 
 
 @pytest.mark.parametrize("p,e,dmax", [(2, 2, 4), (3, 1, 6)])
@@ -246,6 +246,61 @@ def test_two_step_check_never_calls_phi(p, e, dmax, monkeypatch):
     monkeypatch.setattr(ArtinianCartierModule, "phi", counted)
     assert check_two_step_exact(module, dmax)["passed"]
     assert calls == []
+
+
+@pytest.mark.parametrize("p,e,dmax", [(2, 2, 4), (2, 2, 6), (3, 1, 6)])
+def test_two_step_check_reduces_no_alpha_row_and_multiplies_by_phi_only_for_beta(p, e, dmax, monkeypatch):
+    # the cost gate, counted rather than timed: taken bottom up, alpha's rows
+    # above block 0 pivot where they start and already reach full column
+    # rank, so alpha's kernel needs no row reduction; the witnesses are read
+    # off beta's Phi^i blocks, so the only products are beta's dmax powers of
+    # Phi, beta.alpha and alpha's image of the witnesses
+    module = random_module(ArtinianAlgebra(ring_over(p, e, 2), (2, 2)), rank=2, seed=3)
+    alpha_shape = two_step_matrices(module, dmax)[0].shape
+    subs, kernels, products = [], [], []
+    sub_multiple, kernel_basis_, product = linalg._sub_multiple, skew.kernel_basis, skew.product
+
+    def counted_sub(*args):
+        subs.append(args)
+        return sub_multiple(*args)
+
+    def counted_kernel(A, q):
+        before = len(subs)
+        out = kernel_basis_(A, q)
+        kernels.append((A.shape, len(subs) - before))
+        return out
+
+    def counted_product(*args):
+        products.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(linalg, "_sub_multiple", counted_sub)
+    monkeypatch.setattr(skew, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(skew, "product", counted_product)
+    assert check_two_step_exact(module, dmax)["passed"]
+    assert [n for shape, n in kernels if shape == alpha_shape] == [0]
+    assert len(products) == dmax + 2
+
+
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_a_corrupted_power_block_fails_the_witness_check(block, monkeypatch):
+    # mutation: the witnesses read one wrong entry off beta's Phi^block;
+    # alpha is injective, so alpha of a wrong witness misses its kernel row,
+    # while beta.alpha, alpha's kernel and the cover stay honest
+    p, dmax = 3, 4
+    module = random_module(ArtinianAlgebra(ring_over(p, 1, 2), (2, 2)), rank=2, seed=3)
+    honest = skew.two_step_witnesses
+
+    def corrupted(B, kernel, q):
+        rows, at = [dict(row) for row in B.rows], block * len(B.rows)
+        rows[0][at] = 2 if rows[0].get(at) == 1 else 1
+        return honest(SparseMatrix(rows, B.ncols), kernel, q)
+
+    assert check_two_step_exact(module, dmax)["passed"]
+    monkeypatch.setattr(skew, "two_step_witnesses", corrupted)
+    report = check_two_step_exact(module, dmax)
+    assert not report["passed"] and not report["witness_formula_ok"]
+    assert report["beta_alpha_zero"] and report["alpha_injective"] and report["kernel_covered"]
 
 
 @given(st.data())

@@ -29,7 +29,7 @@ from frobext.poly import PolySpace
 from frobext.rational import RationalBase, u_divmod
 
 from artin_schreier_reference import limit_matrix
-from dense import dense_kernel_rows, dense_rref
+from dense import coords, dense_kernel_rows, dense_rref
 from hdual_reference import hdual_system
 from rational_reference import BoundedRationalSpace
 
@@ -80,7 +80,7 @@ def shift_split(sc):
 
     dom = keyed(range(-n, n + 1), PolySpace.total_degree(ring, B))
     cod = keyed(slots + ["sum"], PolySpace.total_degree(ring, p * B))
-    return matrix_of_map(dom.basis_elems(), split, cod, p).mat, cod.coords({"sum": ring.one})
+    return matrix_of_map(dom.basis_elems(), split, cod, p).mat, coords(cod, {"sum": ring.one})
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from frobext.linalg import (
 from frobext.poly import PolySpace, ring_over
 
 from artinian_reference import ArtinianAlgebra
-from dense import dense_kernel_rows, dense_rref, sparse
+from dense import coords, dense_kernel_rows, dense_rref, from_coords, sparse
 from koszul_reference import KoszulComplex
 from two_step_reference import SkewModuleElem, graded_skew_space
 
@@ -254,6 +254,50 @@ def test_sparse_matrices_match_the_dense_oracles(p, m, n, k, density, seed):
     assert (np.asarray(product(S, sparse(U.T, p), p)) == (A @ U.T) % p).all()  # n x k on the right
 
 
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.sampled_from([0.2, 0.5, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_elimination_past_full_column_rank_matches_the_dense_oracles(p, n, extra, tail, density, seed):
+    # n independent rows (triangular, nonzero diagonal) shuffled among `extra`
+    # random rows reach full column rank before the `tail` random rows, which
+    # the eliminator then skips: the pivots, the reduced form, the kernel,
+    # the solutions and the certificate are still the dense oracles'
+    rng = np.random.default_rng(seed)
+
+    def draw(rows, cols):  # residues, zero with probability 1 - density
+        return rng.integers(1, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+
+    tri = np.triu(draw(n, n))
+    np.fill_diagonal(tri, rng.integers(1, p, size=n))
+    head = np.vstack([tri, draw(extra, n)])[rng.permutation(n + extra)]
+    A = np.vstack([head, draw(tail, n)])
+    S = sparse(A, p)
+    R, pivots = rref_transform(S, p)
+    R0, pivots0 = dense_rref(A, p)
+    assert pivots == pivots0 == list(range(n)) and (np.asarray(R) == R0[:n]).all()
+    assert rank(S, p) == dense_rank(head, p) == n
+    assert kernel_basis(S, p) == sparse(dense_kernel_rows(R0, pivots0, p), p) == linalg.SparseMatrix([], n)
+    # A x = A x0 has the one solution x0; a random b is met by the dense
+    # reduced forms of [A | b] and A.T
+    x0 = rng.integers(0, p, size=n)
+    assert solve(S, sparse([A @ x0], p), p) == sparse([x0], p)
+    b = draw(len(A), 1)[:, 0]
+    x, y = solve_with_certificate(S, sparse([b], p), p)
+    Rb, pivb = dense_rref(np.hstack([A, b[:, None]]), p)
+    if n in pivb:
+        Rt, pivt = dense_rref(A.T, p)
+        first = next(row for row in dense_kernel_rows(Rt, pivt, p) if (row @ b) % p)
+        assert x is None and y == sparse([first], p).rows[0]
+    else:
+        assert y is None and x == sparse([Rb[:n, n]], p)
+
+
 def test_row_sparse_rref_on_large_sparse_and_dense_matrices():
     rng = np.random.default_rng(3)
     for p, (m, n), density in ((2, (120, 80), 0.02), (3, (60, 90), 0.05), (5, (40, 40), 1.0)):
@@ -391,15 +435,15 @@ def test_composite_space_layout(name):
     basis = list(space.basis_elems())
     assert len(basis) == n > 0
     for k, b in enumerate(basis):
-        assert space.coords(b) == [int(i == k) for i in range(n)]
+        assert coords(space, b) == [int(i == k) for i in range(n)]
     rng = random.Random(7)
     vec = [rng.randrange(space.p) for _ in range(n)]
-    x = space.from_coords(vec)
-    assert space.coords(x) == vec
-    assert space.from_coords(space.coords(x)) == x
+    x = from_coords(space, vec)
+    assert coords(space, x) == vec
+    assert from_coords(space, coords(space, x)) == x
     assert space.from_row({i: v for i, v in enumerate(vec) if v}) == x
     with pytest.raises(ValueError):
-        space.coords(outside)
+        coords(space, outside)
 
 
 def test_flatten_zero_shapes():
@@ -418,15 +462,15 @@ def test_flatten_fills_by_parts_and_locates_outside_parts(name):
     space, outside = COMPOSITE_SPACES[name]()
     rng = random.Random(11)
     vecs = [[rng.randrange(space.p) for _ in range(space.dim())] for _ in range(3)]
-    mat = flatten([space.from_coords(v) for v in vecs], space, space.p)
+    mat = flatten([from_coords(space, v) for v in vecs], space, space.p)
     assert isinstance(mat, linalg.SparseMatrix)
     assert mat.shape == (space.dim(), 3)
     assert (np.asarray(mat) == np.array(vecs, dtype=np.int64).T).all()
     # the sparse fill raises the same located error as coords
     with pytest.raises(ValueError) as from_coords_:
-        space.coords(outside)
+        coords(space, outside)
     with pytest.raises(ValueError, match=r"^part .+ lies outside this space \(keys .+\)$") as from_flatten:
-        flatten([space.from_coords(vecs[0]), outside], space, space.p)
+        flatten([from_coords(space, vecs[0]), outside], space, space.p)
     assert str(from_flatten.value) == str(from_coords_.value)
 
 

@@ -18,6 +18,7 @@ from frobext.rational import (
 )
 
 import rational_reference
+from dense import coords, from_coords
 
 
 def rand_upoly(ring, rng, deg):
@@ -120,13 +121,13 @@ def test_bounded_space_roundtrip(p, e):
     assert space.dim() == (3 + 2 * 2) * e
     rng = random.Random(1)
     for b in space.basis_elems():
-        vec = space.coords(b)
+        vec = coords(space, b)
         assert sum(1 for v in vec if v) == 1
-        got = space.from_coords(vec)
+        got = from_coords(space, vec)
         assert got == b
     # a general combination survives the roundtrip
     combo = base.fn(t, 2) + base.fn(ring.one, 1) + base.fn(t * t, 0)
-    assert space.from_coords(space.coords(combo)) == combo
+    assert from_coords(space, coords(space, combo)) == combo
 
 
 def test_out_of_slice_elements_are_rejected():
@@ -135,9 +136,9 @@ def test_out_of_slice_elements_are_rejected():
     base = RationalBase(ring, t)
     space = BoundedRationalSpace(base, N=1, B=1)
     with pytest.raises(ValueError):
-        space.coords(base.fn(ring.one, 2))  # pole too deep
+        coords(space, base.fn(ring.one, 2))  # pole too deep
     with pytest.raises(ValueError):
-        space.coords(base.fn(t**5, 0))  # degree too big
+        coords(space, base.fn(t**5, 0))  # degree too big
 
 
 def presentation(fn):
@@ -166,17 +167,17 @@ def test_slice_matches_the_hand_laid_reference(data):
     samples = []
     for _ in range(6):
         vec = [rng.randrange(p) for _ in range(new.dim())]
-        assert presentation(new.from_coords(vec)) == presentation(old.from_coords(vec))
+        assert presentation(from_coords(new, vec)) == presentation(old.from_coords(vec))
         z = old.from_coords(vec)
         for fn in (z, z.raise_to(z.level + rng.randint(1, 3))):
-            assert new.coords(fn) == old.coords(fn) == vec
+            assert coords(new, fn) == old.coords(fn) == vec
             samples.append(fn)
     assert flatten(samples + basis, new, p) == flatten(samples + basis, old, p)
     # a pole too deep, a degree too high, another base: both refuse
     for fn in (base.fn(ring.one, N + 1), base.fn(t ** (B + 1), 0), RationalBase(ring, D).fn(ring.one, 1)):
         for space in (new, old):
             with pytest.raises(ValueError):
-                space.coords(fn)
+                coords(space, fn)
     # a random fraction, in or out of the slice: both agree or both refuse
     for _ in range(8):
         level = rng.randint(0, N + 1)
@@ -185,6 +186,6 @@ def test_slice_matches_the_hand_laid_reference(data):
             want = old.coords(fn)
         except ValueError:
             with pytest.raises(ValueError):
-                new.coords(fn)
+                coords(new, fn)
         else:
-            assert new.coords(fn) == want
+            assert coords(new, fn) == want

@@ -171,10 +171,10 @@ def graded_skew_space(module, dmax, twist=0):
 
 def check_with_alpha(monkeypatch, module, dmax, A):
     """`check_two_step_exact` with alpha replaced by the SparseMatrix A, next
-    to the honest Phi and beta."""
-    Phi, _, B = skew.two_step_matrices(module, dmax)
+    to the honest beta."""
+    _, B = skew.two_step_matrices(module, dmax)
     with monkeypatch.context() as patch:
-        patch.setattr(skew, "two_step_matrices", lambda *_: (Phi, A, B))
+        patch.setattr(skew, "two_step_matrices", lambda *_: (A, B))
         return skew.check_two_step_exact(module, dmax)
 
 
