@@ -9,12 +9,24 @@ nonzero FieldElem values.  Display order is graded lexicographic, x1 > x2 > ...
 from __future__ import annotations
 
 import operator
+from math import comb
 
 from .field import FieldElem, GF
 
 
 def grlex_key(exp):
     return (sum(exp), exp)
+
+
+def grlex_index(exp):
+    """exp's position in `monomials_total_degree`'s order, whatever the cap: the
+    C(n-1+d, d) monomials of degree below n = sum(exp), then those of degree n below exp."""
+    d, n = len(exp), sum(exp)
+    at = comb(n + d - 1, d) if n else 0
+    for k, a in zip(range(d - 1, 0, -1), exp):  # k entries follow this one
+        at += comb(n + k, k) - comb(n - a + k, k)
+        n -= a
+    return at
 
 
 class MultiPoly:

@@ -13,18 +13,10 @@ one Frobenius twist (its R-action goes through r -> r^p).
 
 from __future__ import annotations
 
-from .linalg import (
-    SparseMatrix,
-    coordinate_rows,
-    kernel_basis,
-    keyed,
-    product,
-    solve,
-    solve_with_certificate,
-    support,
-    tuple_space,
-)
-from .poly import PolySpace, add_at, unit_digits
+from math import comb
+
+from .linalg import SparseMatrix, kernel_basis, keyed, product, solve, solve_with_certificate, support
+from .poly import add_at, grlex_index, unit_digits
 
 
 # -- the two-step sequence ---------------------------------------------------
@@ -146,8 +138,7 @@ def check_two_step_exact(module, dmax):
 
 # -- finitely supported sequences and the dual tail map ----------------------
 #
-# A sequence j -> polynomial is a dict holding its nonzero slots; absent slots
-# are zero, and `keyed` gives such dicts their flat coordinates.
+# A sequence j -> polynomial is a dict holding its nonzero slots.
 
 
 def format_seq(ring, z):
@@ -186,44 +177,16 @@ def residue_trace(ring, target):
 
     Returns (trace, proven_unsat) where trace maps j -> forced residue.
     """
-    d = ring.d
-    sign = ring.field.one if d % 2 == 0 else -ring.field.one
     if not target:
         return {}, False
+    sign = -ring.field.one if ring.d % 2 else ring.field.one
     jmax, jmin = max(target), min(target)
-    trace = {}
     cur = ring.field.zero  # res(s_jmax) = 0
-    trace[jmax] = cur
+    trace = {jmax: cur}
     for j in range(jmax, jmin - 1, -1):
-        r_j = target.get(j, ring.zero).constant_term()
-        cur = cur.frobenius() - sign * r_j
+        cur = cur.frobenius() - sign * target.get(j, ring.zero).constant_term()
         trace[j - 1] = cur
     return trace, bool(cur)
-
-
-def h_dual_matrix(ring, slots, dom_poly, cod_poly):
-    """The matrix of `h_dual_apply` from (s, t_1..t_d) on `slots` slots of
-    `dom_poly` to slots + 1 slots of `cod_poly` (holding every image), in
-    `matrix_of_map`'s order, by index arithmetic: unit c times x^a at slot j
-    gives (-1)^d F(c) x^(p*a) at j, -(-1)^d c x^a at j+1 (s), c x^(a+e_i) at j (t_i)."""
-    d, p, e = ring.d, dom_poly.p, dom_poly.e
-    units, index, n = ring.field.power_basis, cod_poly.index, cod_poly.dim()
-    up = unit_digits(-c.frobenius() if d % 2 else c.frobenius() for c in units)
-    down = unit_digits(c if d % 2 else -c for c in units)
-    ones, mons = unit_digits(units), dom_poly.mons
-    # per block, per monomial a: the (row offset, per-unit digits) of its terms
-    blocks = [[((index[tuple(p * x for x in a)] * e, up), (n + index[a] * e, down)) for a in mons]]
-    blocks += [[((index[a[:i] + (a[i] + 1,) + a[i + 1 :]] * e, ones),) for a in mons] for i in range(d)]
-    rows, col = [{} for _ in range((slots + 1) * n)], 0
-    for block in blocks:
-        for j in range(0, slots * n, n):
-            for terms in block:
-                for k in range(e):
-                    for at, digits in terms:
-                        for t, x in digits[k]:
-                            rows[j + at + t][col] = x
-                    col += 1
-    return SparseMatrix(rows, col)
 
 
 def in_image_hdual(ring, target, window, degree_bound):
@@ -236,19 +199,59 @@ def in_image_hdual(ring, target, window, degree_bound):
     (cokernel functional; plus the residue trace, and proven=True when the
     trace argument rules out *every* window and bound).
     """
-    (lo, hi), p, B = window, ring.field.p, degree_bound
-    dom_poly = PolySpace.total_degree(ring, B)
-    cod_deg = max(p * B, B + 1, max((f.total_degree() for f in target.values()), default=0))
-    cod_poly = PolySpace.total_degree(ring, cod_deg)
-    # the unknowns (s, t_1, ..., t_d), all supported in the window
-    dom = tuple_space(keyed(range(lo, hi + 1), dom_poly), ring.d + 1, {})
-    cod = keyed(range(lo, hi + 2), cod_poly)
-    A = h_dual_matrix(ring, hi - lo + 1, dom_poly, cod_poly)
-    x, cert = solve_with_certificate(A, coordinate_rows([target], cod, p), p)
+    (lo, hi), p, B, d, e = window, ring.field.p, degree_bound, ring.d, ring.field.e
+    units = ring.field.power_basis
+    up = unit_digits(-c.frobenius() if d % 2 else c.frobenius() for c in units)
+    down = unit_digits(c if d % 2 else -c for c in units)
+    ones = unit_digits(units)
+
+    def columns(j, m):
+        """The columns (k, i, a), x^a in slot i of s (k = 0) or t_k, holding row
+        (j, m), each with its (row, per-unit digits) terms: unit c gives (-1)^d
+        F(c) x^(p*a) at i and -(-1)^d c x^a at i+1 (s), c x^(a+e_k) at i (t_k)."""
+        n = sum(m)
+        if lo <= j <= hi:
+            if n <= p * B and not any(x % p for x in m):
+                a = tuple(x // p for x in m)
+                yield (0, j, a), [((j, m), up), ((j + 1, a), down)]
+            for k in range(1, d + 1 if n <= B + 1 else 1):
+                if m[k - 1]:
+                    yield (k, j, m[: k - 1] + (m[k - 1] - 1,) + m[k:]), [((j, m), ones)]
+        if lo < j <= hi + 1 and n <= B:
+            yield (0, j - 1, m), [((j - 1, tuple(p * x for x in m)), up), ((j, m), down)]
+
+    if any(not lo <= j <= hi + 1 for j in target):
+        raise ValueError("target slots %s lie outside %d..%d" % (sorted(target), lo, hi + 1))
+    # b's closure, walked from its rows: A x = b splits over A's blocks, and
+    # a block that b misses adds nothing, neither to x nor to a certificate
+    queue = list(dict.fromkeys((j, m) for j, f in target.items() for m in f.terms))
+    reached, cols = set(queue), {}
+    for row in queue:  # the queue grows while it is walked
+        for col, held in columns(*row):
+            if col not in cols:
+                cols[col] = held
+                queue += (fresh := [r for r, _ in held if r not in reached])
+                reached.update(fresh)
+    # rows and columns by their indices in the whole-window layouts of record
+    ncod = comb(max(p * B, B + 1, *(f.total_degree() for f in target.values())) + d, d) * e
+    cod = {r: (r[0] - lo) * ncod + grlex_index(r[1]) * e for r in queue}
+    rows = sorted(queue, key=cod.get)
+    at = {r: i * e for i, r in enumerate(rows)}
+    order = sorted(cols, key=lambda c: (c[0], c[1], grlex_index(c[2])))
+    A = [{} for _ in range(len(rows) * e)]
+    for c, col in enumerate(order):
+        for r, digits in cols[col]:
+            for u in range(e):
+                for t, x in digits[u]:
+                    A[at[r] + t][c * e + u] = x
+    b = {at[j, m] + t: x for j, f in target.items() for m, v in f.terms.items() for t, x in enumerate(v.val) if x}
+    x, cert = solve_with_certificate(SparseMatrix(A, len(order) * e), SparseMatrix([b], len(A)), p)
     trace, proven = residue_trace(ring, target)
-    trace_str = {str(j): ring.field.format_elem(v) for j, v in sorted(trace.items())}
     if x is not None:
-        s, *ts = dom.from_row(x.rows[0])
+        s, *ts = seqs = [{} for _ in range(d + 1)]
+        for c, v in x.rows[0].items():
+            k, j, a = order[c // e]
+            add_at(seqs[k], j, ring.monomial(a, units[c % e] * v))
         if h_dual_apply(ring, s, ts) != target:
             raise RuntimeError("witness check failed: the dual tail map misses the target")
         if proven:
@@ -265,7 +268,7 @@ def in_image_hdual(ring, target, window, degree_bound):
         "verdict": "UNSAT",
         "window": [lo, hi],
         "degree_bound": B,
-        "certificate": support(cert),
-        "residue_trace": trace_str,
+        "certificate": support({cod[rows[r // e]] + r % e: v for r, v in cert.items()}),
+        "residue_trace": {str(j): ring.field.format_elem(v) for j, v in sorted(trace.items())},
         "proven": bool(proven),
     }

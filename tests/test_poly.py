@@ -11,6 +11,7 @@ from frobext.cartier import random_module
 from frobext.fmodules import StdR
 from frobext.poly import (
     PolySpace,
+    grlex_index,
     monomials_box,
     monomials_total_degree,
     ring_over,
@@ -83,6 +84,14 @@ def test_frobenius_digit_decomposition(p, e, d):
             assert all(0 <= ai < p for ai in a)
             rebuilt = rebuilt + w.frobenius() * ring.monomial(a)
         assert rebuilt == f
+
+
+@pytest.mark.parametrize("d,cap", [(0, 3), (1, 40), (2, 30), (3, 24), (4, 16), (5, 12), (6, 12)])
+def test_grlex_index_is_the_total_degree_box_index(d, cap):
+    # the binomial count is each monomial's position in the box of every cap
+    # that holds it, so no box list or index dict is needed to find it
+    space = PolySpace.total_degree(ring_over(2, 1, d), cap)
+    assert [grlex_index(m) for m in space.mons] == list(range(len(space.mons)))
 
 
 def test_monomial_enumerators():

@@ -11,17 +11,16 @@ from frobext.cartier import random_module, standard_module
 from frobext.cli import run_scenario_file
 from frobext.fmodules import ShiftRInf
 from frobext.linalg import SparseMatrix, keyed
-from frobext.poly import PolySpace, frob_power, ring_over
+from frobext.poly import PolySpace, add_at, frob_power, ring_over
 from frobext.skew import (
     format_graded,
     format_seq,
     h_dual_apply,
-    h_dual_matrix,
     in_image_hdual,
     residue_trace,
 )
 
-from hdual_reference import hdual_matrix
+from hdual_reference import h_dual_matrix, hdual_matrix, hdual_report
 from two_step_reference import SkewElem, SkewModuleElem, graded_skew_space, skew_mul, two_step_maps
 
 
@@ -200,6 +199,52 @@ def test_hdual_matrix_matches_the_symbolic_flattening(p, e, d, lo, width, bound,
     cod_poly = PolySpace.total_degree(ring, max(p * bound, bound + 1) + grow)
     want = hdual_matrix(ring, window, dom_poly, cod_poly)
     assert h_dual_matrix(ring, width, dom_poly, cod_poly) == want
+
+
+def _closure_target(ring, rng, kind, lo, hi, bound):
+    """A target on slots lo..hi+1: the image of a random (s, t) in the
+    window; that image plus a constant; one monomial of degree above
+    bound + 1 that p does not divide, which no column holds; or nothing."""
+    p, d = ring.field.p, ring.d
+    if kind == "empty":
+        return {}
+    if kind == "unreached":
+        exp = [rng.randrange(2) for _ in range(d)]
+        exp[rng.randrange(d)] = bound + 2 if (bound + 2) % p else bound + 3
+        c = ring.field.from_coords([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(ring.field.e - 1)])
+        return {rng.randrange(lo, hi + 2): ring.monomial(exp, c)}
+    s, *ts = [{j: f for j in range(lo, hi + 1) if (f := rand_poly(ring, rng, deg=bound))} for _ in range(d + 1)]
+    target = h_dual_apply(ring, s, ts)
+    if kind == "constant":
+        add_at(target, rng.randrange(lo, hi + 2), ring.one)
+    return target
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 2),
+    st.integers(1, 4),
+    st.integers(-2, 1),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.sampled_from(["image", "constant", "unreached", "empty"]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_hdual_closure_report_matches_the_whole_window(p, e, d, lo, width, bound, kind, rng):
+    # the closure of b is a union of A's blocks, and A's reduced row echelon
+    # forms (and A.T's) split by block: the witness, with its free variables
+    # 0, and the first cokernel row with y @ b != 0 are those of the whole A
+    ring = ring_over(p, e, d)
+    window = (lo, lo + width - 1)
+    target = _closure_target(ring, rng, kind, *window, bound)
+    rep = in_image_hdual(ring, target, window, bound)
+    assert rep == hdual_report(ring, target, window, bound)
+    if kind == "unreached":
+        # a row that no column holds is a block of its own, and y = e_r
+        assert rep["verdict"] == "UNSAT" and len(rep["certificate"]) == 1
+    if kind == "empty":
+        assert rep["verdict"] == "SAT" and rep["witness_s"] == "0"
 
 
 def _random_seq(ring, rng, lo, hi):
