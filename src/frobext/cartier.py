@@ -30,7 +30,6 @@ from .linalg import (
     keyed,
     product,
     rank,
-    reembed,
     solve,
     tuple_space,
 )
@@ -349,14 +348,16 @@ def cone_window(cone, n, cap, dfmax):
 
 
 def _flatten_diff(cone, n, dom, cap, dfmax):
-    """Flatten d_n from the window `dom` by index arithmetic; the codomain
-    window is the (cap, dfmax) one, grown to fit the images.  The column of
-    u*x^m at key (part, S, s, i) holds `ConeComplex.differential`'s terms:
-    per (sign, l, T) of the wedge boundary, x^(m + a_l*e_l) at (part, T, s,
-    i) with value sign*u, negated on part "C"; on part "C" also the lift
-    (a*u)^(1/p) * x^((c+m+1)/p - 1) at ("D", S, t, i) for each term a*x^c
-    of kernel[S][t][s] with p dividing every c+m+1, and the F-shift -u*x^m
-    at ("D", S, s, i+1).  No two terms of a column share a row."""
+    """Flatten d_n from the window `dom` by index arithmetic.  The first rows
+    are the (cap, dfmax) window of spot n-1, in `cone_window`'s layout; every
+    other row (row key, exponent) is numbered, its F_q digits in turn, when
+    a domain key first reaches it, so no row past the window is empty.  The
+    column of u*x^m at key (part, S, s, i) holds `ConeComplex.differential`'s
+    terms: per (sign, l, T) of the wedge boundary, x^(m + a_l*e_l) at (part,
+    T, s, i) with value sign*u, negated on part "C"; on part "C" also the
+    lift (a*u)^(1/p) * x^((c+m+1)/p - 1) at ("D", S, t, i) for each term
+    a*x^c of kernel[S][t][s] with p dividing every c+m+1, and the F-shift
+    -u*x^m at ("D", S, s, i+1).  No two terms of a column share a row."""
     field = cone.ring.field
     p, e = cone.p, field.e
     mons = dom.inner.mons
@@ -368,27 +369,37 @@ def _flatten_diff(cone, n, dom, cap, dfmax):
         tops = ([x + y + 1 for x, y in zip(c, m)] for m in mons)
         return [tuple(x // p - 1 for x in t) if all(x % p == 0 for x in t) else None for t in tops]
 
-    groups = []  # per (key, m), in dom's order: [(row key, exponent, digits per unit)]
+    win = cone_window(cone, n - 1, cap, dfmax)
+    index, beyond, size = win.inner.index, {}, win.dim()  # beyond: row key -> {exponent: first row past win}
+
+    def first_rows(key, exps):  # per exponent, the first row of its digits at key
+        nonlocal size
+        at, seen, out = win.offset.get(key), beyond.setdefault(key, {}), []
+        for exp in exps:
+            r = None if exp is None or at is None else index.get(exp)
+            if r is not None:
+                r = at + r * e
+            elif exp is not None and (r := seen.setdefault(exp, size)) == size:
+                size += e
+            out.append(r)
+        return out
+
+    groups = []  # per (key, m), in dom's order: [(first row, digits per unit)]
     for part, S, s, i in dom.keys:
         flip = -1 if part == "C" else 1
         terms = [((part, T, s, i), up[l], signed[flip * sign]) for sign, l, T in wedge_boundary(S)]
         if part == "C":
             terms += [(("D", S, t, i), lift(c), ds) for t, row in enumerate(cone.lifts[S]) for c, ds in row[s]]
             terms.append((("D", S, s, i + 1), mons, signed[-1]))
+        placed = [(first_rows(key, exps), ds) for key, exps, ds in terms]
         for j in range(len(mons)):
-            groups.append([(key, exps[j], ds) for key, exps, ds in terms if exps[j] is not None])
-    keys = {key for hits in groups for key, _, _ in hits}
-    exps = {exp for hits in groups for _, exp, _ in hits}
-    cap = max([cap] + [max(exp, default=0) for exp in exps])
-    cod = cone_window(cone, n - 1, cap, max([dfmax] + [key[3] for key in keys]))
-    at = {key: cod.at(key) for key in keys}
-    pos = {exp: cod.inner.index[exp] * e for exp in exps}
-    rows = [{} for _ in range(cod.dim())]
+            groups.append([(at[j], ds) for at, ds in placed if at[j] is not None])
+    rows = [{} for _ in range(size)]
     for col, (hits, k) in enumerate(itertools.product(groups, range(e))):
-        for key, exp, ds in hits:
+        for at, ds in hits:
             for t, x in ds[k]:
-                rows[at[key] + pos[exp] + t][col] = x
-    return SparseMatrix(rows, dom.dim()), cod
+                rows[at + t][col] = x
+    return SparseMatrix(rows, dom.dim())
 
 
 def _augment_matrix(module, dom, dfmax):
@@ -411,27 +422,29 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
     At each inner spot, every cycle supported in the (cap, dfmax) window must
     be a boundary from a grown window; at the top spot the differential must
     have no kernel in the window; at spot 0 the augmentation kernel must be
-    hit.  Growth proceeds in steps of the largest defining exponent.
+    hit.  Growth proceeds in steps of the largest defining exponent.  A
+    cycle's coordinates are those of its window, which are the first rows of
+    every `_flatten_diff` into its spot.
     """
     module = cone.module
     p = cone.p
     step = max((*module.algebra.exponents, 1))
     report = {"cap": cap, "dfmax": dfmax, "spots": [], "passed": True}
 
-    def hit_by_next(n, cycles, cyc_space):
-        """Can each cycle (a row of coords in cyc_space) be written as
-        d_(n+1) of an element from a grown window?"""
+    def hit_by_next(n, cycles):
+        """Can each cycle (a row of coordinates in the spot-n (cap, dfmax)
+        window) be written as d_(n+1) of an element from a grown window?
+        A cycle with a coordinate on a row that no column reaches is not."""
         for g in range(1, max_growth + 1):
-            dom = cone_window(cone, n + 1, cap + g * step, dfmax)
-            A, cod = _flatten_diff(cone, n + 1, dom, cap, dfmax)
-            if solve(A, reembed(cycles, cyc_space, cod), p) is not None:
+            A = _flatten_diff(cone, n + 1, cone_window(cone, n + 1, cap + g * step, dfmax), cap, dfmax)
+            if solve(A, SparseMatrix(cycles.rows, len(A.rows)), p) is not None:
                 return True, g
         return False, max_growth
 
     for n in range(cone.length + 1):
         dom = cone_window(cone, n, cap, dfmax)
         if n:
-            A = _flatten_diff(cone, n, dom, cap, dfmax)[0]
+            A = _flatten_diff(cone, n, dom, cap, dfmax)
         else:  # spot 0 is measured by the augmentation
             A = _augment_matrix(module, dom, dfmax)
         ker = kernel_basis(A, p)
@@ -439,7 +452,7 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
         if n == cone.length:  # top spot: no cycles at all
             entry["ok"] = ker.shape[0] == 0
         else:
-            ok, used = (True, 0) if ker.shape[0] == 0 else hit_by_next(n, ker, dom)
+            ok, used = (True, 0) if ker.shape[0] == 0 else hit_by_next(n, ker)
             entry.update(growth_used=used, ok=ok)
         report["spots"].append(entry)
         report["passed"] = report["passed"] and entry["ok"]

@@ -19,15 +19,14 @@ benchmark's tracer and the tests' dense oracles.
 
 `BlockSpace` is the one home of the flat layout: every direct sum of copies
 of a leaf coordinate space (cone windows, Hom values, sequence windows,
-graded skew truncations, tuples) is a `BlockSpace`.  `coordinate_rows`
+graded skew truncations, tuples) is a `BlockSpace`, and every leaf space
+gives an element's nonzero coordinates as `coord_items`.  `coordinate_rows`
 writes elements as rows (writing each part at its key's offset), `flatten`
 is its transpose, `from_row` reads a row back, and `complex_dims` reads
 cohomology dimensions off a list of matrices.
 """
 
 from __future__ import annotations
-
-from itertools import compress
 
 
 class SparseMatrix:
@@ -286,8 +285,7 @@ def coordinate_rows(elems, space, p):
     `elems` (any iterable) in the flat space `space`: the targets of `solve`.
     A `BlockSpace` part goes to its key's offset, so only the parts an
     element has are written."""
-    n = space.dim()
-    return SparseMatrix([_fill({}, 0, n, space, z, p) for z in elems], n)
+    return SparseMatrix([_fill({}, 0, space, z, p) for z in elems], space.dim())
 
 
 def flatten(images, cod, p):
@@ -297,37 +295,16 @@ def flatten(images, cod, p):
     return coordinate_rows(images, cod, p).T
 
 
-def reembed(rows, dom, amb):
-    """The rows (coordinates in the BlockSpace `dom`) re-expressed in `amb`,
-    a BlockSpace with each of dom's keys whose PolySpace copies hold each of
-    dom's monomials: coordinate (key, monomial, F_q digit) of dom moves to
-    the same (key, monomial, digit) of amb.  This is flatten(dom.from_row
-    of each row) into amb, as an index map."""
-    inner, wide = dom.inner, amb.inner
-    e = inner.e
-    moved = [wide.index[m] * e + k for m in inner.mons for k in range(e)]
-    to = [amb.at(key) + i for key in dom.keys for i in moved]
-    return SparseMatrix([{to[j]: v for j, v in row.items()} for row in rows.rows], amb.dim())
-
-
-def _fill(out, at, n, space, elem, p):
-    """Write the nonzero coordinates of elem in `space`, of dimension n, into
-    the dict `out`, shifted by `at`, and return `out`.  A leaf space that has
-    `coord_items` gives its nonzero coordinates directly; the dense `coords`
-    of any other is scanned for them."""
+def _fill(out, at, space, elem, p):
+    """Write the nonzero coordinates of elem in `space` into the dict `out`,
+    shifted by `at`, and return `out`.  A `BlockSpace` writes each part at
+    its key's offset; every leaf space gives its nonzero coordinates as
+    `coord_items`."""
     if isinstance(space, BlockSpace):
-        inner = space.inner.dim()
         for key, part in space.split(elem):
-            _fill(out, at + space.at(key), inner, space.inner, part, p)
+            _fill(out, at + space.at(key), space.inner, part, p)
         return out
-    if hasattr(space, "coord_items"):
-        pairs = space.coord_items(elem)
-    else:
-        c = space.coords(elem)
-        if len(c) != n:
-            raise ValueError("%d coordinates for a space of dimension %d" % (len(c), n))
-        pairs = zip(compress(range(n), c), compress(c, c))
-    for i, v in pairs:
+    for i, v in space.coord_items(elem):
         x = v % p
         if x:
             out[at + i] = x
@@ -339,7 +316,7 @@ def matrix_of_map(domain_basis, apply_fn, cod, p):
 
     domain_basis: F_p-basis elements of the domain.
     apply_fn: the map, applied to one basis element.
-    cod: the flat codomain space (exposes dim, and coord_items or coords).
+    cod: the flat codomain space (exposes dim, and coord_items or is a BlockSpace).
     """
     return FpLinearMap(flatten((apply_fn(b) for b in domain_basis), cod, p))
 

@@ -16,7 +16,8 @@ complex, each picked out of the cone's keys and `_reads` terms by part, and
 the cross block between them.  `flatten_diff` flattens a cone window by
 pushing each basis vector through the symbolic `ConeComplex.differential`:
 the reference for `frobext.cartier._flatten_diff`, which writes the same
-columns by index arithmetic.  `unit_transpose_report` gives the
+columns by index arithmetic, with the (cap, dfmax) window's rows first and
+only the other rows that some column reaches.  `unit_transpose_report` gives the
 rank of the unit transpose and `free_transpose_roundtrip` checks that on the
 free rank-one module the transpose is digit reversal: `unitalize` reports
 only the tower built on that transpose.
@@ -30,9 +31,10 @@ from frobext.cartier import (
     ext_dims_artinian,
     unit_transpose_map,
 )
-from frobext.linalg import complex_dims, echelon, flatten, kernel_basis, keyed, rank, reembed, rref_transform
+from frobext.linalg import complex_dims, echelon, flatten, kernel_basis, keyed, rank, rref_transform
 from frobext.poly import PolySpace
 
+from dense import reembed
 from koszul_reference import KoszulComplex
 
 

@@ -6,7 +6,9 @@ rows; `linalg` takes only `SparseMatrix`es, so each goes through `sparse`.
 `dense_rref` and `dense_kernel_rows` are Gauss-Jordan and the kernel basis on
 numpy arrays, written apart from `linalg`'s row-sparse eliminator.
 `coords` and `from_coords` write an element of a flat space as a dense
-coordinate list and read one back, for spaces whose library form is rows."""
+coordinate list and read one back, for spaces whose library form is rows.
+`reembed` moves rows into a wider `BlockSpace` layout, for the whole-matrix
+references."""
 
 import numpy as np
 
@@ -84,3 +86,16 @@ def from_coords(space, vec):
         if digit:
             out = out + space.base.fn(digit, j)
     return out
+
+
+def reembed(rows, dom, amb):
+    """The rows (coordinates in the BlockSpace `dom`) re-expressed in `amb`,
+    a BlockSpace with each of dom's keys whose PolySpace copies hold each of
+    dom's monomials: coordinate (key, monomial, F_q digit) of dom moves to
+    the same (key, monomial, digit) of amb.  This is flatten(dom.from_row
+    of each row) into amb, as an index map."""
+    inner, wide = dom.inner, amb.inner
+    e = inner.e
+    moved = [wide.index[m] * e + k for m in inner.mons for k in range(e)]
+    to = [amb.at(key) + i for key in dom.keys for i in moved]
+    return SparseMatrix([{to[j]: v for j, v in row.items()} for row in rows.rows], amb.dim())

@@ -11,10 +11,11 @@ d.d = 0 on its own generators.
 
 from frobext import koszul
 from frobext.koszul import wedge_boundary
-from frobext.linalg import flatten, kernel_basis, keyed, matrix_of_map, reembed, solve
+from frobext.linalg import flatten, kernel_basis, keyed, matrix_of_map, solve
 from frobext.poly import PolySpace, add_at
 
 from artinian_reference import ArtinianAlgebra
+from dense import reembed
 
 
 class KoszulComplex:

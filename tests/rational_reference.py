@@ -4,7 +4,8 @@ PolySpace-built `frobext.rational.BoundedRationalSpace` must match.
 Its basis slots are listed one by one, polynomial part t^0..t^B and then the
 D-adic digits t^i / D^j, j = 1..N, each tensored with the F_q power basis;
 `coords` expands an element into base-D digits and writes them slot by slot,
-and `from_coords` sums the slots back.
+`coord_items` gives its nonzero entries, and `from_coords` sums the slots
+back.
 """
 
 from frobext.rational import u_degree, u_divmod
@@ -74,6 +75,10 @@ class BoundedRationalSpace:
                 for k, ck in enumerate(c.val):
                     vec[i * self.e + k] = ck
         return vec
+
+    def coord_items(self, fn):
+        """The nonzero entries of `coords(fn)`, as (index, value) pairs."""
+        return [(i, v) for i, v in enumerate(self.coords(fn)) if v]
 
     def from_coords(self, vec):
         field = self.ring.field

@@ -8,6 +8,7 @@ import random
 import resource
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from frobext.linalg import (
     kernel_basis,
     keyed,
     matrix_of_map,
-    reembed,
+    solve,
 )
 from frobext.poly import PolySpace, monomials_box, random_poly, ring_over
 from frobext.skew import (
@@ -64,7 +65,7 @@ from cartier_reference import (
     unit_transpose_report,
     whole_matrix_q,
 )
-from dense import from_coords, sparse
+from dense import from_coords, reembed, sparse
 from two_step_reference import (
     SkewModuleElem,
     check_with_alpha,
@@ -376,14 +377,9 @@ def test_cone_wedge_blocks_are_the_koszul_differential(p, d):
                 assert twisted == {("C", T, s, i): -h for T, h in wedge.items()}
 
 
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_cone_window_matrix_matches_the_symbolic_reference(data):
-    # d_n's matrix written by index arithmetic against the flattening of
-    # ConeComplex.differential, on every spot; the domain window may be
-    # wider than the codomain cap, as in the sweep's growth rounds.  At
-    # spot 0, the augmentation's matrix (Phi^i after the projection onto
-    # the box) against the flattening of ConeComplex.augment
+def _draw_cone(data):
+    """A cone on a drawn module, with a (cap, dfmax) window and a growth of
+    the domain's cap, as in the sweep's growth rounds."""
     p = data.draw(st.sampled_from([2, 3, 5]), "p")
     e = data.draw(st.integers(1, 2), "e")
     d = data.draw(st.integers(1, 3), "d")
@@ -391,16 +387,64 @@ def test_cone_window_matrix_matches_the_symbolic_reference(data):
     exps = tuple(data.draw(st.lists(st.integers(1, 2), min_size=d, max_size=d), "exponents"))
     cap, dfmax = data.draw(st.integers(0, 2), "cap"), data.draw(st.integers(0, 2), "dfmax")
     grow = data.draw(st.integers(0, 2), "grow")
-    cone = ConeComplex(_draw_module(data, ArtinianAlgebra(ring_over(p, e, d), exps), rank))
+    return ConeComplex(_draw_module(data, ArtinianAlgebra(ring_over(p, e, d), exps), rank)), cap, dfmax, grow
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_cone_window_matrix_matches_the_symbolic_reference(data):
+    # d_n's matrix written by index arithmetic against the flattening of
+    # ConeComplex.differential into the grown codomain window, on every
+    # spot, with rows mapped back: the (cap, dfmax) window's rows come
+    # first, in its layout, and the other rows are the reference's nonzero
+    # rows outside that window, in some order.  At spot 0, the
+    # augmentation's matrix (Phi^i after the projection onto the box)
+    # against the flattening of ConeComplex.augment
+    cone, cap, dfmax, grow = _draw_cone(data)
+    p = cone.p
     dom = cone_window(cone, 0, cap + grow, dfmax)
     ref = matrix_of_map(dom.basis_elems(), cone.augment, cone.module.space(), p).mat
     assert _augment_matrix(cone.module, dom, dfmax) == ref
     for n in range(1, cone.length + 1):
         dom = cone_window(cone, n, cap + grow, dfmax)
-        A, cod = _flatten_diff(cone, n, dom, cap, dfmax)
+        A = _flatten_diff(cone, n, dom, cap, dfmax)
         ref, ref_cod = flatten_diff(cone, n, dom, cap, dfmax)
-        assert A == ref
-        assert cod.keys == ref_cod.keys and cod.inner.mons == ref_cod.inner.mons
+        win = cone_window(cone, n - 1, cap, dfmax)
+        m = win.dim()
+        # where each window coordinate sits in the reference's grown window
+        at = [min(row) for row in reembed(SparseMatrix([{r: 1} for r in range(m)], m), win, ref_cod).rows]
+        assert A.ncols == ref.ncols and len(A.rows) <= len(ref.rows)
+        assert A.rows[:m] == [ref.rows[r] for r in at]
+        assert all(A.rows[m:])  # a row past the window is there only if a column reaches it
+        outside = set(range(len(ref.rows))) - set(at)
+        rest = Counter(frozenset(row.items()) for row in A.rows[m:])
+        assert rest == Counter(frozenset(ref.rows[r].items()) for r in outside if ref.rows[r])
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_cone_cycles_are_solved_in_their_window_layout(data):
+    # the sweep hands each spot's window cycles to solve unchanged, since its
+    # window is the first rows of d_(n+1); the verdict must be the one that
+    # the symbolic reference gives with the cycles re-embedded in its grown
+    # codomain window.  Drawn rows of the window, mostly not boundaries, and
+    # the unit rows that no column of d_(n+1) reaches give the other verdict
+    cone, cap, dfmax, grow = _draw_cone(data)
+    p = cone.p
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    for n in range(cone.length):
+        win = cone_window(cone, n, cap, dfmax)
+        A = _flatten_diff(cone, n, win, cap, dfmax) if n else _augment_matrix(cone.module, win, dfmax)
+        dom = cone_window(cone, n + 1, cap + grow, dfmax)
+        B = _flatten_diff(cone, n + 1, dom, cap, dfmax)
+        ref, ref_cod = flatten_diff(cone, n + 1, dom, cap, dfmax)
+        m = win.dim()
+        unreached = [{r: 1} for r in range(m) if not B.rows[r]][:2]
+        drawn = [{r: rng.randrange(1, p) for r in rng.sample(range(m), min(m, 3))} for _ in range(2)]
+        cases = [kernel_basis(A, p).rows] + [[row] for row in drawn + unreached]
+        hit = [solve(B, SparseMatrix(targets, len(B.rows)), p) is not None for targets in cases]
+        assert hit == [solve(ref, reembed(SparseMatrix(t, m), win, ref_cod), p) is not None for t in cases]
+        assert not any(hit[len(cases) - len(unreached) :])
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)])
@@ -563,7 +607,7 @@ def test_reembedded_cycles_match_the_coordinate_round_trip(p, e, d):
     for n in range(cone.length):
         # a cone window and the one grown in cap and dfmax, as in the sweep
         dom = cone_window(cone, n, 1, 1)
-        A, _ = _flatten_diff(cone, n, dom, 1, 1)
+        A = _flatten_diff(cone, n, dom, 1, 1)
         cases.append((dom, cone_window(cone, n, 3, 2), kernel_basis(A, p)))
     K = cone.koszul
     small, big, bigger = (PolySpace.box(ring, c) for c in (1, 2, 3))
