@@ -10,6 +10,10 @@ columns) is the descent of
 where C is the digit-projection operator of the ring; the inner factor makes
 the descent automatic, because C((xi^ai)^p h) = xi^ai C(h) pushes the ideal
 into itself.
+
+The mapping cone's differential has one definition, `ConeComplex.rule`, on
+flat elements (key, m) -> F_p digits: the acyclicity sweep, the dual
+complex's `_reads` and the cone's two checks all read it.
 """
 
 from __future__ import annotations
@@ -33,11 +37,15 @@ from .linalg import (
     solve,
     tuple_space,
 )
-from .poly import PolyRing, PolySpace, add_at, frob_power, monomials_box, random_poly, unit_digits
+from .poly import PolyRing, PolySpace, add_at, monomials_box, random_poly, unit_digits
 
 
 def _digit_tuples(p, d):
     return list(itertools.product(range(p), repeat=d))
+
+
+def _bump(m, l, a):  # the exponent m with a added at variable l
+    return m[:l] + (m[l] + a,) + m[l + 1 :]
 
 
 class ArtinianCartierModule:
@@ -192,10 +200,10 @@ class ConeComplex:
 
         (c, y)  |->  (-boundary(c), lift(c) - shift(c) + boundary(y))
 
-    where shift is the F-degree bump.  Spots run 0..d+1.  An element of a
-    spot is a dict (part, S, s, i) -> nonzero polynomial g, the term
-    g . e_(S,s) (x) F^i: part "C" holds the twisted copies (right action
-    through one extra p-th power), part "D" the plain ones.
+    where shift is the F-degree bump.  Spots run 0..d+1.  A key (part, S, s,
+    i) names e_(S,s) (x) F^i: part "C" holds the twisted copies (right action
+    through one extra p-th power), part "D" the plain ones.  An element is a
+    flat dict (key, m) -> the F_p digits of the coefficient of x^m at key.
 
     lift is the diagonal lift of the structure map over the wedge resolution
     of A^rank: on the spot-j generator g . e_(S,s) it acts by
@@ -203,77 +211,91 @@ class ConeComplex:
         (g . e_(S,s))  |->  sum_t C(kernel[S][t][s] * g) . e_(S,t)
 
     with kernel[S][t][s] = cmatrix[t][s] * prod_(i not in S) fi^(p-1).
-    Each square against the wedge differential commutes exactly.  The check
-    is d_squared_on_generators: the plain part of d(d(g)) on a twisted
-    generator g is boundary . lift - lift . boundary, so d^2 = 0 on the
-    digit-monomial generators is the square identity.
+    `rule` is the one definition of d: the sweep, `_reads` and both checks
+    read it.  The plain part of d(d(g)) on a twisted generator g is boundary
+    . lift - lift . boundary, so d_squared_on_generators checks that each
+    square against the wedge differential commutes.
     """
 
     def __init__(self, module):
         self.module = module
-        ring = module.ring
-        self.ring = ring
-        self.d = ring.d
-        self.p = ring.field.p
+        self.ring = ring = module.ring
+        self.d, self.p = ring.d, ring.field.p
         # the wedge resolution of R/(x1^a1..xd^ad): x1^a1, ..., xd^ad is a
         # regular sequence once every exponent is >= 1
         exps = module.algebra.exponents
         if any(a < 1 for a in exps):
             raise ValueError("the cone needs every exponent >= 1, got %s" % ",".join(map(str, exps)))
-        self.fs = [x**a for x, a in zip(ring.gens(), exps)]
         self.length = self.d + 1
-        units = ring.field.power_basis
-        self.kernel, self.lifts = {}, {}
+        units, e = ring.field.power_basis, ring.field.e
+        self.signed = {1: unit_digits(units), -1: unit_digits(-u for u in units)}
+        self.units = [[int(k == t) for t in range(e)] for k in range(e)]  # the F_p digits of each unit
+        self.lifts = {}
         for j in range(self.d + 1):
             for S in subsets(self.d, j):
                 outside = ring.monomial(tuple(0 if i in S else a * (self.p - 1) for i, a in enumerate(exps)))
-                self.kernel[S] = [[k * outside for k in row] for row in module.cmatrix]
                 # kernel[S][t][s]'s terms a*x^c as (c, digits of (a*u)^(1/p) per unit u)
-                self.lifts[S] = [
-                    [[(c, unit_digits((a * u).pth_root() for u in units)) for c, a in k.terms.items()]
-                     for k in row]
-                    for row in self.kernel[S]
-                ]
+                self.lifts[S] = [[[(c, unit_digits((a * u).pth_root() for u in units))
+                                   for c, a in (k * outside).terms.items()] for k in row] for row in module.cmatrix]
+        n = module.space().dim()
+        self.powers = [SparseMatrix([{r: 1} for r in range(n)], n)]  # (Phi^i)^T, whose rows are Phi^i's columns
 
-    def differential(self, n, z):
-        """d_n: spot n -> spot n-1."""
-        ring = self.ring
-        out = {}
-        for (part, S, s, i), g in z.items():
-            if part == "D":
-                for sign, l, T in wedge_boundary(S):
-                    add_at(out, ("D", T, s, i), self.fs[l] * g * sign)
+    def rule(self, mons):
+        """d on u*x^m at a key, for each m of `mons`: terms(key) lists (row
+        key, exponent per m or None, digits per unit u).  Per (sign, l, T) of
+        the wedge boundary, x^(m + al*el) at (part, T, s, i), value sign*u,
+        negated on part "C"; on part "C" also the lift (a*u)^(1/p) *
+        x^((c+m+1)/p - 1) at ("D", S, t, i) per term a*x^c of kernel[S][t][s],
+        None unless p divides every c+m+1, and the F-shift -u*x^m at ("D", S,
+        s, i+1).  No two terms of one (key, m) share a row."""
+        p, signed = self.p, self.signed
+        up = [[m[:l] + (m[l] + a,) + m[l + 1 :] for m in mons] for l, a in enumerate(self.module.algebra.exponents)]
+        res = [tuple(x % p for x in m) for m in mons]
+
+        @functools.cache
+        def lift(c):  # per m, the lift's exponent (c+m+1)/p - 1, or None unless p divides every c+m+1
+            want = tuple((-x - 1) % p for x in c)
+            return [tuple((x + y + 1) // p - 1 for x, y in zip(c, m)) if r == want else None for m, r in zip(mons, res)]
+
+        def terms(key):
+            part, S, s, i = key
+            flip = -1 if part == "C" else 1
+            out = [((part, T, s, i), up[l], signed[flip * sign]) for sign, l, T in wedge_boundary(S)]
+            if part == "C":
+                out += [(("D", S, t, i), lift(c), ds) for t, row in enumerate(self.lifts[S]) for c, ds in row[s]]
+                out.append((("D", S, s, i + 1), mons, signed[-1]))
+            return out
+
+        return terms
+
+    def apply(self, z):
+        """d on the flat element z, as a flat element."""
+        p, e, mons = self.p, self.ring.field.e, list(dict.fromkeys(m for _, m in z))
+        at, terms, out = {m: j for j, m in enumerate(mons)}, self.rule(mons), {}
+        for (key, m), v in z.items():
+            j = at[m]
+            for row, exps, ds in terms(key):
+                if exps[j] is not None:
+                    acc = out.setdefault((row, exps[j]), [0] * e)
+                    for x, dx in zip(v, ds):
+                        for t, y in dx:
+                            acc[t] = (acc[t] + x * y) % p
+        return {k: v for k, v in out.items() if any(v)}
+
+    def augmentation(self, z):
+        """Spot 0 -> M on the flat element z: u*x^m at ("D", (), s, i) goes to
+        column (s, m, u) of Phi^i when x^m lies in the carrier's box, and to
+        zero otherwise.  Returns M's flat coordinates as {row: value}."""
+        module, p, box, out = self.module, self.p, self.module.algebra.space, {}
+        for ((_, _, s, i), m), v in z.items():
+            if (j := box.index.get(m)) is None:
                 continue
-            # -boundary into the twisted part
-            for sign, l, T in wedge_boundary(S):
-                add_at(out, ("C", T, s, i), self.fs[l] * g * (-sign))
-            # the two-step leg into the plain part
-            for t in range(self.module.rank):
-                add_at(out, ("D", S, t, i), ring.cartier(self.kernel[S][t][s] * g))
-            add_at(out, ("D", S, s, i + 1), -g)
-        return out
-
-    def augment(self, z):
-        """Spot 0 -> M: g . e_s (x) F^i  |->  phi^i(class(g) . e_s)."""
-        m = self.module.zero()
-        for (part, S, s, i), g in z.items():
-            if part == "D":
-                v = list(self.module.zero())
-                v[s] = self.module.algebra.reduce(g)
-                m = self.module.add(m, self.module.phi_iter(tuple(v), i))
-        return m
-
-    def act_ring(self, z, r):
-        """z . r: a term at F-degree i carries r^(p^i), one more p-th power
-        on the twisted part."""
-        out = {}
-        for (part, S, s, i), g in z.items():
-            add_at(out, (part, S, s, i), g * frob_power(r, i + (part == "C")))
-        return out
-
-    def act_F(self, z, k=1):
-        """z . F^k."""
-        return {(part, S, s, i + k): g for (part, S, s, i), g in z.items()}
+            while len(self.powers) <= i:
+                self.powers.append(product(self.powers[-1], module.Phi.T, p))
+            for k, x in enumerate(v):
+                for r, y in self.powers[i].rows[s * box.dim() + j * box.e + k].items():
+                    out[r] = (out.get(r, 0) + x * y) % p
+        return {r: y for r, y in out.items() if y}
 
     def generator_keys(self, n):
         """Keys of the right-module generators of spot n: ("C", S, s, a) for
@@ -291,44 +313,41 @@ class ConeComplex:
         so the keys are `generator_keys(n)`."""
         return keyed(self.generator_keys(n), nspace)
 
-    def generators(self, n):
-        """(key, element) for each right-module generator of spot n."""
-        ring = self.ring
-        gens = []
-        for key in self.generator_keys(n):
-            g = ring.monomial(key[3], ring.field.one) if key[0] == "C" else ring.one
-            gens.append((key, {key[:3] + (0,): g}))
-        return gens
-
     def d_squared_on_generators(self):
-        """d . d = 0 on every right-module generator; with the differential
-        right R{F}-linear this pins down d^2 = 0 everywhere."""
-        for n in range(2, self.length + 1):
-            for _, g in self.generators(n):
-                if self.differential(n - 1, self.differential(n, g)):
-                    return False
-        for _, g in self.generators(1):
-            img = self.augment(self.differential(1, g))
-            if not self.module.eq(img, self.module.zero()):
-                return False
+        """d . d = 0 on every unit multiple of every right-module generator,
+        through `augmentation` at spot 1; with the differential right
+        R{F}-linear this pins down d^2 = 0 everywhere."""
+        for n in range(1, self.length + 1):
+            for key in self.generator_keys(n):
+                for u in self.units:
+                    dz = self.apply({(key[:3] + (0,), key[3] if key[0] == "C" else (0,) * self.d): u})
+                    if self.apply(dz) if n > 1 else self.augmentation(dz):
+                        return False
         return True
 
     def right_linearity_check(self, seed=0):
-        """Spot-check d(z . r) = d(z) . r and d(z . F) = d(z) . F on four
-        random generators per spot that has any."""
-        rng = random.Random(seed)
-        mons = monomials_box(self.d, (self.p,) * self.d)
+        """`rule` against the right R{F}-action, on four seeded generator keys
+        per spot that has any, each at a seeded F-degree i < 2: d(z . F) =
+        d(z) . F raises every row's F-degree by one, and for a seeded l,
+        d(z . xl) = d(z) . xl moves each x^m by xl^(p^(i + [part "C"])) and
+        each row's exponent by the same power of its own key."""
+        p, rng = self.p, random.Random(seed)
+        mons = monomials_box(self.d, (p,) * self.d)
+        terms = self.rule(mons)
         for n in range(1, self.length + 1):
-            gens = self.generators(n)
-            for _ in range(4 if gens else 0):
-                key, z = gens[rng.randrange(len(gens))]
-                z = self.act_F(z, rng.randrange(2))
-                r = random_poly(self.ring, mons, rng, 0.4)
-                dz = self.differential(n, z)
-                if self.differential(n, self.act_ring(z, r)) != self.act_ring(dz, r):
+            keys = self.generator_keys(n)
+            for _ in range(4 if keys else 0):
+                key = keys[rng.randrange(len(keys))][:3] + (rng.randrange(2),)
+                here = terms(key)
+                if terms(key[:3] + (key[3] + 1,)) != [(row[:3] + (row[3] + 1,), exps, ds) for row, exps, ds in here]:
                     return False
-                if self.differential(n, self.act_F(z)) != self.act_F(dz):
-                    return False
+                if self.d:
+                    l = rng.randrange(self.d)
+                    moved = self.rule([_bump(m, l, p ** (key[3] + (key[0] == "C"))) for m in mons])(key)
+                    for (row, exps, ds), got in zip(here, moved):
+                        q = p ** (row[3] + (row[0] == "C"))
+                        if got != (row, [None if x is None else _bump(x, l, q) for x in exps], ds):
+                            return False
         return True
 
 
@@ -348,27 +367,12 @@ def cone_window(cone, n, cap, dfmax):
 
 
 def _flatten_diff(cone, n, dom, cap, dfmax):
-    """Flatten d_n from the window `dom` by index arithmetic.  The first rows
-    are the (cap, dfmax) window of spot n-1, in `cone_window`'s layout; every
-    other row (row key, exponent) is numbered, its F_q digits in turn, when
-    a domain key first reaches it, so no row past the window is empty.  The
-    column of u*x^m at key (part, S, s, i) holds `ConeComplex.differential`'s
-    terms: per (sign, l, T) of the wedge boundary, x^(m + a_l*e_l) at (part,
-    T, s, i) with value sign*u, negated on part "C"; on part "C" also the
-    lift (a*u)^(1/p) * x^((c+m+1)/p - 1) at ("D", S, t, i) for each term
-    a*x^c of kernel[S][t][s] with p dividing every c+m+1, and the F-shift
-    -u*x^m at ("D", S, s, i+1).  No two terms of a column share a row."""
-    field = cone.ring.field
-    p, e = cone.p, field.e
-    mons = dom.inner.mons
-    signed = {1: unit_digits(field.power_basis), -1: unit_digits(-u for u in field.power_basis)}
-    up = [[m[:l] + (m[l] + a,) + m[l + 1 :] for m in mons] for l, a in enumerate(cone.module.algebra.exponents)]
-
-    @functools.cache
-    def lift(c):  # per m, the lift's exponent (c+m+1)/p - 1, or None off the congruence
-        tops = ([x + y + 1 for x, y in zip(c, m)] for m in mons)
-        return [tuple(x // p - 1 for x in t) if all(x % p == 0 for x in t) else None for t in tops]
-
+    """Flatten d_n from the window `dom` through `ConeComplex.rule`.  The
+    first rows are the (cap, dfmax) window of spot n-1, in `cone_window`'s
+    layout; every other row (row key, exponent) is numbered, its F_q digits
+    in turn, when a domain key first reaches it, so no row past the window
+    is empty."""
+    e, mons, terms = cone.ring.field.e, dom.inner.mons, cone.rule(dom.inner.mons)
     win = cone_window(cone, n - 1, cap, dfmax)
     index, beyond, size = win.inner.index, {}, win.dim()  # beyond: row key -> {exponent: first row past win}
 
@@ -385,13 +389,8 @@ def _flatten_diff(cone, n, dom, cap, dfmax):
         return out
 
     groups = []  # per (key, m), in dom's order: [(first row, digits per unit)]
-    for part, S, s, i in dom.keys:
-        flip = -1 if part == "C" else 1
-        terms = [((part, T, s, i), up[l], signed[flip * sign]) for sign, l, T in wedge_boundary(S)]
-        if part == "C":
-            terms += [(("D", S, t, i), lift(c), ds) for t, row in enumerate(cone.lifts[S]) for c, ds in row[s]]
-            terms.append((("D", S, s, i + 1), mons, signed[-1]))
-        placed = [(first_rows(key, exps), ds) for key, exps, ds in terms]
+    for key in dom.keys:
+        placed = [(first_rows(row, exps), ds) for row, exps, ds in terms(key)]
         for j in range(len(mons)):
             groups.append([(at[j], ds) for at, ds in placed if at[j] is not None])
     rows = [{} for _ in range(size)]
@@ -402,18 +401,10 @@ def _flatten_diff(cone, n, dom, cap, dfmax):
     return SparseMatrix(rows, dom.dim())
 
 
-def _augment_matrix(module, dom, dfmax):
-    """The matrix of `ConeComplex.augment` on the spot-0 window `dom`: the
-    column of u*x^m at ("D", (), s, i) is column (s, m, u) of Phi^i when x^m
-    lies in the carrier's box, and zero otherwise."""
-    p, n, box = module.ring.field.p, module.space().dim(), module.algebra.space
-    powers = [SparseMatrix([{r: 1} for r in range(n)], n)]  # (Phi^i)^T, whose rows are Phi^i's columns
-    while len(powers) <= dfmax:
-        powers.append(product(powers[-1], module.Phi.T, p))
-    at = [box.index.get(m) for m in dom.inner.mons]
-    cols = [powers[i].rows[s * box.dim() + j * box.e + k] if j is not None else {}
-            for _, _, s, i in dom.keys for j in at for k in range(box.e)]
-    return SparseMatrix(cols, n).T
+def _augment_matrix(cone, dom):
+    """The matrix of `ConeComplex.augmentation` on the spot-0 window `dom`."""
+    cols = [cone.augmentation({(key, m): u}) for key in dom.keys for m in dom.inner.mons for u in cone.units]
+    return SparseMatrix(cols, cone.module.space().dim()).T
 
 
 def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
@@ -426,9 +417,8 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
     cycle's coordinates are those of its window, which are the first rows of
     every `_flatten_diff` into its spot.
     """
-    module = cone.module
     p = cone.p
-    step = max((*module.algebra.exponents, 1))
+    step = max((*cone.module.algebra.exponents, 1))
     report = {"cap": cap, "dfmax": dfmax, "spots": [], "passed": True}
 
     def hit_by_next(n, cycles):
@@ -446,7 +436,7 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
         if n:
             A = _flatten_diff(cone, n, dom, cap, dfmax)
         else:  # spot 0 is measured by the augmentation
-            A = _augment_matrix(module, dom, dfmax)
+            A = _augment_matrix(cone, dom)
         ker = kernel_basis(A, p)
         entry = {"spot": n, "window_dim": dom.dim(), "cycles": int(ker.shape[0])}
         if n == cone.length:  # top spot: no cycles at all
@@ -465,19 +455,26 @@ def cone_acyclicity_report(cone, cap, dfmax, max_growth=3):
 def _reads(cone, n):
     """The dual differential Hom(spot n) -> Hom(spot n+1), indexed by what
     each basis functional reads: a functional is one key k with one inner
-    value b, so it reads only the terms of the bounded differentials that
-    name k.  Returns k -> [(generator key, F-degree i, coefficient w)], with
-    each twisted term's digits taken once."""
-    ring = cone.ring
-    reads = {}
-    for gkey, g in cone.generators(n + 1):
-        for (part, S, s, i), h in cone.differential(n + 1, g).items():
-            if part == "D":
-                reads.setdefault(("D", S, s), []).append((gkey, i, h))
+    value b, so it reads only the terms of `ConeComplex.rule` on the spot-n+1
+    generators that name k.  Returns k -> [(generator key, F-degree i,
+    coefficient w)]: a plain row's terms summed into w, a twisted row's one
+    term v*x^E read at its digit E mod p as w = v^(1/p) * x^(E // p)."""
+    ring, field, p = cone.ring, cone.ring.field, cone.p
+    digits = _digit_tuples(p, cone.d)
+    at, terms, reads = {a: j for j, a in enumerate(digits)}, cone.rule(digits), {}
+    for gkey in cone.generator_keys(n + 1):
+        j, plain = at[gkey[3]] if gkey[0] == "C" else 0, {}  # a plain generator is x^0 = x^digits[0]
+        for (part, S, s, i), exps, ds in terms(gkey[:3] + (0,)):
+            if exps[j] is None:
                 continue
-            for b, w in ring.frobenius_digits(h).items():
-                if w:
-                    reads.setdefault(("C", S, s, b), []).append((gkey, i, w))
+            v = field.from_coords([dict(ds[0]).get(t, 0) for t in range(field.e)])  # at the unit 1
+            if part == "D":
+                add_at(plain, (S, s, i), ring.monomial(exps[j], v))
+            else:
+                b, w = tuple(x % p for x in exps[j]), ring.monomial(tuple(x // p for x in exps[j]), v.pth_root())
+                reads.setdefault(("C", S, s, b), []).append((gkey, i, w))
+        for (S, s, i), w in plain.items():
+            reads.setdefault(("D", S, s), []).append((gkey, i, w))
     return reads
 
 

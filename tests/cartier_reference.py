@@ -1,10 +1,15 @@
 """Checks on the cone and the unit transpose that no task reports.
 
-`ConeComplex` is `frobext.cartier.ConeComplex` with a generator count per
-spot, and its `koszul` is the Koszul complex of `koszul_reference`, which
-carries the whole-element differential.  `_dual_images` evaluates the
-dual differential's functionals through a carrier's symbolic `act` and
-`phi_iter`: the reference for `frobext.cartier._dual_matrix`, which builds
+`ConeComplex` is `frobext.cartier.ConeComplex` with the cone's symbolic
+differential: elements are key -> polynomial dicts, and `differential`,
+`augment`, the right action `act_ring` and `act_F` and the symbolic
+`generators` work on them by polynomial arithmetic.  It is the reference for
+the index rule `ConeComplex.rule`, the library's one definition of d.  It
+also counts generators per spot, and its `koszul` is the Koszul complex of
+`koszul_reference`, which carries the whole-element differential.
+`reads_reference` is `frobext.cartier._reads` built from the symbolic images
+of the generators.  `_dual_images` evaluates the dual differential's
+functionals through a carrier's symbolic `act` and `phi_iter`: the reference for `frobext.cartier._dual_matrix`, which builds
 the same matrix from the carrier's Phi and M(w).  `FreeTarget` is the free
 target R as such a carrier, through polynomial products and the Cartier
 map: the whole-matrix reference for `ext_dim_free_target`, which computes
@@ -31,17 +36,80 @@ from frobext.cartier import (
     ext_dims_artinian,
     unit_transpose_map,
 )
+from frobext.koszul import wedge_boundary
 from frobext.linalg import complex_dims, echelon, flatten, kernel_basis, keyed, rank, rref_transform
-from frobext.poly import PolySpace
+from frobext.poly import PolySpace, add_at
 
 from dense import reembed
 from koszul_reference import KoszulComplex
+from two_step_reference import frob_power
 
 
 class ConeComplex(cartier.ConeComplex):
+    """`frobext.cartier.ConeComplex` with its symbolic differential.  An
+    element is a dict (part, S, s, i) -> nonzero polynomial g, the term
+    g . e_(S,s) (x) F^i, and `differential` writes d by polynomial
+    arithmetic on the regular sequence fl = xl^al and kernel[S][t][s] =
+    cmatrix[t][s] * prod_(i not in S) fi^(p-1): the reference for the index
+    rule `ConeComplex.rule`."""
+
     def __init__(self, module):
         super().__init__(module)
-        self.koszul = KoszulComplex(self.ring, self.fs)
+        ring, exps = self.ring, module.algebra.exponents
+        self.fs = [x**a for x, a in zip(ring.gens(), exps)]
+        self.kernel = {}
+        for S in self.lifts:
+            outside = ring.monomial(tuple(0 if i in S else a * (self.p - 1) for i, a in enumerate(exps)))
+            self.kernel[S] = [[k * outside for k in row] for row in module.cmatrix]
+        self.koszul = KoszulComplex(ring, self.fs)
+
+    def differential(self, n, z):
+        """d_n: spot n -> spot n-1."""
+        out = {}
+        for (part, S, s, i), g in z.items():
+            if part == "D":
+                for sign, l, T in wedge_boundary(S):
+                    add_at(out, ("D", T, s, i), self.fs[l] * g * sign)
+                continue
+            # -boundary into the twisted part
+            for sign, l, T in wedge_boundary(S):
+                add_at(out, ("C", T, s, i), self.fs[l] * g * (-sign))
+            # the two-step leg into the plain part
+            for t in range(self.module.rank):
+                add_at(out, ("D", S, t, i), self.ring.cartier(self.kernel[S][t][s] * g))
+            add_at(out, ("D", S, s, i + 1), -g)
+        return out
+
+    def augment(self, z):
+        """Spot 0 -> M: g . e_s (x) F^i  |->  phi^i(class(g) . e_s)."""
+        m = self.module.zero()
+        for (part, S, s, i), g in z.items():
+            if part == "D":
+                v = list(self.module.zero())
+                v[s] = self.module.algebra.reduce(g)
+                m = self.module.add(m, self.module.phi_iter(tuple(v), i))
+        return m
+
+    def act_ring(self, z, r):
+        """z . r: a term at F-degree i carries r^(p^i), one more p-th power
+        on the twisted part."""
+        out = {}
+        for (part, S, s, i), g in z.items():
+            add_at(out, (part, S, s, i), g * frob_power(r, i + (part == "C")))
+        return out
+
+    def act_F(self, z, k=1):
+        """z . F^k."""
+        return {(part, S, s, i + k): g for (part, S, s, i), g in z.items()}
+
+    def generators(self, n):
+        """(key, element) for each right-module generator of spot n."""
+        ring = self.ring
+        gens = []
+        for key in self.generator_keys(n):
+            g = ring.monomial(key[3], ring.field.one) if key[0] == "C" else ring.one
+            gens.append((key, {key[:3] + (0,): g}))
+        return gens
 
     def generator_count(self, n):
         """Wedge-level generators at spot n (twisted + plain)."""
@@ -78,6 +146,22 @@ class FreeTarget:
     def space(self, cap):
         # cap is the largest exponent allowed, inclusive
         return PolySpace.box(self.ring, cap + 1)
+
+
+def reads_reference(cone, n):
+    """`frobext.cartier._reads` from the symbolic differential: each
+    generator's image under d_(n+1), a plain term read whole and a twisted
+    one split into its Frobenius digits."""
+    reads = {}
+    for gkey, g in cone.generators(n + 1):
+        for (part, S, s, i), h in cone.differential(n + 1, g).items():
+            if part == "D":
+                reads.setdefault(("D", S, s), []).append((gkey, i, h))
+                continue
+            for b, w in cone.ring.frobenius_digits(h).items():
+                if w:
+                    reads.setdefault(("C", S, s, b), []).append((gkey, i, w))
+    return reads
 
 
 def _image(target, terms, b):

@@ -1,6 +1,7 @@
 """Cartier structures on Artinian carriers, their two-step presentations,
 and the glued resolution."""
 
+import functools
 import itertools
 import json
 import os
@@ -23,6 +24,7 @@ from frobext.cartier import (
     _augment_matrix,
     _dual_matrix,
     _flatten_diff,
+    _reads,
     cone_acyclicity_report,
     cone_window,
     ext_dim_free_target,
@@ -34,6 +36,7 @@ from frobext.cartier import (
     unitalize_report,
     zero_structure_module,
 )
+from frobext.cli import run_scenario_file
 from frobext.field import GF
 from frobext.fmodules import coker_formula
 from frobext.linalg import (
@@ -44,7 +47,7 @@ from frobext.linalg import (
     matrix_of_map,
     solve,
 )
-from frobext.poly import PolySpace, monomials_box, random_poly, ring_over
+from frobext.poly import PolySpace, add_at, monomials_box, random_poly, ring_over, unit_digits
 from frobext.skew import (
     check_two_step_exact,
     two_step_matrices,
@@ -62,6 +65,7 @@ from cartier_reference import (
     flatten_diff,
     free_transpose_roundtrip,
     intersection_dim,
+    reads_reference,
     unit_transpose_report,
     whole_matrix_q,
 )
@@ -404,7 +408,7 @@ def test_cone_window_matrix_matches_the_symbolic_reference(data):
     p = cone.p
     dom = cone_window(cone, 0, cap + grow, dfmax)
     ref = matrix_of_map(dom.basis_elems(), cone.augment, cone.module.space(), p).mat
-    assert _augment_matrix(cone.module, dom, dfmax) == ref
+    assert _augment_matrix(cone, dom) == ref
     for n in range(1, cone.length + 1):
         dom = cone_window(cone, n, cap + grow, dfmax)
         A = _flatten_diff(cone, n, dom, cap, dfmax)
@@ -434,7 +438,7 @@ def test_cone_cycles_are_solved_in_their_window_layout(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), "seed"))
     for n in range(cone.length):
         win = cone_window(cone, n, cap, dfmax)
-        A = _flatten_diff(cone, n, win, cap, dfmax) if n else _augment_matrix(cone.module, win, dfmax)
+        A = _flatten_diff(cone, n, win, cap, dfmax) if n else _augment_matrix(cone, win)
         dom = cone_window(cone, n + 1, cap + grow, dfmax)
         B = _flatten_diff(cone, n + 1, dom, cap, dfmax)
         ref, ref_cod = flatten_diff(cone, n + 1, dom, cap, dfmax)
@@ -445,6 +449,108 @@ def test_cone_cycles_are_solved_in_their_window_layout(data):
         hit = [solve(B, SparseMatrix(targets, len(B.rows)), p) is not None for targets in cases]
         assert hit == [solve(ref, reembed(SparseMatrix(t, m), win, ref_cod), p) is not None for t in cases]
         assert not any(hit[len(cases) - len(unreached) :])
+
+
+def _flat(z):
+    """A symbolic cone element as a flat one: (key, m) -> F_p digits."""
+    return {(key, m): list(c.val) for key, g in z.items() for m, c in g.terms.items()}
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_cone_apply_matches_the_symbolic_differential(data):
+    # ConeComplex.apply, which reads the index rule, against the reference's
+    # polynomial differential on drawn elements of every spot: keys at
+    # F-degree 0..2, monomials past the digit box and F_q coefficients
+    cone = _draw_cone(data)[0]
+    ring, p, d = cone.ring, cone.p, cone.d
+    for n in range(1, cone.length + 1):
+        keys = list(dict.fromkeys(key[:3] for key in cone.generator_keys(n)))
+        z = {}
+        for _ in range(data.draw(st.integers(0, 4) if keys else st.just(0), "terms")):
+            key = data.draw(st.sampled_from(keys), "key") + (data.draw(st.integers(0, 2), "i"),)
+            m = data.draw(st.lists(st.integers(0, 2 * p), min_size=d, max_size=d), "m")
+            digits = data.draw(st.lists(st.integers(0, p - 1), min_size=ring.field.e, max_size=ring.field.e), "u")
+            add_at(z, key, ring.monomial(m, ring.field.from_coords(digits)))
+        assert cone.apply(_flat(z)) == _flat(cone.differential(n, z))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_reads_match_the_symbolic_differential(data):
+    # the dual differential's index, read off the rule, against the one read
+    # off the symbolic images of the generators, key and term order included
+    cone = _draw_cone(data)[0]
+    for n in range(cone.length + 1):
+        assert list(_reads(cone, n).items()) == list(reads_reference(cone, n).items())
+
+
+def _patch_rule(monkeypatch, change):
+    """Make `ConeComplex.rule` write each term (row, exps, ds) of a key as
+    change(cone, key, row, exps, ds) does, a builder bug; None drops it."""
+    rule = cartier.ConeComplex.rule
+
+    def patched(cone, mons):
+        terms = rule(cone, mons)
+        return lambda key: [t for term in terms(key) if (t := change(cone, key, *term)) is not None]
+
+    monkeypatch.setattr(cartier.ConeComplex, "rule", patched)
+
+
+def _mutated(mutation, cone, key, row, exps, ds):
+    """A term of d as one of three builder bugs writes it: the F-shift
+    dropped, the twisted boundary's sign flipped, or the lift's p-th root
+    dropped."""
+    field, p = cone.ring.field, cone.p
+    if mutation == "shift" and key[0] == "C" and row[3] > key[3]:
+        return None
+    if mutation == "sign" and key[0] == row[0] == "C":
+        ds = [[(t, -x % p) for t, x in dx] for dx in ds]
+    if mutation == "root" and key[0] == "C" and row[0] == "D" and row[3] == key[3]:
+        values = (field.from_coords([dict(dx).get(t, 0) for t in range(field.e)]) for dx in ds)
+        ds = unit_digits(v**p for v in values)
+    return row, exps, ds
+
+
+@pytest.mark.parametrize(
+    "mutation,name",
+    [
+        ("shift", "cone-d1"),
+        ("shift", "cone-f4-r2"),
+        ("sign", "cone-d2-f3"),
+        ("sign", "cone-p5-d1"),
+        ("root", "cone-f4-r2"),
+    ],
+)
+def test_the_cone_report_certifies_the_rule(mutation, name, monkeypatch):
+    # the report's d . d = 0 check reads the rule that builds the sweep's
+    # matrices, so a builder bug in that rule fails the report
+    path = str(Path(__file__).parent.parent / "corpus" / (name + ".scenario"))
+    assert run_scenario_file(path)[0]["differential_squares_to_zero"]
+    _patch_rule(monkeypatch, functools.partial(_mutated, mutation))
+    report = run_scenario_file(path)[0]
+    assert not report["differential_squares_to_zero"] and not report["passed"]
+
+
+def _capped(cone, key, row, exps, ds):  # every row's F-degree capped at 1
+    return row[:3] + (min(row[3], 1),), exps, ds
+
+
+def _doubled(cone, key, row, exps, ds):  # boundary exponents doubled
+    return row, [tuple(2 * y for y in x) for x in exps] if row[0] == key[0] else exps, ds
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_right_linearity_check_reads_the_rule(d, seed, monkeypatch):
+    # the check holds on the rule, and fails on a rule that is not
+    # F-equivariant (also at d = 0) or not x_l-equivariant
+    cone = ConeComplex(random_module(ArtinianAlgebra(ring_over(3, 1, d), (2,) * d), 2, seed))
+    assert cone.right_linearity_check(seed)
+    for change in [_capped, _doubled] if d else [_capped]:
+        _patch_rule(monkeypatch, change)
+        assert not cone.right_linearity_check(seed)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)])

@@ -11,7 +11,7 @@ from frobext.cartier import random_module, standard_module
 from frobext.cli import run_scenario_file
 from frobext.fmodules import ShiftRInf
 from frobext.linalg import SparseMatrix, keyed
-from frobext.poly import PolySpace, add_at, frob_power, ring_over
+from frobext.poly import PolySpace, add_at, ring_over
 from frobext.skew import (
     format_graded,
     format_seq,
@@ -21,7 +21,7 @@ from frobext.skew import (
 )
 
 from hdual_reference import h_dual_matrix, hdual_matrix, hdual_report
-from two_step_reference import SkewElem, SkewModuleElem, graded_skew_space, skew_mul, two_step_maps
+from two_step_reference import SkewElem, SkewModuleElem, frob_power, graded_skew_space, skew_mul, two_step_maps
 
 
 def rand_poly(ring, rng, deg=4):

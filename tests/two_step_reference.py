@@ -12,12 +12,18 @@ them with `matrix_of_map`.  The check itself never runs this code:
 `check_two_step_exact` builds the matrix of phi once and assembles alpha,
 beta and the witnesses from it, on F-degree -> carrier element dicts.
 `check_with_alpha` runs that check with a replaced alpha, for mutation
-tests.
+tests.  `frob_power` is f^(p^k), the right action's twist on coefficients.
 """
 
 from frobext import skew
 from frobext.linalg import BlockSpace, matrix_of_map
-from frobext.poly import MultiPoly, add_at, frob_power
+from frobext.poly import MultiPoly, add_at
+
+
+def frob_power(f, k):
+    for _ in range(k):
+        f = f.frobenius()
+    return f
 
 
 class SkewElem:
